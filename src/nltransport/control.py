@@ -24,7 +24,8 @@ level map
 
 which is strictly increasing with F(z2) - F(z1) >= z2 - z1 below
 z_inf = sup{z : g'(z) < 0} and diverges there; all roots are bracketed by
-these inequalities and solved by bisection.
+these inequalities.  Level-map inversions take safeguarded Newton steps,
+and the ratio and merge-time roots take Brent steps, inside those brackets.
 
 ``brute_force`` runs backward-induction dynamic programming in reversed time
 (so the pinned endpoint becomes an initial condition) as an independent
@@ -40,6 +41,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
+from scipy.special import exprel
 
 from .dde import F_of_path
 from .errors import DomainError, ModelViolationError, NumericalError
@@ -379,12 +382,18 @@ class CharMap:
     """The level map F(z) = -z log(-g'(z)) + int_{z0}^z log(-g'(z')) dz'.
 
     The antiderivative is tabulated once on a dense logarithmic grid (the
-    integrand is smooth in log z) with cumulative Simpson and a cubic spline;
-    F is strictly increasing on (0, z_inf) with slope >= 1 and diverges at
-    z_inf, which brackets every inversion.
+    integrand is smooth in log z) with cumulative Simpson and a cubic spline.
+    Next to it a cubic spline of log(-g') gives the slope
+    F'(z) = -z g''/g' = -d log(-g') / d log z without g''.  That spline runs
+    over w = log z - log(1 - z/z_inf), which stretches the approach to a
+    finite z_inf, where log(-g') has a logarithmic singularity that no grid
+    in log z resolves.  F is strictly increasing on (0, z_inf) with slope
+    >= 1 and diverges at z_inf, which brackets every inversion.
     """
 
     Z0 = 1.0
+    # Newton needs the slope to ~1e-6, far less than F's accuracy
+    SLOPE_NODES = 2001
 
     def __init__(self, g: PayoffG, z_lo: float = 1e-8, z_hi: float | None = None,
                  n: int = 16001):
@@ -410,6 +419,14 @@ class CharMap:
         base = np.interp(np.log(self.Z0), u, phi)
         self._phi = CubicSpline(u, phi - base)
         self._u_range = (u[0], u[-1])
+        # log(-g') over w; z = e^w / (1 + e^w / z_inf) inverts w(z)
+        self._inv_z_inf = 1.0 / g.z_inf
+        w = np.linspace(*self._w(np.array([self.z_lo, self.z_hi])), self.SLOPE_NODES)
+        zw = np.exp(w) / (1.0 + np.exp(w) * self._inv_z_inf)
+        self._log_slope = CubicSpline(w, np.log(-g.d(zw)))
+
+    def _w(self, z):
+        return np.log(z) - np.log1p(-z * self._inv_z_inf)
 
     def F(self, z):
         z = np.asarray(z, dtype=float)
@@ -418,24 +435,68 @@ class CharMap:
         lz = np.log(z)
         return -z * np.log(-self.g.d(z)) + self._phi(lz)
 
-    def invert(self, c, lo):
-        """Solve F(z) = c for z >= lo elementwise (bisection, certified bracket).
+    def _slope(self, z):
+        """F'(z) from the table, floored at its lower bound 1."""
+        z = np.minimum(z, self.z_hi)
+        dw_du = 1.0 / (1.0 - z * self._inv_z_inf)
+        return np.maximum(-self._log_slope(self._w(z), 1) * dw_du, 1.0)
 
-        F(z2) - F(z1) >= z2 - z1 gives the upper bracket lo + (c - F(lo)).
+    def invert(self, c, lo):
+        """Solve F(z) = c for z >= lo elementwise (safeguarded Newton).
+
+        F(z2) - F(z1) >= z2 - z1 certifies the bracket [lo, lo + (c - F(lo))],
+        and every evaluation of F narrows it.  Newton steps start from lo with
+        the tabulated slope and are taken in v = -z_inf log(1 - z/z_inf)
+        (v = z for infinite z_inf), in which F stays close to linear up to its
+        singularity at z_inf; a step that leaves the bracket is replaced by
+        the bracket's midpoint.  An element stops when its step falls below
+        1e-15 z, or when a step below 1e-12 z + 1e-15 |c| fails to halve:
+        steps shrink quadratically until they reach the rounding noise of F,
+        which exceeds 1e-15 z for small z.  After BISECT_ITERS steps the last
+        iterate, which lies in the bracket, is returned.
         """
         c = np.atleast_1d(np.asarray(c, dtype=float))
         lo = np.broadcast_to(np.atleast_1d(np.asarray(lo, dtype=float)), c.shape).copy()
-        Flo = self.F(lo)
-        if np.any(Flo > c + 1e-9):
+        resid = self.F(lo) - c
+        if np.any(resid > 1e-9):
             raise NumericalError("inversion bracket failed: F(lo) > target")
-        hi = np.minimum(lo + np.maximum(c - Flo, 0.0), self.z_hi)
-        lo = lo.astype(float)
+        hi = np.minimum(lo - np.minimum(resid, 0.0), self.z_hi)
+        z = lo.copy()
+        prev = np.full(c.shape, np.inf)
+        live = np.flatnonzero(resid < 0.0)
         for _ in range(BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            below = self.F(mid) < c
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+            zl, lol, hil = z[live], lo[live], hi[live]
+            step = -resid[live] / self._slope(zl)
+            # the Newton step in v mapped back to z; it stops short of z_inf
+            new = zl + step * exprel(-step / (self.g.z_inf - zl))
+            new = np.where((new >= lol) & (new <= hil), new, 0.5 * (lol + hil))
+            step = np.abs(new - zl)
+            z[live] = new
+            done = (step <= 1e-15 * new) | (
+                (step > 0.5 * prev[live])
+                & (step <= 1e-12 * new + 1e-15 * np.abs(c[live])))
+            prev[live] = step
+            live = live[~done]
+            if live.size == 0:
+                break
+            resid[live] = self.F(z[live]) - c[live]
+            below = resid[live] < 0.0
+            lo[live[below]] = z[live[below]]
+            hi[live[~below]] = z[live[~below]]
+        return z
+
+
+def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Brent's root of f between a and b, 4 eps relative, from known end values.
+
+    fa and fb are certified limits or values the caller already has; brentq
+    reads them instead of calling f, so f runs only inside the bracket, whose
+    ends may be singular.
+    """
+    ends = {a: fa, b: fb}
+    return brentq(lambda v: ends[v] if v in ends else f(v), a, b,
+                  xtol=np.finfo(float).tiny, rtol=4.0 * np.finfo(float).eps,
+                  maxiter=4 * BISECT_ITERS)
 
 
 def value_min1infw(prob: ControlProblem, x: float | None = None,
@@ -445,7 +506,8 @@ def value_min1infw(prob: ControlProblem, x: float | None = None,
     Region "ratio": characteristics y_p(s, lambda) built from the level map;
     region "flat": beyond z_inf the payoff slope is pinned at g(z_inf) and the
     value is linear in x; region "merge": characteristics that join the v = 1
-    curve at a root found by bisection.  The value integrals use cumulative
+    curve.  The ratio lambda and the merge time are Brent roots on brackets
+    whose end values are known limits.  The value integrals use cumulative
     Simpson on a uniform s grid.
     """
     x = prob.x if x is None else x
@@ -458,16 +520,6 @@ def value_min1infw(prob: ControlProblem, x: float | None = None,
     z_inf = g.z_inf
     lam_max = min(z_inf, y)
 
-    def y_p_of_lambda(tq: float, lam: float, n: int = n_s):
-        s = np.linspace(tq, T, n)
-        zp = cm.invert(cm.F(np.array([lam])) + (T - s), np.full(n, lam))
-        return s, zp
-
-    def y_p_value(tq: float, lam: float) -> float:
-        s, zp = y_p_of_lambda(tq, lam)
-        integ = cumtrapz(1.0 / p + 1.0 / zp, x=s)
-        return float(y * np.exp(integ[-1] - 0.0))
-
     # region-1 boundary: lambda -> lam_max
     if z_inf <= y:
         boundary1 = y * np.exp((1.0 / p + 1.0 / z_inf) * (T - t))
@@ -476,23 +528,19 @@ def value_min1infw(prob: ControlProblem, x: float | None = None,
     info = {"boundary_ratio_region": float(boundary1)}
     info["near_boundary"] = bool(abs(x - boundary1) <= 1e-9 * max(1.0, x))
     if x >= boundary1:
-        # ratio region: find lambda with y_p(t, lambda) = x
+        # ratio region: find lambda with y_p(t, lambda) = x; y_p decreases in
+        # lambda and reaches boundary1 at lam_hi
         lam_hi = lam_max * (1.0 - 1e-12)
         lam_lo = lam_hi / 2.0
         for _ in range(200):
-            if _y_p_state(prob, cm, t, lam_lo, n_s) >= x:
+            x_lo = _y_p_state(prob, cm, t, lam_lo, n_s)
+            if x_lo >= x:
                 break
             lam_lo /= 2.0
             if lam_lo < 1e-12:
                 raise NumericalError("ratio-region bracket failed")
-        lo, hi = lam_lo, lam_hi
-        for _ in range(BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            if _y_p_state(prob, cm, t, mid, n_s) > x:
-                lo = mid
-            else:
-                hi = mid
-        lam = 0.5 * (lo + hi)
+        lam = _brent(lambda lam: _y_p_state(prob, cm, t, lam, n_s) - x,
+                     lam_lo, lam_hi, x_lo - x, boundary1 - x)
         s = np.linspace(t, T, n_s)
         zp = cm.invert(cm.F(np.array([lam])) + (T - s), np.full(n_s, lam))
         integ = cumtrapz(1.0 / p + 1.0 / zp, x=s)
@@ -503,6 +551,7 @@ def value_min1infw(prob: ControlProblem, x: float | None = None,
         return simpson_integrate(vals, s[1] - s[0]), info
 
     # below the ratio region: flat region (z_inf finite) or merge region
+    x_tau_lo = float(prob.x_p(t))
     if np.isfinite(z_inf):
         T_inf = T if z_inf < y else T - p * np.log((z_inf + p) / (y + p))
         info["T_inf"] = float(T_inf)
@@ -512,6 +561,7 @@ def value_min1infw(prob: ControlProblem, x: float | None = None,
                 if z_inf >= y else boundary1
             info["boundary_flat_region"] = float(B)
             in_flat = x <= B
+            x_tau_lo = float(B)
         if in_flat:
             tail = _gauss_integral(
                 lambda s: g(prob.x_p(s)) * np.exp(-(T - s) / p), T_inf, T)
@@ -522,15 +572,11 @@ def value_min1infw(prob: ControlProblem, x: float | None = None,
         tau_lo = max(t, T_inf)
     else:
         tau_lo = t
-    # merge region: x_p(t, tau) = x with tau in (tau_lo, T)
-    lo, hi = tau_lo, T
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if _merge_state(prob, cm, t, mid, n_s) < x:
-            lo = mid
-        else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
+    # merge region: x_p(t, tau) = x with tau in (tau_lo, T); the merged state
+    # increases in tau from x_tau_lo (x_p(t), or B at the singular T_inf) to
+    # boundary1
+    tau = _brent(lambda tau: _merge_state(prob, cm, t, tau, n_s) - x,
+                 tau_lo, T, x_tau_lo - x, boundary1 - x)
     info["region"] = "merge"
     info["tau"] = float(tau)
     s = np.linspace(t, tau, n_s)

@@ -2,16 +2,19 @@
 
 Every experiment returns a JSON-serializable report with a ``pass`` flag;
 ``run_scenario`` maps reports to the exit-code contract (0 pass, 1 schema
-violation, 2 assertion failure, 3 numeric error).  CSV and JSON files are
-written atomically; numbers use the shortest round-trip decimal so identical
-configurations produce byte-identical outputs (the wall-time field is the
-single documented exception).
+violation, 2 assertion failure, 3 numeric error, which includes arithmetic
+errors and ValueErrors raised while running).  CSV and JSON files are written
+atomically; JSON is strict, with non-finite numbers written as null; numbers
+use the shortest round-trip decimal so identical configurations produce
+byte-identical outputs (the wall-time field is the single documented
+exception).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -52,8 +55,22 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _finite_or_null(obj):
+    """Copy of a report with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(val) for val in obj]
+    return obj
+
+
 def write_json(path: str, obj) -> None:
-    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: NaN and infinities are written as null."""
+    text = json.dumps(_finite_or_null(obj), indent=2, sort_keys=True,
+                      allow_nan=False)
+    atomic_write(path, text + "\n")
 
 
 def write_csv(path: str, header, columns) -> None:
@@ -310,8 +327,13 @@ def run_scenario(config_path: str, overrides: dict | None = None) -> int:
         return EXIT_SCHEMA
     try:
         entry = execute(scn)
-    except (NumericalError, ModelViolationError, DomainError) as exc:
-        print(f"numeric error: {exc}")
+    except ConfigError as exc:
+        print(f"config error: {exc}")
+        return EXIT_SCHEMA
+    except (NumericalError, ModelViolationError, ArithmeticError, ValueError) as exc:
+        # DomainError and scipy's failures are ValueErrors; ArithmeticError
+        # covers ZeroDivisionError, FloatingPointError and OverflowError
+        print(f"numeric error: {type(exc).__name__}: {' '.join(str(exc).split())}")
         return EXIT_NUMERIC
     report_path = os.path.join(scn.output_dir, "report.json")
     write_json(report_path, {scn.experiment: entry})

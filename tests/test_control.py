@@ -190,6 +190,72 @@ def test_level_map_inversion_roundtrip(g_weighted):
     assert np.max(np.abs(cm.F(back) - (c + 1.5))) < 1e-9
 
 
+def _bisect_reference(cm, c, lo):
+    """The certified-bracket bisection the Newton inversion replaced."""
+    lo = lo.copy()
+    hi = np.minimum(lo + np.maximum(c - cm.F(lo), 0.0), cm.z_hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = cm.F(mid) < c
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("source,top", [(log_source(1.0), 1e5),
+                                        (compact_source(1.0, 2.0), None)],
+                         ids=["log", "compact"])
+def test_level_map_inversion_matches_bisection(source, top, monkeypatch):
+    # targets from 1e-2 up to just below z_inf (the table's end for the
+    # compact kernel), each solved from several starting points
+    cm = cc.PayoffG.from_source_weighted(source, P).char_map
+    top = cm.z_hi if top is None else top
+    z_true = np.concatenate([np.geomspace(1e-2, 0.5 * top, 30),
+                             top * (1.0 - np.geomspace(1e-3, 1e-11, 15))])
+    c = cm.F(z_true)
+    level_map = cm.F
+    for lo in (np.full_like(z_true, 1e-3), 0.5 * z_true, 0.999999 * z_true):
+        ref = _bisect_reference(cm, c, lo)
+        hi = np.minimum(lo + np.maximum(c - cm.F(lo), 0.0), cm.z_hi)
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(cm, "F", lambda z: calls.append(z) or level_map(z))
+            z = cm.invert(c, lo)
+        assert np.max(np.abs(z / ref - 1.0)) < 1e-13
+        assert np.all((z >= lo) & (z <= hi))
+        # Newton steps in v need few evaluations even next to z_inf
+        assert len(calls) <= 12
+
+
+def test_min_weighted_value_work_count(g_weighted, monkeypatch):
+    calls = []
+    level_map = cc.CharMap.F
+
+    def counted(self, z):
+        calls.append(1)
+        return level_map(self, z)
+
+    monkeypatch.setattr(cc.CharMap, "F", counted)
+    prob = cc.ControlProblem("min1infw", g_weighted, P, Y, T, T0)
+    val, _ = cc.value_min1infw(prob, _mid_state(prob, 0.5))
+    assert np.isfinite(val)
+    assert len(calls) <= 400
+
+
+def test_min_weighted_compact_sweep_monotone():
+    g = cc.PayoffG.from_source_weighted(compact_source(1.0, 2.0), P)
+    prob = cc.ControlProblem("min1infw", g, P, Y, T, T0)
+    xs = [_mid_state(prob, frac) for frac in np.geomspace(0.05, 12.0, 20)]
+    vals, regions = [], set()
+    for x in xs:
+        val, info = cc.value_min1infw(prob, x)
+        vals.append(val)
+        regions.add(info["region"])
+    assert regions == {"flat", "merge", "ratio"}
+    assert np.all(np.isfinite(vals))
+    assert np.all(np.diff(vals) >= 0.0)
+
+
 def test_min_weighted_characteristics_ordered(g_weighted):
     # trajectories for distinct ratio levels stay ordered and reachable
     prob = cc.ControlProblem("min1infw", g_weighted, P, Y, T, T0)

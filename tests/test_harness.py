@@ -6,8 +6,9 @@ import pytest
 
 from nltransport.cli import main as cli_main
 from nltransport.config import ConfigError, load, validate
-from nltransport.experiments import (EXIT_ASSERTION, EXIT_PASS, EXIT_SCHEMA,
-                                     config_hash, run_scenario)
+from nltransport import experiments
+from nltransport.experiments import (EXIT_ASSERTION, EXIT_NUMERIC, EXIT_PASS,
+                                     EXIT_SCHEMA, config_hash, run_scenario)
 from nltransport.ratefit import fit_rate
 from nltransport.errors import DomainError
 
@@ -149,6 +150,39 @@ def test_assertion_failure_exit_two(tmp_path):
     doc["options"] = {"tolerance": -1.0}  # unsatisfiable tolerance
     cfg = write_config(tmp_path, doc)
     assert run_scenario(cfg) == EXIT_ASSERTION
+
+
+@pytest.mark.parametrize("error,code", [
+    (ZeroDivisionError("float division by zero"), EXIT_NUMERIC),
+    (FloatingPointError("overflow encountered in exp"), EXIT_NUMERIC),
+    (ValueError("f(a) and f(b) must have different signs"), EXIT_NUMERIC),
+    (ConfigError("model.functional.a: unknown weight 'x'"), EXIT_SCHEMA),
+], ids=["zero-division", "floating-point", "value", "config"])
+def test_runner_errors_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, code):
+    def failing(scn):
+        raise error
+
+    monkeypatch.setitem(experiments.RUNNERS, "equilibrium", failing)
+    cfg = write_config(tmp_path, base_config(str(tmp_path / "out")))
+    assert run_scenario(cfg) == code
+    out = capsys.readouterr()
+    assert len(out.out.splitlines()) == 1
+    assert "Traceback" not in out.out + out.err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_reports_are_strict_json(tmp_path):
+    # simulate-dde has no sup/inf ratio monitor; it must read null, not NaN
+    doc = base_config(str(tmp_path / "out"), experiment="simulate-dde")
+    doc["run"] = {"T": 0.2, "dt": 0.02, "stride": 5}
+    assert run_scenario(write_config(tmp_path, doc)) == EXIT_PASS
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    text = (tmp_path / "out" / "report.json").read_text()
+    entry = json.loads(text, parse_constant=reject)["simulate-dde"]
+    assert entry["sup_inf_ratio_max"] is None
 
 
 def test_cli_override_flags(tmp_path):
