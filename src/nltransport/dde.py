@@ -353,6 +353,9 @@ def run(model: Model, xi0: Profile, T: float, dt: float, stride: int = 1,
 
     rows = {name: [] for name in ("t", "rho", "I", "dist1inf", "norm2inf", "denomL1")}
     fg = {"t": [], "I": [], "dlogIdt": [], "f": [], "g": []}
+    sup_inf_ratio = []
+    # xi(eps0)/xi(1e6) rides along with the norm-grid reconstruction
+    query = np.concatenate([grid, [model.functional.eps0, 1e6]])
 
     def sample(k: int):
         rows["t"].append(hist._t[k])
@@ -369,9 +372,12 @@ def run(model: Model, xi0: Profile, T: float, dt: float, stride: int = 1,
             rows["dist1inf"].append(0.0)
             rows["norm2inf"].append(0.0)
             return
-        xi, dxi, d2 = hist.profile_samples(k, grid, need_second=True)
+        xi, dxi, d2 = hist.profile_samples(k, query, need_second=True)
+        tail = xi[-2:]
+        xi, dxi, d2 = xi[:-2], dxi[:-2], d2[:-2]
         if np.min(xi) < -1e-12:
             raise NumericalError("profile lost nonnegativity during delay run")
+        sup_inf_ratio.append(float(tail[0] / max(tail[1], 1e-300)))
         rows["dist1inf"].append(weighted_norm_from_samples(xi - xi_p, dxi - dxi_p, grid))
         rows["norm2inf"].append(weighted_norm_from_samples(xi, dxi, grid, seconds=d2))
 
@@ -388,7 +394,7 @@ def run(model: Model, xi0: Profile, T: float, dt: float, stride: int = 1,
         "I_min": float(np.min(traj.I)),
         "I_max": float(np.max(traj.I)),
         "I_zero_profile": float(model.functional.value(Profile.constant(0.0))),
-        "sup_inf_ratio_max": np.nan,
+        "sup_inf_ratio_max": float(np.max(sup_inf_ratio)) if sup_inf_ratio else np.nan,
     }
     return traj, {key: np.asarray(v) for key, v in fg.items()}
 

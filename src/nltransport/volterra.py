@@ -22,8 +22,10 @@ and the resolvent metric sup_t int_0^t |r(t,s)| ds.
 
 with trapezoidal memory; setting u = I' turns it into the Volterra problem
 with kernel K(t,s) = a(t) + int_0^s k(t,s') ds', which the report solves as an
-independent cross-check (the two discretizations coincide by the symmetry of
-iterated trapezoid sums over the triangle).
+independent cross-check.  The two discretizations are different second-order
+schemes: they agree to rounding for a = 0 and k = e^{-(t-s)}, but differ at
+O(dt^2) in general (for a(t) = 0.1 + 0.05 sin t, k = 0.5 e^{-(t-s)}/(1+s) and
+f = e^{-t} on [0, 8], the gap falls by a factor of 4.00 per halving of dt).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DomainError, NumericalError
-from .quadrature import trapz_weights
+from .quadrature import cumtrapz, trapz_weights
 
 MAX_RESOLVENT_NODES = 4096
 
@@ -121,18 +123,15 @@ def reconstruct(prob: VolterraProblem, g_values: np.ndarray | None = None) -> np
         np.asarray(g_values, dtype=float)
     dt = prob.dt
     n = len(t)
-    w = trapz_weights(n, dt)
+    # trapezoid on [0, t_i]: dt * (full sum - half of both end terms)
+    Kg = np.zeros(n)
     if prob.convolution:
         K = _kernel_values_conv(prob)
-        Kg = np.zeros(n)
-        for i in range(1, n):
-            wi = trapz_weights(i + 1, dt)
-            Kg[i] = (K[i::-1] * wi) @ g[:i + 1]
+        Kg[1:] = dt * (np.convolve(K, g)[1:n] - 0.5 * (K[1:] * g[0] + K[0] * g[1:]))
     else:
-        Kg = np.zeros(n)
         for i in range(1, n):
-            wi = trapz_weights(i + 1, dt)
-            Kg[i] = (np.asarray(prob.kernel(t[i], t[:i + 1]), float) * wi) @ g[:i + 1]
+            Ki = np.asarray(prob.kernel(t[i], t[:i + 1]), float) * np.ones(i + 1)
+            Kg[i] = dt * (Ki @ g[:i + 1] - 0.5 * (Ki[0] * g[0] + Ki[i] * g[i]))
     m = _solve_from_values(prob, t, Kg)
     return g - m
 
@@ -199,24 +198,21 @@ def gripenberg_check(prob: VolterraProblem, T0_scan=(1.0, 2.0, 5.0, 10.0)) -> di
     report["max_column_increase"] = col_incr
     if col_incr > 1e-10:
         report["hypothesis_flags"].append("t -> K(t,s) is not decreasing")
-    # w(t) = int_0^t K(t,s) ds
-    w_vals = np.empty(n)
-    w_vals[0] = 0.0
-    for i in range(1, n):
-        w_vals[i] = tri[i, :i + 1] @ trapz_weights(i + 1, dt)
+    # w(t) = int_0^t K(t,s) ds: trapezoid row sums (tri vanishes right of the diagonal)
+    w_vals = dt * (tri.sum(axis=1) - 0.5 * (tri[:, 0] + np.diagonal(tri)))
     report["w_late"] = float(w_vals[-1])
     report["w_drift_last_decade"] = float(np.max(w_vals[int(0.9 * n):])
                                           - np.min(w_vals[int(0.9 * n):]))
-    # sliding-tail masses sup_t int_0^{max(t-T0,0)} K(t,s) ds
+    # sliding-tail masses sup_t int_0^{max(t-T0,0)} K(t,s) ds: the cumulative
+    # trapezoid along row i, read at column i - m
+    cum = np.cumsum(tri, axis=1)
     tail = {}
     for T0 in T0_scan:
         m = int(round(T0 / dt))
-        best = 0.0
-        for i in range(m + 1, n):
-            j = i - m
-            wj = trapz_weights(j + 1, dt)
-            best = max(best, float(tri[i, :j + 1] @ wj))
-        tail[float(T0)] = best
+        i = np.arange(m + 1, n)
+        masses = dt * (cum[i, i - m] - 0.5 * (tri[i, 0] + tri[i, i - m]))
+        tail[float(T0)] = float(np.max(masses, initial=0.0))
+    del cum, tri  # free both n x n arrays before the dense resolvent solve
     report["tail_mass"] = tail
     if tail and min(tail.values()) >= 1.0:
         report["hypothesis_flags"].append(
@@ -253,6 +249,11 @@ def linear_dde_solve(prob: LinearDDEProblem, T: float, dt: float,
     is closed against I_{j+1} (linear), and I is the cumulative trapezoid of
     I'.  The report carries sup |I|, the tail oscillation on [0.9 T, T], the
     Volterra cross-check residual and truncation-based hypothesis monitors.
+
+    Both the march and the cross-check cost O(n^2) for n = T/dt steps, with
+    one ``k`` call per step: the cross-check builds each kernel row
+    K(t_i, .) from one cumulative trapezoid of k(t_i, .) and solves it on the
+    general (non-convolution) Volterra path.
     """
     if T <= 0 or dt <= 0:
         raise DomainError("T and dt must be positive")
@@ -283,17 +284,13 @@ def linear_dde_solve(prob: LinearDDEProblem, T: float, dt: float,
     }
     if cross_check:
         def K_equiv(ti, s):
-            s = np.atleast_1d(np.asarray(s, dtype=float))
-            vals = np.empty_like(s)
-            for idx, si in enumerate(s):
-                m = int(round(si / dt))
-                if m == 0:
-                    inner = 0.0
-                else:
-                    wi = trapz_weights(m + 1, dt)
-                    inner = float(np.asarray(prob.k(ti, t[:m + 1]), float) @ wi)
-                vals[idx] = inner
-            return float(prob.a(ti)) + vals
+            # one k call per row: the inner integrals over [0, s_j] are the
+            # cumulative trapezoid of k(ti, .) read at the grid index of s_j
+            m = np.rint(np.atleast_1d(np.asarray(s, dtype=float)) / dt).astype(int)
+            top = int(m.max())
+            inner = cumtrapz(np.asarray(prob.k(ti, t[:top + 1]), float)
+                             * np.ones(top + 1), dx=dt)
+            return float(prob.a(ti)) + inner[m]
 
         vp = VolterraProblem(kernel=K_equiv,
                              forcing=lambda s: prob.f(s) - prob.a(s) * prob.I0 * np.ones_like(s),

@@ -172,17 +172,29 @@ def test_runner_errors_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, c
 
 
 def test_reports_are_strict_json(tmp_path):
-    # simulate-dde has no sup/inf ratio monitor; it must read null, not NaN
-    doc = base_config(str(tmp_path / "out"), experiment="simulate-dde")
-    doc["run"] = {"T": 0.2, "dt": 0.02, "stride": 5}
-    assert run_scenario(write_config(tmp_path, doc)) == EXIT_PASS
-
+    # both routes report the sup/inf ratio monitor as a finite number, and agree
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
 
-    text = (tmp_path / "out" / "report.json").read_text()
-    entry = json.loads(text, parse_constant=reject)["simulate-dde"]
-    assert entry["sup_inf_ratio_max"] is None
+    # on this wrong equilibrium the ratio peaks after t = 0, where the routes differ
+    ratios = {}
+    for experiment in ("simulate-dde", "simulate-pde"):
+        doc = base_config(str(tmp_path / experiment), experiment=experiment)
+        doc["model"] = {"p": 2.0,
+                        "source": {"kind": "kernel_inf", "kernel": "log", "h_inf": 1.0},
+                        "functional": {"q": 1.0, "eps0": 1.0, "a": "inverse_square",
+                                       "b": "h_at_eps0"}}
+        doc["initial"] = {"family": "wrong_equilibrium", "p_prime": 1.5}
+        # stride 1: simulate-pde's cumulative rho check integrates the samples
+        doc["run"] = {"T": 0.4, "dt": 0.02, "stride": 1}
+        cfg = write_config(tmp_path, doc, name=f"{experiment}.json")
+        assert run_scenario(cfg) == EXIT_PASS
+        text = (tmp_path / experiment / "report.json").read_text()
+        ratios[experiment] = json.loads(text, parse_constant=reject)[experiment][
+            "sup_inf_ratio_max"]
+    dde_ratio, pde_ratio = ratios["simulate-dde"], ratios["simulate-pde"]
+    assert isinstance(dde_ratio, float) and np.isfinite(dde_ratio)
+    assert abs(dde_ratio / pde_ratio - 1.0) < 1e-6  # the default equivalence_tol
 
 
 def test_cli_override_flags(tmp_path):

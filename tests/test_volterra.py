@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nltransport import volterra
 from nltransport.errors import NumericalError
 from nltransport.volterra import (LinearDDEProblem, VolterraProblem,
                                   gripenberg_check, linear_dde_solve,
@@ -187,3 +188,63 @@ def test_delay_bounded_by_data():
         ratios.append(out["sup_abs_I"] / (abs(I0) + amp + 1e-12))
     assert max(ratios) < 3.0
     print(f"delay-bound constants: max ratio {max(ratios):.3f}")
+
+
+def _varying_delay_problem():
+    # time-varying a and a non-convolution memory kernel
+    return LinearDDEProblem(
+        a=lambda t: 0.1 + 0.05 * np.sin(t),
+        k=lambda t, s: 0.5 * np.exp(-(t - np.asarray(s, float))) / (1.0 + np.asarray(s, float)),
+        f=lambda t: np.exp(-np.asarray(t, float)), I0=1.0)
+
+
+def test_delay_cross_check_work_count():
+    # one k call per step of the march and one per row of the cross-check
+    calls = [0]
+
+    def k(t, s):
+        calls[0] += 1
+        return np.exp(-(t - np.asarray(s, float)))
+
+    n, dt = 400, 0.02
+    prob = LinearDDEProblem(a=lambda t: np.zeros_like(np.asarray(t, float)), k=k,
+                            f=lambda t: np.zeros_like(np.asarray(t, float)), I0=1.0)
+    out = linear_dde_solve(prob, T=n * dt, dt=dt, hypothesis_report=False)
+    assert out["cross_check_residual"] < 1e-12
+    assert calls[0] <= 3 * n + 10
+
+
+def test_delay_cross_check_rows_match_brute_force(monkeypatch):
+    # the equivalent kernel a(t_i) + int_0^{s_j} k(t_i, s') ds', one trapezoid
+    # per s_j, against the rows the cross-check hands the general Volterra solve
+    captured = []
+    real_solve = volterra.solve
+
+    def spy(vp):
+        captured.append(vp)
+        return real_solve(vp)
+
+    monkeypatch.setattr(volterra, "solve", spy)
+    prob = _varying_delay_problem()
+    dt = 0.04
+    linear_dde_solve(prob, T=8.0, dt=dt, hypothesis_report=False)
+    (vp,) = captured
+    assert not vp.convolution
+    t = vp.grid
+    assert len(t) == 201
+    for i in range(1, len(t)):
+        row = vp.kernel(t[i], t[:i + 1])
+        brute = np.array([np.trapezoid(prob.k(t[i], t[:m + 1]), dx=dt)
+                          for m in range(i + 1)]) + prob.a(t[i])
+        assert np.max(np.abs(row - brute) / np.abs(brute)) <= 1e-14
+
+
+def test_delay_cross_check_second_order():
+    # the march and the Volterra solve are different trapezoid discretizations
+    # of this problem; their gap must shrink at the measured O(dt^2) rate
+    prob = _varying_delay_problem()
+    res = [linear_dde_solve(prob, T=8.0, dt=dt, hypothesis_report=False)
+           ["cross_check_residual"] for dt in (0.04, 0.02, 0.01, 0.005)]
+    ratios = np.array(res[:-1]) / np.array(res[1:])
+    print(f"cross-check residuals {res}, ratios {ratios}")
+    assert np.all((ratios >= 3.5) & (ratios <= 4.5))
