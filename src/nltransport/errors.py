@@ -15,4 +15,15 @@ class ModelViolationError(RuntimeError):
 
 
 class StepError(NumericalError):
-    """A time step's fixed-point solve did not converge."""
+    """A time step's fixed-point solve did not converge.
+
+    ``iterations`` is the number of fixed-point evaluations made and
+    ``residual`` the last convergence measure the solve tested against its
+    tolerance; both are repeated in the message.
+    """
+
+    def __init__(self, message: str, iterations: int, residual: float):
+        super().__init__(f"{message} ({iterations} iterations, last residual "
+                         f"{residual:.3g})")
+        self.iterations = iterations
+        self.residual = residual

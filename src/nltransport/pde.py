@@ -18,11 +18,14 @@ every exponential cancels (R(0) = 0) and the derivative collapses to
     d xi/d y (y,t) = xi0'(y(0)) + int_0^t h'(y(s)) ds,
     d2 xi/d y2     = e^{R(t)} xi0''(y(0)) + int_0^t h''(y(s)) e^{R(t)-R(s)} ds.
 
-rho is stored at grid nodes and interpolated piecewise linearly; R, and the
-cumulative C(s) = int_0^s e^{R}, are exact trapezoids of the interpolant, so
+rho is stored at grid nodes and interpolated piecewise linearly, and R is
+its exact trapezoid.  Between nodes R is taken linear, so e^R is piecewise
+exponential and the cumulative C(s) = int_0^s e^{R} has a closed form on each
+interval; the state carries C at its nodes, one interval added per step, and
 the characteristic evaluation stays second order without substepping.  Each
-time step solves the scalar self-consistency rho = rho(xi(.,t+dt; rho)) by
-damped fixed-point iteration.
+time step solves the scalar self-consistency rho = rho(xi(.,t+dt; rho)) with
+secant steps on the residual rho(xi(.; g)) - g, falling back to a plain
+fixed-point step where the secant is undefined.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ import numpy as np
 from .errors import DomainError, NumericalError, StepError
 from .functionals import DEFAULT_NORM_GRID, Profile, weighted_norm_from_samples
 from .model import Model
+from .quadrature import unit_gauss_nodes
 from .trajectory import Trajectory
 
 MAX_FIXED_POINT_ITERS = 50
-DAMPING_AFTER = 10
 DEFAULT_TOL = 1e-12
 
 
@@ -58,16 +61,35 @@ def _tau_panel_edges(t_total: float, y_min: float, dt: float, p: float) -> np.nd
     return np.array(edges)
 
 
+def _exp_segment(E0, rate, width):
+    """int_0^width E0 e^{rate s} ds, the cumulative of e^R over one interval."""
+    big = np.abs(rate) > 1e-12
+    return np.where(big, E0 * np.expm1(rate * width) / np.where(big, rate, 1.0),
+                    E0 * width)
+
+
+def exp_cumulative(t_nodes: np.ndarray, R_nodes: np.ndarray) -> np.ndarray:
+    """C(t_k) = int_0^{t_k} e^R at every node, R linear between nodes."""
+    widths = np.diff(t_nodes)
+    seg = _exp_segment(np.exp(R_nodes[:-1]), np.diff(R_nodes) / widths, widths)
+    return np.concatenate([[0.0], np.cumsum(seg)])
+
+
 def reconstruct_profile(source, xi0: Profile, t_nodes: np.ndarray, R_nodes: np.ndarray,
                         yq: np.ndarray, p: float, need_second: bool = False,
-                        nodes_per_panel: int = 12):
+                        nodes_per_panel: int = 12, *, C_nodes: np.ndarray | None = None):
     """Interpolant-exact reconstruction of (xi, dxi[, d2xi]) at the final time.
 
     Treats R as piecewise linear between the committed nodes (so e^R is
     piecewise exponential with closed-form cumulative) and integrates the
-    source terms on graded backward-time panels.  This keeps diagnostics
-    accurate near the origin where the source is unbounded; the evolution
-    itself uses the plain history-grid trapezoid.
+    source terms on graded backward-time panels, which stay accurate near the
+    origin where the source is unbounded.  Both stepping routes and their
+    diagnostics reconstruct through it.
+
+    ``C_nodes`` is the cumulative ``exp_cumulative(t_nodes, R_nodes)`` that a
+    stepping state carries.  Given it, a call costs O(N_y N_tau) source
+    evaluations plus O(N_tau log k) to locate the N_tau panel nodes among the
+    k intervals; without it the cumulative is rebuilt, O(k) more per call.
     """
     yq = np.asarray(yq, dtype=float)
     k = len(t_nodes) - 1
@@ -76,33 +98,25 @@ def reconstruct_profile(source, xi0: Profile, t_nodes: np.ndarray, R_nodes: np.n
         if need_second:
             out.append(xi0.d2(yq))
         return tuple(out)
+    if C_nodes is None:
+        C_nodes = exp_cumulative(t_nodes, R_nodes)
     t_k = t_nodes[-1]
     dt = t_nodes[1] - t_nodes[0]
-    rates = np.diff(R_nodes) / np.diff(t_nodes)
-    E_nodes = np.exp(R_nodes)
-    seg = np.where(np.abs(rates) > 1e-12,
-                   E_nodes[:-1] * np.expm1(rates * np.diff(t_nodes)) / np.where(
-                       np.abs(rates) > 1e-12, rates, 1.0),
-                   E_nodes[:-1] * np.diff(t_nodes))
-    C_nodes = np.concatenate([[0.0], np.cumsum(seg)])
 
     edges = _tau_panel_edges(t_k, float(np.min(yq)), dt, p)
-    u, gw = np.polynomial.legendre.leggauss(nodes_per_panel)
-    u = 0.5 * (u + 1.0)
+    u, gw = unit_gauss_nodes(nodes_per_panel)
     widths = np.diff(edges)
     tau = (edges[:-1, None] + widths[:, None] * u).ravel()
-    w_tau = (widths[:, None] * (0.5 * gw)).ravel()
+    w_tau = (widths[:, None] * gw).ravel()
 
     s = t_k - tau
     j = np.clip(np.searchsorted(t_nodes, s, side="right") - 1, 0, k - 1)
     ds = s - t_nodes[j]
-    R_s = R_nodes[j] + rates[j] * ds
-    E_s = np.exp(R_s)
-    C_s = C_nodes[j] + np.where(np.abs(rates[j]) > 1e-12,
-                                E_nodes[j] * np.expm1(rates[j] * ds) / np.where(
-                                    np.abs(rates[j]) > 1e-12, rates[j], 1.0),
-                                E_nodes[j] * ds)
-    E_k = E_nodes[-1]
+    rates = (R_nodes[j + 1] - R_nodes[j]) / (t_nodes[j + 1] - t_nodes[j])
+    E_j = np.exp(R_nodes[j])
+    E_s = np.exp(R_nodes[j] + rates * ds)
+    C_s = C_nodes[j] + _exp_segment(E_j, rates, ds)
+    E_k = np.exp(R_nodes[-1])
     C_k = C_nodes[-1]
 
     ys = (E_k * yq[:, None] + (C_k - C_s[None, :])) / E_s[None, :]
@@ -181,7 +195,7 @@ class LagrangianState:
         self._rho = np.zeros(capacity)
         self._R = np.zeros(capacity)
         self._E = np.ones(capacity)
-        self._C = np.zeros(capacity)
+        self._C = np.zeros(capacity)  # exp_cumulative of the committed nodes
         self._I = np.zeros(capacity)
         self._den = np.zeros(capacity)
         self.n = 1
@@ -200,6 +214,10 @@ class LagrangianState:
     @property
     def rho_values(self):
         return self._rho[:self.n]
+
+    @property
+    def I(self):
+        return self._I[:self.n]
 
     def history(self) -> RhoHistory:
         return RhoHistory(t=self.t.copy(), rho=self.rho_values.copy(),
@@ -244,7 +262,7 @@ class LagrangianState:
         return reconstruct_profile(self.model.source, self.xi0,
                                    self._t[:k + 1], self._R[:k + 1],
                                    np.asarray(yq, dtype=float), self.model.p,
-                                   need_second=need_second)
+                                   need_second=need_second, C_nodes=self._C[:k + 1])
 
     def xi_eval(self, y, t: float | None = None, scheme: str = "refined"):
         """(xi(y,t), d xi/d y (y,t)) at a committed node time (default: latest).
@@ -271,37 +289,49 @@ class LagrangianState:
 
     # -- stepping ---------------------------------------------------------------
 
+    def _set_node(self, k: int, dt: float, rho: float) -> None:
+        """Fill node k from its rho; C grows by the interval ending at node k."""
+        km = k - 1
+        self._rho[k] = rho
+        self._R[k] = self._R[km] + 0.5 * dt * (self._rho[km] + rho)
+        self._E[k] = np.exp(self._R[k])
+        width = self._t[k] - self._t[km]
+        rate = (self._R[k] - self._R[km]) / width
+        self._C[k] = self._C[km] + _exp_segment(self._E[km], rate, width)
+
     def step(self, dt: float, tol: float = DEFAULT_TOL) -> "LagrangianState":
-        """Append t+dt with the self-consistent rho; returns self."""
+        """Append t+dt with the self-consistent rho; returns self.
+
+        Solves r(g) = rho(xi(.; g)) - g = 0 by secant steps from the first
+        fixed-point step, and accepts the first evaluation with |r| < tol.
+        """
         if dt <= 0:
             raise DomainError("dt must be positive")
         self._grow()
         k = self.n
-        km = k - 1
-        self._t[k] = self._t[km] + dt
+        self._t[k] = self._t[k - 1] + dt
         nodes = self.model.functional.nodes
-        guess = self._rho[km]
-        res = None
-        for it in range(MAX_FIXED_POINT_ITERS):
-            self._rho[k] = guess
-            self._R[k] = self._R[km] + 0.5 * dt * (self._rho[km] + guess)
-            self._E[k] = np.exp(self._R[k])
-            self._C[k] = self._C[km] + 0.5 * dt * (self._E[km] + self._E[k])
+        guess = self._rho[k - 1]
+        prev = None
+        for _ in range(MAX_FIXED_POINT_ITERS):
+            self._set_node(k, dt, guess)
             xi, dxi = self.refined_samples(k, nodes)
             res = self.model.rho_from_samples(xi, dxi)
-            new = res.rho
-            if abs(new - guess) < tol:
-                guess = new
+            r = res.rho - guess
+            if abs(r) < tol:
                 break
-            guess = 0.5 * (new + guess) if it >= DAMPING_AFTER else new
+            new = res.rho
+            if prev is not None:
+                slope = r - prev[1]
+                if slope != 0.0 and np.isfinite(slope):
+                    new = guess - r * (guess - prev[0]) / slope
+            prev = (guess, r)
+            guess = new
         else:
             raise StepError(
-                f"rho fixed point did not converge in {MAX_FIXED_POINT_ITERS} "
-                f"iterations at t={self._t[k]:.6g}; try a smaller dt")
-        self._rho[k] = guess
-        self._R[k] = self._R[km] + 0.5 * dt * (self._rho[km] + guess)
-        self._E[k] = np.exp(self._R[k])
-        self._C[k] = self._C[km] + 0.5 * dt * (self._E[km] + self._E[k])
+                f"rho fixed point did not converge at t={self._t[k]:.6g}; "
+                f"try a smaller dt", MAX_FIXED_POINT_ITERS, abs(r))
+        self._set_node(k, dt, res.rho)
         self._I[k] = res.I_value
         self._den[k] = res.denominator
         self.n = k + 1
@@ -328,7 +358,8 @@ def run(model: Model, xi0: Profile, T: float, dt: float, stride: int = 1,
     state = LagrangianState(model, xi0, capacity=n_steps + 2)
     rows = {name: [] for name in ("t", "rho", "I", "dist1inf", "norm2inf", "denomL1")}
     sup_inf_ratio = []
-    eps0 = model.functional.eps0
+    # xi(eps0)/xi(1e6) rides along with the norm-grid reconstruction
+    query = np.concatenate([grid, [model.functional.eps0, 1e6]])
 
     def sample(k: int):
         rows["t"].append(state._t[k])
@@ -339,12 +370,13 @@ def run(model: Model, xi0: Profile, T: float, dt: float, stride: int = 1,
             rows["dist1inf"].append(0.0)
             rows["norm2inf"].append(0.0)
             return
-        xi, dxi, d2 = state.refined_samples(k, grid, need_second=True)
+        xi, dxi, d2 = state.refined_samples(k, query, need_second=True)
+        tail = xi[-2:]
+        xi, dxi, d2 = xi[:-2], dxi[:-2], d2[:-2]
         if np.min(xi) < -1e-12:
             raise NumericalError("profile lost nonnegativity during run")
         rows["dist1inf"].append(weighted_norm_from_samples(xi - xi_p, dxi - dxi_p, grid))
         rows["norm2inf"].append(weighted_norm_from_samples(xi, dxi, grid, seconds=d2))
-        tail = state.refined_samples(k, np.array([eps0, 1e6]))[0]
         sup_inf_ratio.append(float(tail[0] / max(tail[1], 1e-300)))
 
     sample(0)
@@ -393,14 +425,17 @@ def _infer_p(traj: Trajectory) -> float:
 
 
 def cumulative_rho_bound_gap(traj: Trajectory) -> float:
-    """Slack in |int_s^t (rho - 1/p)| <= (1/p) log(I_max/I_min) along the run."""
+    """Slack in |int_s^t (rho - 1/p)| <= (1/p) log(I_max/I_min) along the run.
+
+    Integrates over every committed step of the run's state (either route),
+    not over the strided samples, so the slack does not depend on ``stride``.
+    """
     state = traj.monitors["state"]
     p = state.model.p
-    t = traj.t
-    U = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * ((traj.rho - 1.0 / p)[1:]
-                                                             + (traj.rho - 1.0 / p)[:-1]))])
+    t, excess, I = state.t, state.rho_values - 1.0 / p, state.I
+    U = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * (excess[1:] + excess[:-1]))])
     spread = float(np.max(U) - np.min(U))
-    bound = float(np.log(np.max(traj.I) / np.min(traj.I)) / p)
+    bound = float(np.log(np.max(I) / np.min(I)) / p)
     return bound - spread
 
 

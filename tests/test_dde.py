@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nltransport import canonical_functional
-from nltransport.errors import DomainError
+from nltransport.errors import DomainError, StepError
 from nltransport.functionals import Profile
 from nltransport.model import Model
 from nltransport import dde, pde
@@ -83,6 +83,26 @@ def test_AA4_identity_against_pde(log_model, log_model_p3):
         init = (v0 * xi0(z0 / v0) / p * np.exp(-t / p)
                 - (1.0 + y / p) * xi0.d(z0 / v0))
         assert abs(Bxi - (init + F)) < 1e-7
+
+
+@pytest.mark.parametrize("route", [pde.LagrangianState, dde.IHistory],
+                         ids=["pde", "dde"])
+def test_carried_cumulative_matches_batch(log_model, log_model_p3, route):
+    state = route(log_model, log_model_p3.equilibrium_profile_interpolated())
+    for _ in range(200):
+        state.step(0.01)
+    carried = state._C[:state.n]
+    batch = pde.exp_cumulative(state.t, state._R[:state.n])
+    assert np.max(np.abs(carried - batch) / np.maximum(batch, 1e-300)) <= 1e-15
+
+
+def test_step_error_reports_iterations(log_model, log_model_p3):
+    hist = dde.IHistory(log_model, log_model_p3.equilibrium_profile_interpolated())
+    with pytest.raises(StepError) as err:
+        hist.step(0.01, tol=0.0)
+    assert err.value.iterations == pde.MAX_FIXED_POINT_ITERS
+    assert np.isfinite(err.value.residual)
+    assert f"{pde.MAX_FIXED_POINT_ITERS} iterations" in str(err.value)
 
 
 def test_G_decays_exponentially(log_model, log_model_p3):

@@ -197,6 +197,24 @@ def test_reports_are_strict_json(tmp_path):
     assert abs(dde_ratio / pde_ratio - 1.0) < 1e-6  # the default equivalence_tol
 
 
+def test_cumulative_rho_slack_ignores_stride(tmp_path):
+    # the slack integrates every committed step, so striding the output moves nothing
+    slack = {}
+    for stride in (1, 5):
+        doc = base_config(str(tmp_path / f"stride{stride}"), experiment="simulate-pde")
+        doc["model"] = {"p": 2.0,
+                        "source": {"kind": "kernel_inf", "kernel": "log", "h_inf": 1.0},
+                        "functional": {"q": 1.0, "eps0": 1.0, "a": "inverse_square",
+                                       "b": "h_at_eps0"}}
+        doc["initial"] = {"family": "wrong_equilibrium", "p_prime": 3.0}
+        doc["run"] = {"T": 0.2, "dt": 0.02, "stride": stride}
+        cfg = write_config(tmp_path, doc, name=f"stride{stride}.json")
+        assert run_scenario(cfg) == EXIT_PASS
+        report = json.loads((tmp_path / f"stride{stride}" / "report.json").read_text())
+        slack[stride] = report["simulate-pde"]["cumulative_rho_bound_slack"]
+    assert slack[5] == slack[1]
+
+
 def test_cli_override_flags(tmp_path):
     doc = base_config(str(tmp_path / "ignored"), experiment="simulate-pde")
     cfg = write_config(tmp_path, doc)

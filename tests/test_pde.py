@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nltransport import canonical_functional, constant_source
-from nltransport.errors import DomainError
+from nltransport.errors import DomainError, StepError
 from nltransport.functionals import Profile
 from nltransport.model import Model
 from nltransport import pde
@@ -192,3 +192,74 @@ def test_xi_eval_grid_vs_refined_close(log_model, log_model_p3):
     xi_r, dxi_r = state.xi_eval(y)
     assert np.max(np.abs(xi_g - xi_r)) < 5e-4
     assert np.max(np.abs(dxi_g - dxi_r)) < 5e-4
+
+
+# -- the step's fixed point and its cost -------------------------------------------
+
+
+def _wrong_equilibrium_state(log_model, log_model_p3):
+    return pde.LagrangianState(log_model,
+                               log_model_p3.equilibrium_profile_interpolated(),
+                               capacity=256)
+
+
+def test_secant_step_work_count(log_model, log_model_p3, monkeypatch):
+    # damped fixed-point iteration took 4.91 evaluations per step (5 at most) here
+    state = _wrong_equilibrium_state(log_model, log_model_p3)
+    calls = []
+    rho_from_samples = Model.rho_from_samples
+
+    def counted(self, xi, dxi):
+        calls[-1] += 1
+        return rho_from_samples(self, xi, dxi)
+
+    monkeypatch.setattr(Model, "rho_from_samples", counted)
+    for _ in range(100):
+        calls.append(0)
+        state.step(0.01)
+    assert max(calls) <= 3
+
+
+def test_steps_reuse_the_cached_panel_rule(log_model, log_model_p3, monkeypatch):
+    state = _wrong_equilibrium_state(log_model, log_model_p3)
+    state.step(0.01)
+
+    def refuse(n):
+        raise AssertionError("Gauss-Legendre rule rebuilt during stepping")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    for _ in range(20):
+        state.step(0.01)
+    assert state.n == 22
+
+
+def test_secant_matches_picard_iteration(log_model, log_model_p3):
+    xi0 = log_model_p3.equilibrium_profile_interpolated()
+    state = pde.LagrangianState(log_model, xi0, capacity=256)
+    dt, tol = 0.01, pde.DEFAULT_TOL
+    nodes = log_model.functional.nodes
+    t, rho, R = [0.0], [state.rho_values[0]], [0.0]
+    for _ in range(100):
+        state.step(dt)
+        t.append(t[-1] + dt)
+        guess = rho[-1]
+        for _ in range(pde.MAX_FIXED_POINT_ITERS):
+            R_nodes = np.array(R + [R[-1] + 0.5 * dt * (rho[-1] + guess)])
+            xi, dxi = pde.reconstruct_profile(log_model.source, xi0, np.array(t),
+                                              R_nodes, nodes, log_model.p)
+            new = log_model.rho_from_samples(xi, dxi).rho
+            if abs(new - guess) < tol:
+                break
+            guess = new
+        rho.append(new)
+        R.append(R[-1] + 0.5 * dt * (rho[-2] + new))
+    assert np.max(np.abs(state.rho_values - np.array(rho))) < 1e-13
+
+
+def test_step_error_reports_iterations(log_model, log_model_p3):
+    state = _wrong_equilibrium_state(log_model, log_model_p3)
+    with pytest.raises(StepError) as err:
+        state.step(0.01, tol=0.0)
+    assert err.value.iterations == pde.MAX_FIXED_POINT_ITERS
+    assert np.isfinite(err.value.residual)
+    assert f"{pde.MAX_FIXED_POINT_ITERS} iterations" in str(err.value)
