@@ -21,17 +21,21 @@ initial-data remainder
     G(t,y,v_t(.)) = (1/p) e^{-t/p} v_t(0) xi0(z(0)/v_t(0))
                     - (1 + y/p) xi0'(z(0)/v_t(0)) - e^{-t/p} h(y_p(0)).
 
-log I is the evolved variable and is interpolated piecewise linearly, which
-makes e^{R} (R(s) = s/p + [log I(s) - log I(0)]/p) piecewise exponential --
-exactly the structure the shared characteristic reconstruction assumes, so
-the delay route and the transport route are algebraically identical step by
-step.  The history carries the cumulative C(t_k) = int_0^{t_k} e^{R} at its
-nodes, one interval added per step.  Each step solves the scalar fixed point
-for the new history ratio chi = e^{-int rho} over the step by plain
-fixed-point iteration, damped after DAMPING_AFTER iterations.  It stops when
-two successive evaluations of chi agree, so a secant step would still need a
-second evaluation after it to pass that test and saves none (log source,
-p = 2, dt = 0.01, T = 6: 3.33 evaluations per step with either).
+``IHistory`` runs this route on the stepping engine ``pde.LagrangianState``,
+which owns the node buffers, e^R and the cumulative C = int e^R at the nodes,
+node lookup, the reconstruction and the run loop ``pde.evolve``.  Only three
+things are its own.  First, log I is the evolved variable and is interpolated
+piecewise linearly, so a trial d log I/dt fixes R(s) = s/p + [log I(s) -
+log I(0)]/p at the new node; this keeps e^R piecewise exponential, exactly
+the structure the shared reconstruction assumes, so the two routes are
+algebraically identical step by step.  Second, each step solves the scalar
+fixed point for the new history ratio chi = e^{-int rho} over the step by
+plain fixed-point iteration, damped after DAMPING_AFTER iterations.  It stops
+when two successive evaluations of chi agree, so a secant step would still
+need a second evaluation after it to pass that test and saves none (log
+source, p = 2, dt = 0.01, T = 6: 3.33 evaluations per step with either).
+Third, it evaluates the history functionals: f and g (``fg_at``), the log I
+interpolant and the history ratio v.
 
 The module also carries the constant-source reduction: when h is constant the
 pair I1 = (I/I(0))^{1/p}, I2 = (1/p) int_0^t e^{-(t-s)/p} I1(s) ds closes into
@@ -43,64 +47,40 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, ModelViolationError, NumericalError, StepError
-from .functionals import DEFAULT_NORM_GRID, Profile, weighted_norm_from_samples
+from .functionals import Profile
 from .model import Model
-from .pde import (DEFAULT_TOL, MAX_FIXED_POINT_ITERS, _exp_segment,
-                  reconstruct_profile)
+from .pde import DEFAULT_TOL, MAX_FIXED_POINT_ITERS, LagrangianState, evolve
 from .quadrature import cumtrapz, trapz_weights
-from .trajectory import Trajectory
 
 DAMPING_AFTER = 10
 
 
-class IHistory:
-    """Committed times, log I samples and nodal derivatives of log I."""
+class IHistory(LagrangianState):
+    """The stepping engine evolving log I: adds log I and d log I/dt nodes."""
 
-    def __init__(self, model: Model, xi0: Profile, I0: float | None = None,
-                 capacity: int = 256, check_admissible: bool = True):
+    _BUFFERS = LagrangianState._BUFFERS + ("_logI", "_dlogI")
+
+    def __init__(self, model: Model, xi0: Profile, capacity: int = 256,
+                 check_admissible: bool = True):
         if check_admissible:
             model.check_admissible(xi0)
-        self.model = model
-        self.xi0 = xi0
-        self._t = np.zeros(capacity)
-        self._logI = np.zeros(capacity)
-        self._dlogI = np.zeros(capacity)
-        self._R = np.zeros(capacity)
-        self._C = np.zeros(capacity)  # pde.exp_cumulative of the nodes
-        self._den = np.zeros(capacity)
-        self.n = 1
-        I0 = model.functional.value(xi0) if I0 is None else float(I0)
+        I0 = model.functional.value(xi0)
         if I0 <= 0:
             raise DomainError("I(0) must be positive")
+        super().__init__(model, xi0, capacity, check_admissible=False)
         self._logI[0] = np.log(I0)
-        res = model.rho(xi0)
-        self._dlogI[0] = model.p * res.rho - 1.0
-        self._den[0] = res.denominator
-        self.last_rho_result = res
-
-    @property
-    def t(self):
-        return self._t[:self.n]
+        self._dlogI[0] = model.p * self._rho[0] - 1.0
+        # a node's rho and I are read off the evolved d log I/dt and log I
+        self._rho[0] = (self._dlogI[0] + 1.0) / model.p
+        self._I[0] = np.exp(self._logI[0])
 
     @property
     def logI(self):
         return self._logI[:self.n]
 
     @property
-    def I(self):
-        return np.exp(self.logI)
-
-    @property
     def dlogI(self):
         return self._dlogI[:self.n]
-
-    def _grow(self):
-        if self.n >= len(self._t):
-            for name in ("_t", "_logI", "_dlogI", "_R", "_C", "_den"):
-                old = getattr(self, name)
-                new = np.zeros(2 * len(old))
-                new[:len(old)] = old
-                setattr(self, name, new)
 
     # -- history interpolation ------------------------------------------------
 
@@ -111,21 +91,6 @@ class IHistory:
     def v(self, t: float, s):
         """History ratio v_t(s) = (I(s)/I(t))^{1/p}."""
         return np.exp((self.logI_at(s) - self.logI_at(t)) / self.model.p)
-
-    def _R_nodes(self, k: int):
-        return self._R[:k + 1]
-
-    @property
-    def rho_values(self):
-        return (self.dlogI + 1.0) / self.model.p
-
-    # -- reconstruction ---------------------------------------------------------
-
-    def profile_samples(self, k: int, yq, need_second: bool = False):
-        return reconstruct_profile(self.model.source, self.xi0,
-                                   self._t[:k + 1], self._R[:k + 1],
-                                   np.asarray(yq, dtype=float), self.model.p,
-                                   need_second=need_second, C_nodes=self._C[:k + 1])
 
     def fg_at(self, k: int) -> tuple[float, float]:
         """(f, g) at node k from the committed reconstruction.
@@ -139,8 +104,8 @@ class IHistory:
         spec = model.functional
         y = spec.nodes
         t_k = self._t[k]
-        xi, dxi = self.profile_samples(k, y)
-        E_t = np.exp(self._R[k])
+        xi, dxi = self.refined_samples(k, y)
+        E_t = self._E[k]
         y0 = E_t * y + self._C[k]
         xi0_val, xi0_d = self.xi0.pair_eval(y0)
         init_terms = xi0_val / (p * E_t) - (1.0 + y / p) * xi0_d
@@ -159,31 +124,25 @@ class IHistory:
     # -- stepping -----------------------------------------------------------------
 
     def _set_node(self, k: int, dt: float, D: float) -> None:
-        """Fill node k from a trial d log I/dt; C grows by the interval ending at k."""
+        """Fill node k from a trial d log I/dt."""
         km = k - 1
         p = self.model.p
         self._logI[k] = self._logI[km] + 0.5 * dt * (self._dlogI[km] + D)
         self._R[k] = self._t[k] / p + (self._logI[k] - self._logI[0]) / p
-        width = self._t[k] - self._t[km]
-        rate = (self._R[k] - self._R[km]) / width
-        self._C[k] = self._C[km] + _exp_segment(np.exp(self._R[km]), rate, width)
+        self._set_exp(k)
 
     def step(self, dt: float, tol: float = DEFAULT_TOL) -> "IHistory":
         """Append t+dt solving the fixed point for the new history ratio."""
-        if dt <= 0:
-            raise DomainError("dt must be positive")
-        self._grow()
-        k = self.n
+        k = self._open_node(dt)
         km = k - 1
         p = self.model.p
-        self._t[k] = self._t[km] + dt
         nodes = self.model.functional.nodes
         D = self._dlogI[km]
         chi_prev = None
         delta = np.inf
         for it in range(MAX_FIXED_POINT_ITERS):
             self._set_node(k, dt, D)
-            xi, dxi = self.profile_samples(k, nodes)
+            xi, dxi = self.refined_samples(k, nodes)
             res = self.model.rho_from_samples(xi, dxi)
             D_new = p * res.rho - 1.0
             chi = np.exp(-0.5 * dt * (self._dlogI[km] + D_new) / p)
@@ -200,11 +159,12 @@ class IHistory:
                 f"t={self._t[k]:.6g}; try a smaller dt", MAX_FIXED_POINT_ITERS, delta)
         self._dlogI[k] = D
         self._set_node(k, dt, D)
-        self._den[k] = res.denominator
         if not np.isfinite(self._logI[k]):
             raise ModelViolationError("I(t) lost positivity during stepping")
+        self._rho[k] = (D + 1.0) / p
+        self._I[k] = np.exp(self._logI[k])
+        self._den[k] = res.denominator
         self.n = k + 1
-        self.last_rho_result = res
         return self
 
 
@@ -261,7 +221,7 @@ def F_flat_closed(source, p: float, t: float, y):
 
 def F_eval(model: Model, hist: IHistory, t: float, y, n_points: int | None = None):
     """F(t, y, v_t(.)) with the history taken from ``hist`` (direct quadrature)."""
-    k = _node_index(hist, t)
+    k = hist.node_index(t)
     n = max(2 * k, 2) + 1 if n_points is None else int(n_points)
     s_grid = np.linspace(0.0, t, n)
     v_vals = hist.v(t, s_grid)
@@ -281,18 +241,6 @@ def G_eval(model: Model, hist: IHistory, t: float, y, xi0: Profile | None = None
     return (v0 * xi0(z0 / v0) / p * np.exp(-t / p)
             - (1.0 + y / p) * xi0.d(z0 / v0)
             - np.exp(-t / p) * model.source.eval(y_p0, 0))
-
-
-def _node_index(hist: IHistory, t: float) -> int:
-    if hist.n == 1:
-        if abs(t - hist._t[0]) > 1e-9:
-            raise DomainError("t outside committed history")
-        return 0
-    dt = hist._t[1] - hist._t[0]
-    k = int(round(t / dt))
-    if k < 0 or k >= hist.n or abs(hist._t[k] - t) > 1e-9 * max(1.0, t):
-        raise DomainError(f"t={t} is not a committed history node")
-    return k
 
 
 def dF_gradient(source, p: float, t: float, y: float, s_grid: np.ndarray,
@@ -340,66 +288,20 @@ def dF_gradient(source, p: float, t: float, y: float, s_grid: np.ndarray,
 
 def run(model: Model, xi0: Profile, T: float, dt: float, stride: int = 1,
         tol: float = DEFAULT_TOL, norm_grid: np.ndarray | None = None,
-        I0: float | None = None, norms: bool = True):
+        norms: bool = True):
     """Evolve the delay route to time T; returns (Trajectory, series dict).
 
-    ``norms=False`` zero-fills the profile-norm columns for cheap sampling.
+    Steps and samples through :func:`pde.evolve`, then computes the f and g
+    series at the sampled nodes.
     """
-    if T <= 0 or dt <= 0:
-        raise DomainError("T and dt must be positive")
-    n_steps = int(round(T / dt))
-    grid = DEFAULT_NORM_GRID if norm_grid is None else np.asarray(norm_grid, float)
-    if norms:
-        xi_p = model.equilibrium_values(grid, 0)
-        dxi_p = model.equilibrium_values(grid, 1)
-    hist = IHistory(model, xi0, I0=I0, capacity=n_steps + 2)
-
-    rows = {name: [] for name in ("t", "rho", "I", "dist1inf", "norm2inf", "denomL1")}
-    fg = {"t": [], "I": [], "dlogIdt": [], "f": [], "g": []}
-    sup_inf_ratio = []
-    # xi(eps0)/xi(1e6) rides along with the norm-grid reconstruction
-    query = np.concatenate([grid, [model.functional.eps0, 1e6]])
-
-    def sample(k: int):
-        rows["t"].append(hist._t[k])
-        rows["rho"].append((hist._dlogI[k] + 1.0) / model.p)
-        rows["I"].append(float(np.exp(hist._logI[k])))
-        rows["denomL1"].append(hist._den[k])
-        f, g = hist.fg_at(k)
-        fg["t"].append(hist._t[k])
-        fg["I"].append(float(np.exp(hist._logI[k])))
-        fg["dlogIdt"].append(float(hist._dlogI[k]))
-        fg["f"].append(f)
-        fg["g"].append(g)
-        if not norms:
-            rows["dist1inf"].append(0.0)
-            rows["norm2inf"].append(0.0)
-            return
-        xi, dxi, d2 = hist.profile_samples(k, query, need_second=True)
-        tail = xi[-2:]
-        xi, dxi, d2 = xi[:-2], dxi[:-2], d2[:-2]
-        if np.min(xi) < -1e-12:
-            raise NumericalError("profile lost nonnegativity during delay run")
-        sup_inf_ratio.append(float(tail[0] / max(tail[1], 1e-300)))
-        rows["dist1inf"].append(weighted_norm_from_samples(xi - xi_p, dxi - dxi_p, grid))
-        rows["norm2inf"].append(weighted_norm_from_samples(xi, dxi, grid, seconds=d2))
-
-    sample(0)
-    for k in range(1, n_steps + 1):
-        hist.step(dt, tol=tol)
-        if k % stride == 0 or k == n_steps:
-            sample(k)
-
-    traj = Trajectory(**{name: np.asarray(v) for name, v in rows.items()})
-    traj.monitors = {
-        "state": hist,
-        "dlogI_l1": float(np.sum(np.abs(hist.dlogI[:-1] + hist.dlogI[1:]) * 0.5 * dt)),
-        "I_min": float(np.min(traj.I)),
-        "I_max": float(np.max(traj.I)),
-        "I_zero_profile": float(model.functional.value(Profile.constant(0.0))),
-        "sup_inf_ratio_max": float(np.max(sup_inf_ratio)) if sup_inf_ratio else np.nan,
-    }
-    return traj, {key: np.asarray(v) for key, v in fg.items()}
+    hist = IHistory(model, xi0)
+    traj = evolve(hist, T, dt, stride, tol, norm_grid, norms)
+    traj.monitors["dlogI_l1"] = float(
+        np.sum(np.abs(hist.dlogI[:-1] + hist.dlogI[1:]) * 0.5 * dt))
+    ks = [hist.node_index(t) for t in traj.t]
+    f, g = np.array([hist.fg_at(k) for k in ks]).T
+    fg = {"t": hist._t[ks], "I": hist._I[ks], "dlogIdt": hist._dlogI[ks], "f": f, "g": g}
+    return traj, fg
 
 
 # -- constant-source reduction to a planar ODE ---------------------------------

@@ -221,14 +221,3 @@ class Model:
             "n_profiles": len(vals),
             "nonpositive": bool(np.any(vals <= 0.0)),
         }
-
-
-def equilibrium_xi_p(source: SourceFn, p: float, functional: FunctionalSpec, y):
-    """(xi_p(y), xi_p'(y), A xi_p(y)) as a convenience triple."""
-    model = Model(source, functional, p)
-    return (model.equilibrium_values(y, 0), model.equilibrium_values(y, 1),
-            model.equilibrium_A(y))
-
-
-def rho(functional: FunctionalSpec, source: SourceFn, p: float, prof: Profile) -> RhoResult:
-    return Model(source, functional, p).rho(prof)

@@ -243,8 +243,3 @@ def compact_source(h_inf: float = 1.0, cutoff: float = 1.0) -> SourceFn:
 
 def inv_square_p_source(h_inf: float = 1.0, p: float = 2.0) -> SourceFn:
     return SourceFn(kind="kernel_p", h_inf=h_inf, kernel=inv_square_kernel(), p=p)
-
-
-def source_eval(source: SourceFn, y, order: int = 0):
-    """Functional wrapper around :meth:`SourceFn.eval`."""
-    return source.eval(y, order)

@@ -30,10 +30,6 @@ class Trajectory:
     def __len__(self):
         return len(self.t)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv_text())
-
     def to_csv_text(self) -> str:
         buf = io.StringIO()
         buf.write(",".join(CSV_COLUMNS) + "\n")
@@ -41,11 +37,3 @@ class Trajectory:
         for row in zip(*cols):
             buf.write(",".join(_fmt(v) for v in row) + "\n")
         return buf.getvalue()
-
-
-def write_series_csv(path, header: tuple[str, ...], columns) -> None:
-    """Generic deterministic CSV writer for same-length numeric columns."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")

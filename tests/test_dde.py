@@ -96,6 +96,43 @@ def test_carried_cumulative_matches_batch(log_model, log_model_p3, route):
     assert np.max(np.abs(carried - batch) / np.maximum(batch, 1e-300)) <= 1e-15
 
 
+@pytest.mark.parametrize("route", [pde.LagrangianState, dde.IHistory],
+                         ids=["pde", "dde"])
+def test_off_node_times_are_rejected(log_model, log_model_p3, route):
+    state = route(log_model, log_model_p3.equilibrium_profile_interpolated())
+    assert state.node_index(0.0) == 0
+    with pytest.raises(DomainError):
+        state.node_index(0.01)
+    for _ in range(10):
+        state.step(0.02)
+    assert [state.node_index(t) for t in (0.0, 0.1, 0.2)] == [0, 5, 10]
+    assert state.xi_eval(1.3, 0.2) == state.xi_eval(1.3)
+    for t in (0.05, 0.19, 0.22, -0.02):
+        with pytest.raises(DomainError):
+            state.node_index(t)
+        with pytest.raises(DomainError):
+            state.xi_eval(1.3, t)
+        if route is dde.IHistory:
+            with pytest.raises(DomainError):
+                dde.F_eval(log_model, state, t, 1.3)
+
+
+@pytest.mark.parametrize("module", [pde, dde], ids=["pde", "dde"])
+def test_strided_rows_equal_stride_one_rows(log_model, log_model_p3, module):
+    # every row, f and g included, depends only on its committed node
+    xi0 = log_model_p3.equilibrium_profile_interpolated()
+    runs = {}
+    for stride in (1, 5):
+        out = module.run(log_model, xi0, T=0.42, dt=0.02, stride=stride)
+        runs[stride] = out if module is dde else (out, {})
+    (traj1, fg1), (traj5, fg5) = runs[1], runs[5]
+    idx = [0, 5, 10, 15, 20, 21]
+    for col in ("t", "rho", "I", "dist1inf", "norm2inf", "denomL1"):
+        assert np.array_equal(getattr(traj5, col), getattr(traj1, col)[idx])
+    for key in ("t", "I", "dlogIdt", "f", "g") if module is dde else ():
+        assert np.array_equal(fg5[key], fg1[key][idx])
+
+
 def test_step_error_reports_iterations(log_model, log_model_p3):
     hist = dde.IHistory(log_model, log_model_p3.equilibrium_profile_interpolated())
     with pytest.raises(StepError) as err:

@@ -185,7 +185,7 @@ def test_reports_are_strict_json(tmp_path):
                         "functional": {"q": 1.0, "eps0": 1.0, "a": "inverse_square",
                                        "b": "h_at_eps0"}}
         doc["initial"] = {"family": "wrong_equilibrium", "p_prime": 1.5}
-        # stride 1: simulate-pde's cumulative rho check integrates the samples
+        # stride 1: the ratio's maximum is taken over every step
         doc["run"] = {"T": 0.4, "dt": 0.02, "stride": 1}
         cfg = write_config(tmp_path, doc, name=f"{experiment}.json")
         assert run_scenario(cfg) == EXIT_PASS
