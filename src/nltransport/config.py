@@ -18,8 +18,8 @@ import numpy as np
 from .errors import DomainError
 from .functionals import FunctionalSpec, Profile
 from .model import Model
-from .sources import (NAMED_KERNELS, SourceFn, compact_source, constant_source,
-                      inv_square_p_source, log_source)
+from .sources import (NAMED_KERNELS, SourceFn, compact_kernel, compact_source,
+                      constant_source, inv_square_p_source, log_source)
 
 EXPERIMENTS = ("equilibrium", "simulate-pde", "simulate-dde", "linear-stability",
                "volterra-demo", "control-verify", "suite")
@@ -78,15 +78,11 @@ class Scenario:
                 return compact_source(h_inf, cfg.get("cutoff", 1.0))
             return SourceFn(kind="kernel_inf", h_inf=h_inf,
                             kernel=NAMED_KERNELS[name]())
-        if kind == "kernel_p":
-            if name == "inv_square":
-                return inv_square_p_source(h_inf, cfg.get("kp", self.model_cfg["p"]))
-            return SourceFn(kind="kernel_p", h_inf=h_inf,
-                            kernel=NAMED_KERNELS[name](),
-                            p=cfg.get("kp", self.model_cfg["p"]))
-        tab = cfg["table"]
-        return SourceFn(kind="tabulated", h_inf=h_inf,
-                        table=(np.asarray(tab["y"], float), np.asarray(tab["h"], float)))
+        if name == "inv_square":
+            return inv_square_p_source(h_inf, cfg.get("kp", self.model_cfg["p"]))
+        return SourceFn(kind="kernel_p", h_inf=h_inf,
+                        kernel=compact_kernel(cfg.get("cutoff", 1.0)),
+                        p=cfg.get("kp", self.model_cfg["p"]))
 
     def build_functional(self, source: SourceFn) -> FunctionalSpec:
         cfg = self.model_cfg.get("functional", {})
@@ -117,16 +113,16 @@ class Scenario:
         cfg = self.initial_cfg
         family = cfg.get("family", "equilibrium")
         if family == "equilibrium":
-            return model.equilibrium_profile_interpolated()
+            return model.equilibrium_profile()
         if family == "wrong_equilibrium":
             other = Model(model.source, model.functional, cfg["p_prime"])
-            return other.equilibrium_profile_interpolated()
+            return other.equilibrium_profile()
         if family == "scaled_equilibrium":
-            return model.equilibrium_profile_interpolated().scaled(cfg["factor"])
+            return model.equilibrium_profile().scaled(cfg["factor"])
         if family == "perturbed_equilibrium":
             amp = cfg.get("amplitude", 1e-3)
             decay = cfg.get("decay", 1.0)
-            xp = model.equilibrium_profile_interpolated()
+            xp = model.equilibrium_profile()
 
             def pair(y):
                 v, d = xp.pair_eval(y)
@@ -167,12 +163,22 @@ def validate(doc: Any, path: str = "config") -> Scenario:
     _expect(p > 0, f"{path}.model.p", "must be positive")
     source = _get(model_cfg, "source", f"{path}.model", dict)
     kind = _get(source, "kind", f"{path}.model.source", str)
-    _expect(kind in ("constant", "kernel_inf", "kernel_p", "tabulated"),
+    _expect(kind != "tabulated", f"{path}.model.source.kind",
+            "tabulated sources cannot build a model: the equilibrium needs h "
+            "beyond the end of the table")
+    _expect(kind in ("constant", "kernel_inf", "kernel_p"),
             f"{path}.model.source.kind", f"unknown source kind {kind!r}")
     if kind in ("kernel_inf", "kernel_p"):
         name = _get(source, "kernel", f"{path}.model.source", str, "log")
         _expect(name in NAMED_KERNELS, f"{path}.model.source.kernel",
                 f"must be one of {', '.join(NAMED_KERNELS)}")
+        _expect(not (kind == "kernel_p" and name == "log"),
+                f"{path}.model.source.kernel",
+                "log with kind kernel_p diverges: (1 + p/u)/(1 + u) is not "
+                "integrable at infinity")
+        for key in ("cutoff", "kp"):
+            value = _get(source, key, f"{path}.model.source", float, 1.0)
+            _expect(value > 0, f"{path}.model.source.{key}", "must be positive")
     h_inf = _get(source, "h_inf", f"{path}.model.source", float, 1.0)
     _expect(h_inf > 0, f"{path}.model.source.h_inf", "must be positive")
     func = _get(model_cfg, "functional", f"{path}.model", dict, {})

@@ -40,9 +40,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
-from scipy.special import exprel
 
 from .dde import F_of_path
 from .errors import DomainError, ModelViolationError, NumericalError
@@ -397,6 +394,8 @@ class CharMap:
 
     def __init__(self, g: PayoffG, z_lo: float = 1e-8, z_hi: float | None = None,
                  n: int = 16001):
+        from scipy.interpolate import CubicSpline
+
         if g.degenerate:
             raise DomainError("level map undefined for flat payoffs")
         self.g = g
@@ -455,6 +454,8 @@ class CharMap:
         which exceeds 1e-15 z for small z.  After BISECT_ITERS steps the last
         iterate, which lies in the bracket, is returned.
         """
+        from scipy.special import exprel
+
         c = np.atleast_1d(np.asarray(c, dtype=float))
         lo = np.broadcast_to(np.atleast_1d(np.asarray(lo, dtype=float)), c.shape).copy()
         resid = self.F(lo) - c
@@ -493,6 +494,8 @@ def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
     reads them instead of calling f, so f runs only inside the bracket, whose
     ends may be singular.
     """
+    from scipy.optimize import brentq
+
     ends = {a: fa, b: fb}
     return brentq(lambda v: ends[v] if v in ends else f(v), a, b,
                   xtol=np.finfo(float).tiny, rtol=4.0 * np.finfo(float).eps,

@@ -184,7 +184,7 @@ def run_linear_stability(scn: Scenario) -> dict:
                np.concatenate([-np.diff(cert["weighted"]), [np.nan]])))
     h3 = lin.condition_H3(omega=scn.options.get("contour_omega", 50.0))
     amp = scn.options.get("amplitude", 1e-3)
-    xp = model.equilibrium_profile_interpolated()
+    xp = model.equilibrium_profile()
     evo = lin.linear_evolve(xp.scaled(amp), T=scn.run_cfg["T"],
                             dt=scn.run_cfg["dt"])
     fit = evo["rate_fit"]

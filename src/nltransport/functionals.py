@@ -204,14 +204,6 @@ def canonical_functional(source: SourceFn, q: float = 1.0, eps0: float = 1.0,
     return spec
 
 
-def functional_I(spec: FunctionalSpec, prof: Profile) -> float:
-    return spec.value(prof)
-
-
-def functional_dI(spec: FunctionalSpec, prof: Profile, y):
-    return spec.gradient(prof, y)
-
-
 DEFAULT_NORM_GRID = np.geomspace(1e-3, 1e4, 600)
 
 

@@ -40,7 +40,6 @@ conventions.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ModelViolationError
 from .functionals import Profile, weighted_norm_from_samples
@@ -75,7 +74,6 @@ class Linearization:
         if self.denom <= 0:
             raise ModelViolationError("equilibrium admissibility denominator "
                                       "is not positive")
-        self._axi_interp = None
 
     # -- pointwise building blocks -----------------------------------------
 
@@ -85,42 +83,22 @@ class Linearization:
         y = np.asarray(y, dtype=float)
         return np.exp(t / self.p) * y + self.p * np.expm1(t / self.p)
 
-    def BA_xi_p(self, y, exact: bool = True):
+    def BA_xi_p(self, y):
         """(B A xi_p)(y) = (1/p) A xi_p(y) - y h'(y) >= 0."""
         y = np.asarray(y, dtype=float)
-        A = self._A(y, exact)
+        A = self.model.equilibrium_A(y)
         return A / self.p - y * self.model.source.eval(y, 1)
 
-    def B2A_xi_p(self, y, exact: bool = True):
+    def B2A_xi_p(self, y):
         """(B^2 A xi_p)(y) = (1/p) BA xi_p + h' + (1 + y/p) y h''."""
         y = np.asarray(y, dtype=float)
         src = self.model.source
-        return (self.BA_xi_p(y, exact) / self.p + src.eval(y, 1)
+        return (self.BA_xi_p(y) / self.p + src.eval(y, 1)
                 + (1.0 + y / self.p) * y * src.eval(y, 2))
-
-    def _A(self, y, exact: bool = True):
-        if exact:
-            y = np.asarray(y, dtype=float)
-            flat = y.ravel()
-            out = np.empty_like(flat)
-            chunk = 100_000
-            for lo in range(0, len(flat), chunk):
-                out[lo:lo + chunk] = self.model.equilibrium_A(flat[lo:lo + chunk])
-            return out.reshape(y.shape)
-        if self._axi_interp is None:
-            grid = np.geomspace(1e-8, 1e12, 6000)
-            self._axi_interp = CubicSpline(
-                np.log(grid), self.model.equilibrium_A(grid))
-        y = np.asarray(y, dtype=float)
-        out = np.empty_like(y)
-        hi = y >= 1e12
-        out[hi] = self.p * self.model.source.h_inf
-        out[~hi] = self._axi_interp(np.log(np.clip(y[~hi], 1e-8, None)))
-        return out
 
     # -- the convolution kernel ------------------------------------------------
 
-    def kernel_K(self, t, exact: bool = True):
+    def kernel_K(self, t):
         """K(t) >= 0, with e^{t/p} K(t) nonincreasing for conforming sources."""
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -129,12 +107,12 @@ class Linearization:
         for lo in range(0, len(t), chunk):
             tt = t[lo:lo + chunk]
             Y = self.shift(tt[:, None], self.nodes[None, :])
-            vals = self.BA_xi_p(Y, exact)
+            vals = self.BA_xi_p(Y)
             pair = (vals * self.dI_p[None, :]) @ self.weights
             out[lo:lo + chunk] = -np.exp(-tt / self.p) * pair / self.denom
         return float(out[0]) if scalar else out
 
-    def kernel_K_prime(self, t, exact: bool = True):
+    def kernel_K_prime(self, t):
         """K'(t) = -K(t)/p + <dI, e^{-Bt} [(B - 1/p) B A xi_p]> / denom."""
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -142,7 +120,7 @@ class Linearization:
         Y = self.shift(t[:, None], self.nodes[None, :])
         m = src.eval(Y, 1) + (1.0 + Y / self.p) * Y * src.eval(Y, 2)
         pair = (m * self.dI_p[None, :]) @ self.weights
-        out = -self.kernel_K(t, exact) / self.p + np.exp(-t / self.p) * pair / self.denom
+        out = -self.kernel_K(t) / self.p + np.exp(-t / self.p) * pair / self.denom
         return float(out[0]) if scalar else out
 
     def forcing_g(self, xi0_tilde: Profile, t):
@@ -211,7 +189,7 @@ class Linearization:
     def _laplace_kernel_values(self, T_L, omega_max):
         self._laplace_rule(T_L, omega_max)
         if self._lap_K is None:
-            self._lap_K = self.kernel_K(self._lap_nodes, exact=False)
+            self._lap_K = self.kernel_K(self._lap_nodes)
         return self._lap_K
 
     def condition_H3(self, q_factor: float = 1.2, re_max: float = 2.0,
@@ -265,7 +243,7 @@ class Linearization:
         """Solve u + K*u = g, reconstruct the perturbation and fit its decay."""
         grid = np.geomspace(1e-2, 1e4, 300) if norm_grid is None else norm_grid
         tgrid = np.linspace(0.0, T, int(round(T / dt)) + 1)
-        Kv = self.kernel_K(tgrid, exact=False)
+        Kv = self.kernel_K(tgrid)
         gv = self.forcing_g(xi0_tilde, tgrid)
         prob = VolterraProblem(kernel=lambda tau: np.interp(tau, tgrid, Kv),
                                forcing=lambda s: np.interp(s, tgrid, gv),
@@ -275,7 +253,7 @@ class Linearization:
         # the reconstruction kernel depends on t - s only: tabulate once
         tau = tgrid
         Ys = self.shift(tau[None, :], grid[:, None])
-        A_tab = self._A(Ys, exact=False) * np.exp(-tau / self.p)[None, :]
+        A_tab = self.model.equilibrium_A(Ys) * np.exp(-tau / self.p)[None, :]
         dA_tab = self.p * Ys * self.model.source.eval(Ys, 1) / (self.p + Ys)
         norms = np.empty(len(sample_idx))
         for row, idx in enumerate(sample_idx):
@@ -313,7 +291,7 @@ class Linearization:
             w = trapz_weights(idx + 1, tgrid[1] - tgrid[0])
             tau = t - s
             Ys = self.shift(tau[None, :], yq[:, None])
-            Avals = self._A(Ys, exact=False)
+            Avals = self.model.equilibrium_A(Ys)
             dAvals = p * Ys * self.model.source.eval(Ys, 1) / (p + Ys)
             coeff = w * u[:idx + 1] / self.denom
             val = val + (np.exp(-tau / p)[None, :] * Avals) @ coeff
@@ -359,7 +337,7 @@ class Linearization:
         src = self.model.source
         p = self.p
         Y = self.shift(np.asarray(t)[:, None], self.nodes[None, :])
-        J = self._tail_chunked(Y)
+        J = self.model._tail(Y)
         corr = (self.nodes[None, :] * src.eval(Y, 1)
                 + p * src.eval(Y, 0) / (p + Y) - J)
         base = self.BA_xi_p(self.nodes)
@@ -371,16 +349,13 @@ class Linearization:
         src = self.model.source
         p = self.p
         Y = self.shift(np.asarray(t)[:, None], self.nodes[None, :])
-        J = self._tail_chunked(Y)
+        J = self.model._tail(Y)
         corr = src.eval(Y, 1) - src.eval(Y, 0) / (p + Y) + J / p
         return ((corr * self.dI_p[None, :]) @ self.weights) / self.denom
 
     def _m_value(self, t, s):
         return -self.kernel_K_prime(t - s) + np.exp(-(t - s) / self.p) * \
             self._corr_c_values(t)
-
-    def _tail_chunked(self, Y):
-        return self.model._tail_interpolated(np.asarray(Y, dtype=float))
 
     def lin_dde_solve(self, I0_tilde: float, xi0_tilde: Profile, T: float,
                       dt: float) -> dict:
@@ -390,7 +365,7 @@ class Linearization:
         t = np.linspace(0.0, n * dt, n + 1)
         M = self._M_values(t)
         c = self._corr_c_values(t)
-        Kp = self.kernel_K_prime(t, exact=False)
+        Kp = self.kernel_K_prime(t)
         K0 = float(self.kernel_K(0.0))
         g_xi = self.forcing_g(xi0_tilde, t)
         g_h = self._pair_h_forcing(t)
@@ -417,8 +392,8 @@ class Linearization:
         p = self.p
         n = int(round(T / dt))
         t = np.linspace(0.0, n * dt, n + 1)
-        Kv = self.kernel_K(t, exact=False)
-        Kp = self.kernel_K_prime(t, exact=False)
+        Kv = self.kernel_K(t)
+        Kp = self.kernel_K_prime(t)
         g = Kv * I0_tilde - self.forcing_g(xi0_tilde, t) / self.denom
         J = np.empty(n + 1)
         dJ = np.empty(n + 1)

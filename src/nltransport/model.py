@@ -17,6 +17,10 @@ whose derivatives close analytically:
     xi_p'(y)  = J(y) - p h(y)/(p+y),      J(y) = int_y^inf p h/(p+y')^2 dy'
     xi_p''(y) = -p h'(y)/(p+y)
     A xi_p(y) = p [J(y) + y h(y)/(p+y)].
+
+Every one of these reads the same J from ``SourceFn.equilibrium_tail``: a
+closed form for the named sources, mapped quadrature for a kernel built
+without one.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import numpy as np
 
 from .errors import DomainError, ModelViolationError
 from .functionals import FunctionalSpec, Profile
-from .quadrature import tail_integral_refined
 from .sources import SourceFn
 
 ADMISSIBILITY_FLOOR = 1e-8
@@ -71,10 +74,7 @@ class Model:
 
     def _tail(self, y):
         """J(y) = int_y^inf p h(u)/(p+u)^2 du, vectorized."""
-        p = self.p
-        return tail_integral_refined(
-            lambda u: p * self.source.eval(u, 0) / (p + u) ** 2, y,
-            scale=np.asarray(y, dtype=float) + p)
+        return self.source.equilibrium_tail(y, self.p)
 
     def equilibrium_values(self, y, order: int = 0):
         y = np.asarray(y, dtype=float)
@@ -96,38 +96,6 @@ class Model:
         hy = self.source.eval(y, 0)
         return (self.p + y) * J, J - self.p * hy / (self.p + y)
 
-    def _tail_interpolated(self, y):
-        """Spline-backed J(y) for hot loops; relative error ~ 1e-9."""
-        if not hasattr(self, "_tail_spline"):
-            from scipy.interpolate import CubicSpline
-            grid = np.geomspace(1e-9, 1e13, 6000)
-            self._tail_spline = CubicSpline(np.log(grid), self._tail(grid))
-        y = np.asarray(y, dtype=float)
-        out = np.empty_like(y)
-        hi = y >= 1e13
-        # beyond the table h is flat to machine precision: J ~ p h_inf/(p+y)
-        out[hi] = self.p * self.source.h_inf / (self.p + y[hi])
-        out[~hi] = self._tail_spline(np.log(np.clip(y[~hi], 1e-9, None)))
-        return out
-
-    def equilibrium_profile_interpolated(self) -> Profile:
-        """Equilibrium profile with spline-backed tail integrals (fast path)."""
-        p = self.p
-
-        def pair(y):
-            y = np.asarray(y, dtype=float)
-            J = self._tail_interpolated(y)
-            hy = self.source.eval(y, 0)
-            return (p + y) * J, J - p * hy / (p + y)
-
-        return Profile(
-            value=lambda y: pair(y)[0],
-            deriv=lambda y: pair(y)[1],
-            second=lambda y: -p * self.source.eval(y, 1) / (p + np.asarray(y, float)),
-            descriptor=f"equilibrium(p={p:g},interp)",
-            pair=pair,
-        )
-
     def equilibrium_profile(self) -> Profile:
         return Profile(
             value=lambda y: self.equilibrium_values(y, 0),
@@ -142,11 +110,6 @@ class Model:
         y = np.asarray(y, dtype=float)
         p = self.p
         return p * (self._tail(y) + y * self.source.eval(y, 0) / (p + y))
-
-    def equilibrium_A_deriv(self, y):
-        """(A xi_p)'(y) = -y xi_p''(y) = p y h'(y)/(p+y)."""
-        y = np.asarray(y, dtype=float)
-        return self.p * y * self.source.eval(y, 1) / (self.p + y)
 
     # -- rho -----------------------------------------------------------------
 

@@ -87,16 +87,27 @@ def tail_integral_values(f, a, n: int = DEFAULT_N0, scale=None) -> np.ndarray:
 
 def tail_integral_refined(f, a, rtol=DEFAULT_RTOL, n0=DEFAULT_N0,
                           nmax=DEFAULT_NMAX, scale=None) -> np.ndarray:
-    """Refinement-controlled version of :func:`tail_integral_values`."""
+    """Refinement-controlled version of :func:`tail_integral_values`.
+
+    Doubles the node count until the largest relative change is below
+    ``rtol`` (cap ``nmax``).  As in :func:`integrate_half_line`, a last
+    doubling that still moves some end by more than 1e-4 (relative) raises
+    NumericalError: the integrand diverges or is not resolved, and the last
+    value would be wrong.
+    """
     val = tail_integral_values(f, a, n0, scale=scale)
-    n = n0
+    n, change = n0, 0.0
     while n < nmax:
         n *= 2
         nxt = tail_integral_values(f, a, n, scale=scale)
-        norm = np.maximum(1.0, np.abs(nxt))
-        if np.max(np.abs(nxt - val) / norm) <= rtol:
+        change = np.max(np.abs(nxt - val) / np.maximum(1.0, np.abs(nxt)))
+        if change <= rtol:
             return nxt
         val = nxt
+    if change > 1e-4:
+        raise NumericalError(
+            f"tail integral did not stabilize under refinement "
+            f"(last change {change:.3e} at {nmax} nodes)")
     return val
 
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DomainError, NumericalError
 from .quadrature import cumtrapz, trapz_weights
@@ -162,6 +161,8 @@ def resolvent_matrix(prob: VolterraProblem) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (t, R).  Row sums of |R| approximate int_0^t |r(t,s)| ds.
     """
+    from scipy.linalg import solve_triangular
+
     t = prob.grid
     L = _lower_operator(prob)
     n = len(t)

@@ -46,7 +46,7 @@ def equiv_runs(log_model, log_model_p3):
     T=20, dt=0.01, both evolution routes, stride 1 (norm columns skipped)."""
     import time
     from nltransport import dde, pde
-    xi0 = log_model_p3.equilibrium_profile_interpolated()
+    xi0 = log_model_p3.equilibrium_profile()
     start = time.monotonic()
     traj_pde = pde.run(log_model, xi0, T=20.0, dt=0.01, stride=1, norms=False)
     traj_dde, fg = dde.run(log_model, xi0, T=20.0, dt=0.01, stride=1, norms=False)

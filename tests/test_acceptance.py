@@ -64,7 +64,7 @@ def test_criterion_02_route_equivalence(equiv_runs):
 
 def test_criterion_03_consistency(equiv_runs, log_model, log_model_p3):
     resid_01 = pde.consistency_residual(equiv_runs["pde"])
-    xi0 = log_model_p3.equilibrium_profile_interpolated()
+    xi0 = log_model_p3.equilibrium_profile()
     runs = {}
     # the residual sits ~1000x below tolerance, close to the reconstruction
     # noise floor (~5e-8); the clean second-order regime is the halving that
@@ -121,7 +121,7 @@ def weak_lin(weak_log_model):
 
 
 def test_criterion_06_linear_decay(weak_log_model, weak_lin):
-    xp = weak_log_model.equilibrium_profile_interpolated()
+    xp = weak_log_model.equilibrium_profile()
     out = weak_lin.linear_evolve(xp.scaled(1e-3), T=24.0, dt=0.01)
     rate = out["rate_fit"].rate
     lo, hi = 1.0 / (1.3 * P), 1.0 / (0.9 * P)
@@ -159,7 +159,7 @@ def test_criterion_07_global_convergence(log_model):
     results = []
     for p_prime in (1.0, 3.0, 4.0):
         other = Model(src, canonical_functional(src), p_prime)
-        xi0 = other.equilibrium_profile_interpolated()
+        xi0 = other.equilibrium_profile()
         start = time.monotonic()
         traj = pde.run(log_model, xi0, T=60.0, dt=0.02, stride=25)
         elapsed = time.monotonic() - start
@@ -277,7 +277,7 @@ def test_criterion_09_control_certificates(log_model):
 def test_criterion_10_gradients(log_model):
     # functional gradient vs finite differences
     spec = log_model.functional
-    base = log_model.equilibrium_profile_interpolated()
+    base = log_model.equilibrium_profile()
     phi = lambda y: np.exp(-0.4 * y)
     eps = 1e-6
     bumped = Profile(value=lambda y: base(y) + eps * phi(y),

@@ -34,7 +34,7 @@ def test_v_and_z_flat_history(eq_history):
 
 def test_v_and_z_relates_to_characteristic(log_model, log_model_p3):
     # z(s)/v(s) reproduces the transport characteristic of the matching run
-    xi0 = log_model_p3.equilibrium_profile_interpolated()
+    xi0 = log_model_p3.equilibrium_profile()
     hist = dde.IHistory(log_model, xi0)
     state = pde.LagrangianState(log_model, xi0)
     for _ in range(50):
@@ -63,7 +63,7 @@ def test_F_zero_horizon(log_model, eq_history):
 
 def test_AA4_identity_against_pde(log_model, log_model_p3):
     # B xi from the transport route equals initial-data terms plus F
-    xi0 = log_model_p3.equilibrium_profile_interpolated()
+    xi0 = log_model_p3.equilibrium_profile()
     hist = dde.IHistory(log_model, xi0)
     state = pde.LagrangianState(log_model, xi0)
     for _ in range(100):
@@ -88,7 +88,7 @@ def test_AA4_identity_against_pde(log_model, log_model_p3):
 @pytest.mark.parametrize("route", [pde.LagrangianState, dde.IHistory],
                          ids=["pde", "dde"])
 def test_carried_cumulative_matches_batch(log_model, log_model_p3, route):
-    state = route(log_model, log_model_p3.equilibrium_profile_interpolated())
+    state = route(log_model, log_model_p3.equilibrium_profile())
     for _ in range(200):
         state.step(0.01)
     carried = state._C[:state.n]
@@ -99,7 +99,7 @@ def test_carried_cumulative_matches_batch(log_model, log_model_p3, route):
 @pytest.mark.parametrize("route", [pde.LagrangianState, dde.IHistory],
                          ids=["pde", "dde"])
 def test_off_node_times_are_rejected(log_model, log_model_p3, route):
-    state = route(log_model, log_model_p3.equilibrium_profile_interpolated())
+    state = route(log_model, log_model_p3.equilibrium_profile())
     assert state.node_index(0.0) == 0
     with pytest.raises(DomainError):
         state.node_index(0.01)
@@ -120,7 +120,7 @@ def test_off_node_times_are_rejected(log_model, log_model_p3, route):
 @pytest.mark.parametrize("module", [pde, dde], ids=["pde", "dde"])
 def test_strided_rows_equal_stride_one_rows(log_model, log_model_p3, module):
     # every row, f and g included, depends only on its committed node
-    xi0 = log_model_p3.equilibrium_profile_interpolated()
+    xi0 = log_model_p3.equilibrium_profile()
     runs = {}
     for stride in (1, 5):
         out = module.run(log_model, xi0, T=0.42, dt=0.02, stride=stride)
@@ -134,7 +134,7 @@ def test_strided_rows_equal_stride_one_rows(log_model, log_model_p3, module):
 
 
 def test_step_error_reports_iterations(log_model, log_model_p3):
-    hist = dde.IHistory(log_model, log_model_p3.equilibrium_profile_interpolated())
+    hist = dde.IHistory(log_model, log_model_p3.equilibrium_profile())
     with pytest.raises(StepError) as err:
         hist.step(0.01, tol=0.0)
     assert err.value.iterations == pde.MAX_FIXED_POINT_ITERS
@@ -143,7 +143,7 @@ def test_step_error_reports_iterations(log_model, log_model_p3):
 
 
 def test_G_decays_exponentially(log_model, log_model_p3):
-    xi0 = log_model_p3.equilibrium_profile_interpolated()
+    xi0 = log_model_p3.equilibrium_profile()
     hist = dde.IHistory(log_model, xi0)
     for _ in range(300):
         hist.step(0.02)
@@ -254,7 +254,7 @@ def test_dlogI_integrable(equiv_runs):
 
 def test_small_amplitude_decay_rate(log_model):
     # near-equilibrium data decays at least at the guaranteed rate 1/(1.2 p)
-    xi0 = log_model.equilibrium_profile_interpolated().scaled(1.003)
+    xi0 = log_model.equilibrium_profile().scaled(1.003)
     traj, fg = dde.run(log_model, xi0, T=16.0, dt=0.02, stride=4, norms=False)
     d = np.abs(fg["dlogIdt"])
     sel = d > 1e-14
@@ -267,7 +267,7 @@ def test_global_convergence_far_from_equilibrium(log_model):
     # initial data at half the equilibrium parameter: I settles, limit positive
     src = log_model.source
     m_half = Model(src, canonical_functional(src), 1.0)
-    traj, _ = dde.run(log_model, m_half.equilibrium_profile_interpolated(),
+    traj, _ = dde.run(log_model, m_half.equilibrium_profile(),
                       T=60.0, dt=0.02, stride=25, norms=False)
     tail = traj.I[traj.t >= 54.0]
     assert np.max(tail) - np.min(tail) < 1e-5

@@ -3,8 +3,7 @@ import pytest
 
 from nltransport import canonical_functional, log_source
 from nltransport.errors import DomainError
-from nltransport.functionals import (FunctionalSpec, Profile, functional_dI,
-                                     functional_I, weighted_norm)
+from nltransport.functionals import FunctionalSpec, Profile, weighted_norm
 
 
 @pytest.fixture(scope="module")
@@ -16,29 +15,29 @@ def unit_spec():
 
 def test_value_constant_two(unit_spec):
     # I = int_1^inf y^-2 / 3 dy = 1/3
-    assert abs(functional_I(unit_spec, Profile.constant(2.0)) - 1.0 / 3.0) < 1e-10
+    assert abs(unit_spec.value(Profile.constant(2.0)) - 1.0 / 3.0) < 1e-10
 
 
 def test_value_zero_profile(unit_spec):
-    assert abs(functional_I(unit_spec, Profile.constant(0.0)) - 1.0) < 1e-10
+    assert abs(unit_spec.value(Profile.constant(0.0)) - 1.0) < 1e-10
 
 
 def test_monotone_in_profile(unit_spec):
     rng = np.random.default_rng(7)
     for _ in range(10):
         c1, gap = rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0)
-        I1 = functional_I(unit_spec, Profile.constant(c1))
-        I2 = functional_I(unit_spec, Profile.constant(c1 + gap))
+        I1 = unit_spec.value(Profile.constant(c1))
+        I2 = unit_spec.value(Profile.constant(c1 + gap))
         assert I1 >= I2
 
 
 def test_gradient_closed_form(unit_spec):
     prof = Profile.constant(2.0)
     # dI = -(1/4)/9 = -1/36 at y = 2
-    assert abs(functional_dI(unit_spec, prof, 2.0) - (-1.0 / 36.0)) < 1e-14
+    assert abs(unit_spec.gradient(prof, 2.0) - (-1.0 / 36.0)) < 1e-14
     # support cutoff below eps0
-    assert functional_dI(unit_spec, prof, 0.5) == 0.0
-    assert np.all(functional_dI(unit_spec, prof, np.geomspace(0.1, 100, 40)) <= 0.0)
+    assert unit_spec.gradient(prof, 0.5) == 0.0
+    assert np.all(unit_spec.gradient(prof, np.geomspace(0.1, 100, 40)) <= 0.0)
 
 
 def test_gateaux_derivative(unit_spec):
@@ -48,7 +47,7 @@ def test_gateaux_derivative(unit_spec):
     eps = 1e-6
     bumped = Profile(value=lambda y: base(y) + eps * phi(y),
                      deriv=lambda y: base.d(y) - eps * 0.3 * phi(y))
-    fd = (functional_I(unit_spec, bumped) - functional_I(unit_spec, base)) / eps
+    fd = (unit_spec.value(bumped) - unit_spec.value(base)) / eps
     pairing = unit_spec.pair_gradient(base, phi)
     assert abs(fd - pairing) / abs(pairing) < 1e-5
 
@@ -81,7 +80,7 @@ def test_lower_bound_property(unit_spec):
     worst = np.inf
     for _ in range(25):
         c = rng.uniform(0.0, M)
-        worst = min(worst, functional_I(unit_spec, Profile.constant(c)))
+        worst = min(worst, unit_spec.value(Profile.constant(c)))
     assert worst >= c_M - 1e-12
     print(f"sampled functional floor c_M = {worst:.6f}")
 

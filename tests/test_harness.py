@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +145,53 @@ def test_equilibrium_scenario_exit_zero(tmp_path):
 def test_schema_violation_exit_one(tmp_path):
     cfg = write_config(tmp_path, {"experiment": "equilibrium", "model": {}})
     assert run_scenario(cfg) == EXIT_SCHEMA
+
+
+@pytest.mark.parametrize("source, field", [
+    ({"kind": "kernel_p", "kernel": "log", "h_inf": 1.0}, "model.source.kernel"),
+    ({"kind": "tabulated", "h_inf": 1.0,
+      "table": {"y": [0.1, 1.0, 10.0], "h": [3.0, 2.0, 1.0]}}, "model.source.kind"),
+], ids=["kernel_p_log", "tabulated"])
+def test_sources_without_an_equilibrium_exit_one(tmp_path, capsys, source, field):
+    # kernel_p/log diverges and a table ends where J does not: neither can
+    # give a right answer, so both are schema errors before any run
+    doc = base_config(str(tmp_path / "out"))
+    doc["model"]["source"] = source
+    assert run_scenario(write_config(tmp_path, doc)) == EXIT_SCHEMA
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1 and field in out
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_compact_kernel_p_equilibrium_passes(tmp_path):
+    doc = base_config(str(tmp_path / "out"))
+    doc["model"]["source"] = {"kind": "kernel_p", "kernel": "compact",
+                              "cutoff": 2.0, "h_inf": 1.0}
+    assert run_scenario(write_config(tmp_path, doc)) == EXIT_PASS
+
+
+def test_cli_and_delay_run_import_no_scipy(tmp_path):
+    # the transport path needs no scipy: importing the CLI and a short
+    # simulate-dde run leave no scipy module loaded
+    doc = base_config(str(tmp_path / "out"), experiment="simulate-dde")
+    doc["model"]["source"] = {"kind": "kernel_inf", "kernel": "log", "h_inf": 1.0}
+    doc["initial"] = {"family": "wrong_equilibrium", "p_prime": 3.0}
+    doc["run"] = {"T": 0.1, "dt": 0.02, "stride": 1}
+    cfg = write_config(tmp_path, doc)
+    script = (
+        "import sys\n"
+        "import nltransport.cli\n"
+        "first = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "code = nltransport.cli.main(['simulate-dde', '--config', sys.argv[1]])\n"
+        "after = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(code, first, after)\n")
+    src_dir = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = [os.path.abspath(src_dir)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", script, cfg], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 [] []"
 
 
 def test_assertion_failure_exit_two(tmp_path):

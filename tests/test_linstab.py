@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nltransport import canonical_functional, quadrature, sources
 from nltransport.functionals import Profile
 from nltransport.linstab import Linearization, semigroup
 from nltransport.model import Model
@@ -33,6 +34,20 @@ def test_semigroup_composition():
         lhs = semigroup(inner, 2.0, t1, y)
         rhs = semigroup(prof, 2.0, t1 + t2, y)
         assert abs(lhs - rhs) < 1e-12
+
+
+def test_log_kernel_builds_without_tail_quadrature(monkeypatch):
+    # J comes from the closed form: the model, the equilibrium and the exact
+    # kernel K on 400 points never reach the quadrature fallback
+    def forbidden(*args, **kwargs):
+        raise AssertionError("tail_integral_refined called")
+
+    monkeypatch.setattr(quadrature, "tail_integral_refined", forbidden)
+    monkeypatch.setattr(sources, "tail_integral_refined", forbidden)
+    src = sources.log_source()
+    model = Model(src, canonical_functional(src), 2.0)
+    K = Linearization(model).kernel_K(np.linspace(0.0, 20.0, 400))
+    assert np.all(np.isfinite(K)) and np.all(K > 0.0)
 
 
 def test_kernel_constant_source_closed_form(const_lin):
@@ -80,7 +95,7 @@ def test_condition_h3_log_source(linearization):
 
 def test_linear_decay_weak_coupling(weak_log_model):
     lin = Linearization(weak_log_model)
-    xp = weak_log_model.equilibrium_profile_interpolated()
+    xp = weak_log_model.equilibrium_profile()
     out = lin.linear_evolve(xp.scaled(1e-3), T=24.0, dt=0.01)
     rate = out["rate_fit"].rate
     assert 1.0 / (1.3 * 2.0) <= rate <= 1.0 / (0.9 * 2.0)
@@ -90,7 +105,7 @@ def test_linear_decay_weak_coupling(weak_log_model):
 def test_linear_decay_canonical_exceeds_lower_edge(linearization, log_model):
     # the canonical coupling cancels the slow mode entirely, so the decay is
     # faster than 1/p; the lower edge still certifies the stability claim
-    xp = log_model.equilibrium_profile_interpolated()
+    xp = log_model.equilibrium_profile()
     out = linearization.linear_evolve(xp.scaled(1e-3), T=20.0, dt=0.01)
     assert out["rate_fit"].rate >= 1.0 / (1.3 * 2.0)
     print(f"canonical linear decay rate: {out['rate_fit'].rate:.4f}")
@@ -105,7 +120,7 @@ def test_zero_perturbation_stays_zero(linearization):
 
 
 def test_weighted_u_bounded(linearization, log_model):
-    xp = log_model.equilibrium_profile_interpolated()
+    xp = log_model.equilibrium_profile()
     out = linearization.linear_evolve(xp.scaled(1e-3), T=20.0, dt=0.01)
     w = np.abs(out["u"]) * np.exp(out["t"] / (1.2 * 2.0))
     # the weighted curve attains its maximum early, not at the right end
@@ -115,7 +130,7 @@ def test_weighted_u_bounded(linearization, log_model):
 def test_linear_matches_nonlinear_I(linearization, log_model):
     # linearized functional value tracks the full run at small amplitude
     amp = 1e-3
-    xp = log_model.equilibrium_profile_interpolated()
+    xp = log_model.equilibrium_profile()
     pert = xp.scaled(amp)
     xi0 = _sum_profile(xp, pert)
     traj = pde.run(log_model, xi0, T=10.0, dt=0.01, stride=10, norms=False)
@@ -136,7 +151,7 @@ def test_linear_matches_nonlinear_I(linearization, log_model):
 def test_nonlinear_gap_scales_quadratically(weak_log_model):
     # distance between the full flow and the linearized flow is O(amplitude^2)
     lin = Linearization(weak_log_model)
-    xp = weak_log_model.equilibrium_profile_interpolated()
+    xp = weak_log_model.equilibrium_profile()
     grid = np.geomspace(1e-2, 1e3, 150)
     amps = [1e-3, 2e-3, 4e-3]
     gaps = []
@@ -165,7 +180,7 @@ def test_perturbation_deltas_vanish_at_zero(linearization):
 
 def test_perturbation_deltas_scaling(linearization, log_model):
     # d1 scales linearly, d2 quadratically with the perturbation amplitude
-    xp = log_model.equilibrium_profile_interpolated()
+    xp = log_model.equilibrium_profile()
     amps = np.array([1e-3, 2e-3, 4e-3, 8e-3])
     d1s, d2s = [], []
     for amp in amps:
@@ -179,7 +194,7 @@ def test_perturbation_deltas_scaling(linearization, log_model):
 
 
 def test_perturbation_deltas_lipschitz_ratios(linearization, log_model):
-    xp = log_model.equilibrium_profile_interpolated()
+    xp = log_model.equilibrium_profile()
     rng = np.random.default_rng(9)
     ratios = []
     for _ in range(8):
@@ -215,7 +230,7 @@ def test_delay_memory_matches_kernel_derivative(linearization):
 
 
 def test_delay_routes_agree(linearization, log_model):
-    xp = log_model.equilibrium_profile_interpolated()
+    xp = log_model.equilibrium_profile()
     pert = xp.scaled(1e-3)
     r1 = linearization.lin_dde_solve(1e-3, pert, T=12.0, dt=0.01)
     r2 = linearization.lin_dde_solve_volterra_route(1e-3, pert, T=12.0, dt=0.01)
@@ -244,7 +259,7 @@ def test_delay_solution_bounded(linearization, log_model):
 
 
 def test_delay_derivative_decays(linearization, log_model):
-    xp = log_model.equilibrium_profile_interpolated()
+    xp = log_model.equilibrium_profile()
     out = linearization.lin_dde_solve(1e-3, xp.scaled(1e-3), T=16.0, dt=0.01)
     d = np.abs(out["dI_tilde"])
     sel = d > 1e-16

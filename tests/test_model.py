@@ -1,13 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.integrate as si
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nltransport import apply_AB
+from nltransport import apply_AB, canonical_functional
 from nltransport.errors import ModelViolationError
 from nltransport.functionals import Profile
 from nltransport.model import Model
+from nltransport.sources import (SourceFn, compact_kernel, compact_source,
+                                 inv_square_kernel, inv_square_p_source,
+                                 log_kernel, log_source)
 
 
 def test_constant_source_equilibrium(const_model):
@@ -126,9 +131,41 @@ def test_gradient_floor_report(log_model):
     print(f"sampled infimum of I + <dI, h>: {rep['sampled_infimum']:.6f}")
 
 
-def test_interpolated_profile_matches_exact(log_model):
+def test_closed_form_profile_matches_quadrature(log_model):
+    # the same log kernel without its closed form integrates J by quadrature
+    kernel = dataclasses.replace(log_kernel(), eq_tail_inf=None)
+    src = SourceFn(kind="kernel_inf", h_inf=1.0, kernel=kernel)
+    quad = Model(src, log_model.functional, log_model.p)
     y = np.geomspace(1e-3, 1e8, 60)
-    v1, d1 = log_model.equilibrium_pair(y)
-    v2, d2 = log_model.equilibrium_profile_interpolated().pair_eval(y)
+    v1, d1 = log_model.equilibrium_profile().pair_eval(y)
+    v2, d2 = quad.equilibrium_profile().pair_eval(y)
     assert np.max(np.abs(v1 - v2)) < 1e-9
     assert np.max(np.abs(d1 - d2)) < 1e-9
+
+
+EQUILIBRIUM_SOURCES = {
+    "log": lambda p: log_source(1.0),
+    "compact": lambda p: compact_source(1e-6, 1.0),
+    "inv_square": lambda p: SourceFn(kind="kernel_inf", h_inf=1.0,
+                                     kernel=inv_square_kernel()),
+    "compact_p": lambda p: SourceFn(kind="kernel_p", h_inf=1.0,
+                                    kernel=compact_kernel(2.0), p=p),
+    "inv_square_p": lambda p: inv_square_p_source(1e-6, p),
+}
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("name", list(EQUILIBRIUM_SOURCES))
+def test_closed_form_equilibrium_identities(name, p):
+    src = EQUILIBRIUM_SOURCES[name](p)
+    model = Model(src, canonical_functional(src), p)
+    y = np.geomspace(1e-6, 1e8, 300)
+    h = src.eval(y, 0)
+    xi, dxi = model.equilibrium_pair(y)
+    # -h - xi' + (xi - y xi')/p vanishes to rounding of its terms (measured
+    # <= 1.6e-16 relative); test_equilibrium_tail_matches_mpmath checks J itself
+    scale = h + np.abs(dxi) + (xi + y * np.abs(dxi)) / p
+    assert np.max(np.abs(model.equilibrium_residual(y)) / scale) < 1e-14
+    # A xi_p = p [J + y h/(p+y)] equals xi_p - y xi_p'
+    A = model.equilibrium_A(y)
+    assert np.max(np.abs(A / (xi - y * dxi) - 1.0)) < 1e-13

@@ -91,7 +91,7 @@ def test_equilibrium_profile_stays_put(log_model):
 
 def test_decreasing_data_stays_decreasing(log_model, log_model_p3):
     state = pde.LagrangianState(log_model,
-                                log_model_p3.equilibrium_profile_interpolated(),
+                                log_model_p3.equilibrium_profile(),
                                 capacity=128)
     for _ in range(60):
         state.step(0.02)
@@ -108,7 +108,7 @@ def test_rho_stays_nonnegative_constant_source(const_model):
 
 
 def test_wrong_equilibrium_relaxes(log_model, log_model_p3):
-    traj = pde.run(log_model, log_model_p3.equilibrium_profile_interpolated(),
+    traj = pde.run(log_model, log_model_p3.equilibrium_profile(),
                    T=12.0, dt=0.02, stride=20)
     # monotone decay after the first unit of time
     mask = traj.t >= 1.0
@@ -126,7 +126,7 @@ def test_wrong_equilibrium_relaxes(log_model, log_model_p3):
 
 def test_step_order_of_accuracy(log_model, log_model_p3):
     # halving dt scales the step-to-step rho change at fixed t by ~ 4
-    xi0 = log_model_p3.equilibrium_profile_interpolated()
+    xi0 = log_model_p3.equilibrium_profile()
     t_probe = 1.0
     rho_at = {}
     for dt in (0.04, 0.02, 0.01):
@@ -183,7 +183,7 @@ def test_admissible_scale_range(log_model):
 
 def test_xi_eval_grid_vs_refined_close(log_model, log_model_p3):
     state = pde.LagrangianState(log_model,
-                                log_model_p3.equilibrium_profile_interpolated(),
+                                log_model_p3.equilibrium_profile(),
                                 capacity=128)
     for _ in range(50):
         state.step(0.02)
@@ -199,7 +199,7 @@ def test_xi_eval_grid_vs_refined_close(log_model, log_model_p3):
 
 def _wrong_equilibrium_state(log_model, log_model_p3):
     return pde.LagrangianState(log_model,
-                               log_model_p3.equilibrium_profile_interpolated(),
+                               log_model_p3.equilibrium_profile(),
                                capacity=256)
 
 
@@ -234,7 +234,7 @@ def test_steps_reuse_the_cached_panel_rule(log_model, log_model_p3, monkeypatch)
 
 
 def test_secant_matches_picard_iteration(log_model, log_model_p3):
-    xi0 = log_model_p3.equilibrium_profile_interpolated()
+    xi0 = log_model_p3.equilibrium_profile()
     state = pde.LagrangianState(log_model, xi0, capacity=256)
     dt, tol = 0.01, pde.DEFAULT_TOL
     nodes = log_model.functional.nodes
