@@ -43,7 +43,7 @@ import numpy as np
 
 from .dde import F_of_path
 from .errors import DomainError, ModelViolationError, NumericalError
-from .quadrature import cumtrapz, simpson_integrate, unit_gauss_nodes
+from .quadrature import cumtrapz, gauss_panels, simpson_integrate, unit_gauss_nodes
 from .sources import SourceFn
 
 VARIANTS = ("max01", "min1inf", "max01w", "min1infw")
@@ -232,6 +232,18 @@ class PiecewiseControl:
                 raise DomainError("min variants need v >= 1")
 
 
+def _edge_states(prob: ControlProblem, control: PiecewiseControl) -> np.ndarray:
+    """The state at the segment edges, backward from x(T) = y."""
+    edges, p = control.edges, prob.p
+    xe = np.empty(len(edges))
+    xe[-1] = prob.y
+    for i in range(len(control.values) - 1, -1, -1):
+        d = edges[i + 1] - edges[i]
+        e = np.exp(d / p)
+        xe[i] = e * xe[i + 1] + control.values[i] * p * (e - 1.0)
+    return xe
+
+
 def trajectory_x(prob: ControlProblem, control: PiecewiseControl, s):
     """Exact state along the piecewise-constant control, backward from (y, T)."""
     control.check_admissible(prob.variant)
@@ -239,13 +251,7 @@ def trajectory_x(prob: ControlProblem, control: PiecewiseControl, s):
     if abs(edges[0] - prob.t) > 1e-12 or abs(edges[-1] - prob.T) > 1e-12:
         raise DomainError("control must span [t, T]")
     p = prob.p
-    # state at the segment edges, backward from x(T) = y
-    xe = np.empty(len(edges))
-    xe[-1] = prob.y
-    for i in range(len(control.values) - 1, -1, -1):
-        d = edges[i + 1] - edges[i]
-        e = np.exp(d / p)
-        xe[i] = e * xe[i + 1] + control.values[i] * p * (e - 1.0)
+    xe = _edge_states(prob, control)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     out = np.empty_like(s_arr)
     for j, sj in enumerate(s_arr):
@@ -266,12 +272,7 @@ def payoff(prob: ControlProblem, control: PiecewiseControl,
     p = prob.p
     u, w = unit_gauss_nodes(nodes_per_segment)
     edges = control.edges
-    xe = np.empty(len(edges))
-    xe[-1] = prob.y
-    for i in range(len(control.values) - 1, -1, -1):
-        d = edges[i + 1] - edges[i]
-        e = np.exp(d / p)
-        xe[i] = e * xe[i + 1] + control.values[i] * p * (e - 1.0)
+    xe = _edge_states(prob, control)
     total = 0.0
     for i, v in enumerate(control.values):
         a, b = edges[i], edges[i + 1]
@@ -304,15 +305,11 @@ def _switch_time(prob: ControlProblem, x: float) -> float:
     return float(tau)
 
 
-def _gauss_integral(f, a: float, b: float, n_panels: int = 24,
-                    nodes: int = 12) -> float:
+def _gauss_integral(f, a: float, b: float) -> float:
+    """Composite Gauss rule, 24 panels of 12 nodes, on [a, b]; 0 when b <= a."""
     if b <= a:
         return 0.0
-    u, w = unit_gauss_nodes(nodes)
-    edges = np.linspace(a, b, n_panels + 1)
-    width = np.diff(edges)
-    s = (edges[:-1, None] + width[:, None] * u).ravel()
-    ws = (width[:, None] * w).ravel()
+    s, ws = gauss_panels(a, b, 24, 12)
     return float(np.dot(ws, f(s)))
 
 

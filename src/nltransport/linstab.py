@@ -31,10 +31,13 @@ and m(t,s) with
     e^{-B(t-s)} B^2 A xi_p(y)
     - e^{-(t-s)/p} [h'(Y) - h(Y)/(p+Y) + int_Y^inf h/(p+y')^2].
 
-M(0) pairs to h exactly, so the delay route and the convolution route agree
-to second order at small times; at large times M -> K(0) and m -> -K'
-exponentially.  Both facts are asserted in tests, which pins the sign
-conventions.
+Its integrated convolution form reads dJ/dt + K(0) J + K'*J = K J0 - g/denom.
+``delay_problem`` and ``convolution_delay_problem`` tabulate either form on a
+uniform grid as a ``volterra.LinearDDEProblem``, which
+``volterra.linear_dde_solve`` integrates and cross-checks.  M(0) pairs to h
+exactly, so the two forms agree to second order at small times; at large times
+M -> K(0) and m -> -K' exponentially.  Both facts are asserted in tests, which
+pins the sign conventions.
 """
 
 from __future__ import annotations
@@ -44,9 +47,18 @@ import numpy as np
 from .errors import DomainError, ModelViolationError
 from .functionals import Profile, weighted_norm_from_samples
 from .model import Model
-from .quadrature import gauss_panels, trapz_weights
+from .quadrature import cumtrapz, gauss_panels, trapz_weights
 from .ratefit import fit_rate
-from .volterra import VolterraProblem, solve as volterra_solve
+from .volterra import (LinearDDEProblem, VolterraProblem, solve as volterra_solve,
+                       uniform_grid)
+
+LAPLACE_HORIZON = 40.0  # laplace_khat integrates K over [0, 40 p]
+CONTOUR_Q = 1.2  # condition_H3's rectangle: Re z from -1/(1.2 p) ...
+CONTOUR_RE_MAX = 2.0  # ... to 2
+CONTOUR_N0, CONTOUR_N_CAP = 4000, 2 ** 16  # contour points: first try, cap
+MONOTONICITY_HORIZON = 10.0  # monotonicity_certificate samples K on [0, 10 p]
+NORM_GRID = np.geomspace(1e-2, 1e4, 300)  # linear_evolve's norm grid
+FIT_WINDOW = 0.5  # trailing fraction of the samples its decay fit uses
 
 
 def semigroup(prof: Profile, p: float, t: float, y):
@@ -134,10 +146,9 @@ class Linearization:
         out = np.exp(-t / self.p) * pair
         return float(out[0]) if scalar else out
 
-    def monotonicity_certificate(self, T: float | None = None, n: int = 400) -> dict:
+    def monotonicity_certificate(self, n: int = 400) -> dict:
         """Positivity of K and decrease of e^{t/p} K(t) on a uniform grid."""
-        T = 10.0 * self.p if T is None else T
-        t = np.linspace(0.0, T, n)
+        t = np.linspace(0.0, MONOTONICITY_HORIZON * self.p, n)
         K = self.kernel_K(t)
         weighted = np.exp(t / self.p) * K
         return {
@@ -148,20 +159,19 @@ class Linearization:
 
     # -- Laplace transform and the contour condition ---------------------------
 
-    def laplace_khat(self, z, T_L: float | None = None, omega_max: float = 50.0):
+    def laplace_khat(self, z, omega_max: float = 50.0):
         """K_hat(z) on Re z > -1/p by truncated quadrature with a tail bound.
 
         Returns (values, tail_bound_at_min_Re).  The tail uses the certified
-        envelope K(t) <= K(T_L) e^{-(t-T_L)/p}.
+        envelope K(t) <= K(T_L) e^{-(t-T_L)/p}, T_L = LAPLACE_HORIZON p.
         """
         p = self.p
-        T_L = 40.0 * p if T_L is None else T_L
+        T_L = LAPLACE_HORIZON * p
         scalar = np.ndim(z) == 0
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         if np.any(z.real <= -1.0 / p):
             raise DomainError("Laplace transform needs Re z > -1/p")
-        nodes, weights = self._laplace_rule(T_L, omega_max)
-        Kv = self._laplace_kernel_values(T_L, omega_max)
+        nodes, weights, Kv = self._laplace_rule(T_L, omega_max)
         out = np.empty(len(z), dtype=complex)
         chunk = max(1, int(4e6 // len(nodes)))
         for lo in range(0, len(z), chunk):
@@ -175,36 +185,27 @@ class Linearization:
         return out, tail
 
     def _laplace_rule(self, T_L, omega_max):
-        key = (T_L, omega_max)
-        if getattr(self, "_lap_key", None) != key:
+        """Panel nodes and weights on [0, T_L] and K at the nodes, cached per omega_max."""
+        if getattr(self, "_lap_key", None) != omega_max:
             width = min(0.15 * 50.0 / max(omega_max, 1.0), self.p / 4)
             n_panels = int(np.ceil(T_L / width))
             nodes, weights = gauss_panels(0.0, T_L, n_panels, 16)
-            self._lap_key = key
-            self._lap_nodes = nodes
-            self._lap_weights = weights
-            self._lap_K = None
-        return self._lap_nodes, self._lap_weights
+            self._lap_rule = (nodes, weights, self.kernel_K(nodes))
+            self._lap_key = omega_max
+        return self._lap_rule
 
-    def _laplace_kernel_values(self, T_L, omega_max):
-        self._laplace_rule(T_L, omega_max)
-        if self._lap_K is None:
-            self._lap_K = self.kernel_K(self._lap_nodes)
-        return self._lap_K
-
-    def condition_H3(self, q_factor: float = 1.2, re_max: float = 2.0,
-                     omega: float = 50.0, n0: int = 4000,
-                     n_cap: int = 2 ** 16) -> dict:
+    def condition_H3(self, omega: float = 50.0) -> dict:
         """Sample 1 + K_hat on a rectangle boundary; report min modulus and winding.
 
-        The rectangle is [-1/(q_factor p), re_max] x [-i omega, i omega].  The
-        sampling refines until adjacent phase jumps stay below pi/2 (cap
-        ``n_cap`` points); status is conclusive when the truncation tail is
+        The rectangle is [-1/(CONTOUR_Q p), CONTOUR_RE_MAX] x [-i omega, i omega].
+        The sampling refines until adjacent phase jumps stay below pi/2 (cap
+        CONTOUR_N_CAP points); status is conclusive when the truncation tail is
         small against the observed minimum modulus.
         """
         p = self.p
-        a = -1.0 / (q_factor * p)
-        n = n0
+        a = -1.0 / (CONTOUR_Q * p)
+        re_max = CONTOUR_RE_MAX
+        n = CONTOUR_N0
         while True:
             per_side = max(n // 4, 8)
             top = np.linspace(a + 1j * omega, re_max + 1j * omega, per_side,
@@ -221,7 +222,7 @@ class Linearization:
             phases = np.angle(np.roll(w, -1) / w)
             if np.max(np.abs(phases)) < np.pi / 2:
                 break
-            if n >= n_cap:
+            if n >= CONTOUR_N_CAP:
                 return {"status": "inconclusive", "reason": "phase jumps stayed above pi/2 at the point cap"}
             n *= 2
         winding = int(np.round(np.sum(phases) / (2 * np.pi)))
@@ -238,32 +239,38 @@ class Linearization:
     # -- linear evolution and decay -------------------------------------------
 
     def linear_evolve(self, xi0_tilde: Profile, T: float, dt: float,
-                      norm_grid: np.ndarray | None = None,
-                      n_samples: int = 120, fit_window: float = 0.5) -> dict:
+                      n_samples: int = 120) -> dict:
         """Solve u + K*u = g, reconstruct the perturbation and fit its decay."""
-        grid = np.geomspace(1e-2, 1e4, 300) if norm_grid is None else norm_grid
+        grid = NORM_GRID
         tgrid = np.linspace(0.0, T, int(round(T / dt)) + 1)
         Kv = self.kernel_K(tgrid)
         gv = self.forcing_g(xi0_tilde, tgrid)
-        prob = VolterraProblem(kernel=lambda tau: np.interp(tau, tgrid, Kv),
-                               forcing=lambda s: np.interp(s, tgrid, gv),
+        prob = VolterraProblem(kernel=_on_grid(tgrid, Kv), forcing=_on_grid(tgrid, gv),
                                T=T, dt=dt, convolution=True)
         _, u = volterra_solve(prob)
         sample_idx = np.unique(np.linspace(0, len(tgrid) - 1, n_samples).astype(int))
         # the reconstruction kernel depends on t - s only: tabulate once
-        tau = tgrid
-        Ys = self.shift(tau[None, :], grid[:, None])
-        A_tab = self.model.equilibrium_A(Ys) * np.exp(-tau / self.p)[None, :]
-        dA_tab = self.p * Ys * self.model.source.eval(Ys, 1) / (self.p + Ys)
+        A_tab, dA_tab = self._reconstruction_tables(tgrid, grid)
         norms = np.empty(len(sample_idx))
         for row, idx in enumerate(sample_idx):
             val, dval = self._perturbation_from_tab(xi0_tilde, tgrid, u, idx,
                                                     grid, A_tab, dA_tab)
             norms[row] = weighted_norm_from_samples(val, dval, grid)
         ts = tgrid[sample_idx]
-        fit = fit_rate(ts, norms, window=fit_window) if np.max(norms) > 0 else None
+        fit = fit_rate(ts, norms, window=FIT_WINDOW) if np.max(norms) > 0 else None
         return {"t": tgrid, "u": u, "sample_t": ts, "norm_1inf": norms,
                 "rate_fit": fit, "g": gv, "K": Kv, "grid": grid}
+
+    def _reconstruction_tables(self, tau, yq):
+        """Columns of the reconstruction kernel at lags ``tau`` on points ``yq``.
+
+        xi_tilde(t) = e^{-Bt} xi0_tilde + int_0^t A[:, t-s] u(s) ds / denom,
+        and D xi_tilde likewise with dA.
+        """
+        Ys = self.shift(tau[None, :], yq[:, None])
+        A = self.model.equilibrium_A(Ys) * np.exp(-tau / self.p)[None, :]
+        dA = self.p * Ys * self.model.source.eval(Ys, 1) / (self.p + Ys)
+        return A, dA
 
     def _perturbation_from_tab(self, xi0_tilde, tgrid, u, idx, yq, A_tab, dA_tab):
         p = self.p
@@ -280,23 +287,9 @@ class Linearization:
 
     def perturbation_at(self, xi0_tilde: Profile, tgrid, u, idx: int, yq):
         """(xi_tilde, D xi_tilde) at time tgrid[idx] on query points."""
-        p = self.p
-        t = tgrid[idx]
         yq = np.asarray(yq, dtype=float)
-        Y0 = self.shift(t, yq)
-        val = np.exp(-t / p) * xi0_tilde(Y0)
-        dval = xi0_tilde.d(Y0)
-        if idx > 0:
-            s = tgrid[:idx + 1]
-            w = trapz_weights(idx + 1, tgrid[1] - tgrid[0])
-            tau = t - s
-            Ys = self.shift(tau[None, :], yq[:, None])
-            Avals = self.model.equilibrium_A(Ys)
-            dAvals = p * Ys * self.model.source.eval(Ys, 1) / (p + Ys)
-            coeff = w * u[:idx + 1] / self.denom
-            val = val + (np.exp(-tau / p)[None, :] * Avals) @ coeff
-            dval = dval + dAvals @ coeff
-        return val, dval
+        tabs = self._reconstruction_tables(tgrid[:idx + 1], yq)
+        return self._perturbation_from_tab(xi0_tilde, tgrid, u, idx, yq, *tabs)
 
     # -- perturbation functionals ------------------------------------------------
 
@@ -324,14 +317,7 @@ class Linearization:
         delta2 = pair_pert * self.denom / den - pair_lin
         return float(delta1), float(delta2)
 
-    # -- delay-form coefficients ---------------------------------------------------
-
-    def lin_dde_coeffs(self, t: float, s: float) -> tuple[float, float]:
-        """(M(t), m(t,s)) of the delay form of the linearization."""
-        if s > t:
-            raise DomainError("need s <= t")
-        return float(self._M_values(np.array([t]))[0]), \
-            float(self._m_value(np.array([t]), np.array([s]))[0])
+    # -- delay forms ----------------------------------------------------------------
 
     def _M_values(self, t):
         src = self.model.source
@@ -353,62 +339,42 @@ class Linearization:
         corr = src.eval(Y, 1) - src.eval(Y, 0) / (p + Y) + J / p
         return ((corr * self.dI_p[None, :]) @ self.weights) / self.denom
 
-    def _m_value(self, t, s):
-        return -self.kernel_K_prime(t - s) + np.exp(-(t - s) / self.p) * \
-            self._corr_c_values(t)
+    def delay_problem(self, I0_tilde: float, xi0_tilde: Profile, T: float,
+                      dt: float) -> LinearDDEProblem:
+        """The delay form J' + M J - int_0^t m(t,s) J(s) ds = g on the grid of (T, dt).
 
-    def lin_dde_solve(self, I0_tilde: float, xi0_tilde: Profile, T: float,
-                      dt: float) -> dict:
-        """Integrate the delay form; returns the series and coefficient checks."""
-        p = self.p
-        n = int(round(T / dt))
-        t = np.linspace(0.0, n * dt, n + 1)
-        M = self._M_values(t)
-        c = self._corr_c_values(t)
+        The memory kernel is k = m.  ``linear_dde_solve`` closes
+        J' + a J + int_0^t k(t,s) [J(t) - J(s)] ds = f, so a is M minus the
+        trapezoid of m(t, .), which makes the two discrete closures identical.
+        """
+        t = uniform_grid(T, dt)
         Kp = self.kernel_K_prime(t)
-        K0 = float(self.kernel_K(0.0))
-        g_xi = self.forcing_g(xi0_tilde, t)
-        g_h = self._pair_h_forcing(t)
-        g = -(g_xi + I0_tilde * g_h) / self.denom
-        J = np.empty(n + 1)
-        dJ = np.empty(n + 1)
-        J[0] = I0_tilde
-        dJ[0] = -M[0] * J[0] + g[0]
-        for j in range(1, n + 1):
-            w = trapz_weights(j + 1, dt)
-            mrow = -Kp[j::-1] + np.exp(-(t[j] - t[:j + 1]) / p) * c[j]
-            hist = float((mrow[:j] * w[:j]) @ J[:j])
-            diag = mrow[j] * w[j]
-            num = J[j - 1] + 0.5 * dt * dJ[j - 1] + 0.5 * dt * (g[j] + hist)
-            den = 1.0 + 0.5 * dt * (M[j] - diag)
-            J[j] = num / den
-            dJ[j] = -M[j] * J[j] + hist + diag * J[j] + g[j]
-        return {"t": t, "I_tilde": J, "dI_tilde": dJ, "M": M, "K0": K0,
-                "m_corr": c, "g": g}
+        c = self._corr_c_values(t)
+        a = (self._M_values(t) + cumtrapz(Kp, dx=dt)
+             - c * cumtrapz(np.exp(-t / self.p), dx=dt))
+        g = -(self.forcing_g(xi0_tilde, t)
+              + I0_tilde * self._pair_h_forcing(t)) / self.denom
 
-    def lin_dde_solve_volterra_route(self, I0_tilde: float, xi0_tilde: Profile,
-                                     T: float, dt: float) -> dict:
-        """The integrated convolution route: dJ/dt + K(0) J + K'*J = K J0 - g/denom."""
-        p = self.p
-        n = int(round(T / dt))
-        t = np.linspace(0.0, n * dt, n + 1)
+        def m(ti, s):
+            lag = ti - np.asarray(s, dtype=float)
+            return -np.interp(lag, t, Kp) + np.exp(-lag / self.p) * np.interp(ti, t, c)
+
+        return LinearDDEProblem(a=_on_grid(t, a), k=m, f=_on_grid(t, g), I0=I0_tilde)
+
+    def convolution_delay_problem(self, I0_tilde: float, xi0_tilde: Profile,
+                                  T: float, dt: float) -> LinearDDEProblem:
+        """The integrated convolution form J' + K(0) J + K'*J = K J0 - g/denom.
+
+        With k(t,s) = -K'(t-s) >= 0, a = K(0) + the cumulative trapezoid of K'.
+        """
+        t = uniform_grid(T, dt)
         Kv = self.kernel_K(t)
         Kp = self.kernel_K_prime(t)
-        g = Kv * I0_tilde - self.forcing_g(xi0_tilde, t) / self.denom
-        J = np.empty(n + 1)
-        dJ = np.empty(n + 1)
-        J[0] = I0_tilde
-        dJ[0] = -Kv[0] * J[0] + g[0]
-        for j in range(1, n + 1):
-            w = trapz_weights(j + 1, dt)
-            row = Kp[j::-1]
-            hist = float((row[:j] * w[:j]) @ J[:j])
-            diag = row[j] * w[j]
-            num = J[j - 1] + 0.5 * dt * dJ[j - 1] + 0.5 * dt * (g[j] - hist)
-            den = 1.0 + 0.5 * dt * (Kv[0] + diag)
-            J[j] = num / den
-            dJ[j] = -Kv[0] * J[j] - (hist + diag * J[j]) + g[j]
-        return {"t": t, "I_tilde": J, "dI_tilde": dJ}
+        f = Kv * I0_tilde - self.forcing_g(xi0_tilde, t) / self.denom
+        return LinearDDEProblem(
+            a=_on_grid(t, Kv[0] + cumtrapz(Kp, dx=dt)),
+            k=lambda ti, s: -np.interp(ti - np.asarray(s, dtype=float), t, Kp),
+            f=_on_grid(t, f), I0=I0_tilde)
 
     def _pair_h_forcing(self, t):
         """<dI(xi_p), e^{-Bt} h> for the delay forcing."""
@@ -416,3 +382,8 @@ class Linearization:
         vals = self.model.source.eval(Y, 0)
         return np.exp(-np.asarray(t) / self.p) * \
             ((vals * self.dI_p[None, :]) @ self.weights)
+
+
+def _on_grid(t: np.ndarray, values: np.ndarray):
+    """A function of time that reads a table on the grid ``t``."""
+    return lambda s: np.interp(s, t, values)

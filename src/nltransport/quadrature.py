@@ -2,9 +2,9 @@
 
 The substitution y = a + u/(1-u) maps [0,1) onto [a, inf); integrands with
 algebraic tails become smooth on the unit interval, so a fixed Gauss-Legendre
-rule converges fast.  ``integrate_half_line`` doubles the node count until the
-relative change falls below ``rtol`` (cap ``nmax``), the policy used for every
-semi-infinite integral in the package.
+rule converges fast.  ``tail_integral_refined`` doubles the node count until
+the relative change falls below ``rtol`` (cap ``nmax``), the policy used for
+every semi-infinite integral in the package.
 """
 
 from __future__ import annotations
@@ -38,36 +38,9 @@ class HalfLineRule:
         self.y = a + u / (1.0 - u)
         self.w = w / (1.0 - u) ** 2
 
-    def integrate(self, f) -> float:
-        return float(np.dot(self.w, f(self.y)))
-
     def integrate_values(self, values: np.ndarray) -> float:
         """Integral from values sampled at ``self.y`` (last axis)."""
         return np.asarray(values) @ self.w
-
-
-def integrate_half_line(f, a, rtol=DEFAULT_RTOL, n0=DEFAULT_N0, nmax=DEFAULT_NMAX,
-                        divergence_tol=1e-4):
-    """Refine a half-line integral of ``f`` over [a, inf) until stable.
-
-    Raises NumericalError when the value still moves by more than
-    ``divergence_tol`` (relative) at the node cap, which is the symptom of a
-    divergent or mis-specified integrand.
-    """
-    val = HalfLineRule(a, n0).integrate(f)
-    n = n0
-    while n < nmax:
-        n *= 2
-        nxt = HalfLineRule(a, n).integrate(f)
-        if abs(nxt - val) <= rtol * max(1.0, abs(nxt)):
-            return nxt
-        val = nxt
-    check = HalfLineRule(a, nmax * 2).integrate(f)
-    if abs(check - val) > divergence_tol * max(1.0, abs(check)):
-        raise NumericalError(
-            f"half-line integral did not stabilize under refinement "
-            f"(last change {abs(check - val):.3e} at {nmax} nodes)")
-    return val
 
 
 def tail_integral_values(f, a, n: int = DEFAULT_N0, scale=None) -> np.ndarray:
@@ -90,10 +63,9 @@ def tail_integral_refined(f, a, rtol=DEFAULT_RTOL, n0=DEFAULT_N0,
     """Refinement-controlled version of :func:`tail_integral_values`.
 
     Doubles the node count until the largest relative change is below
-    ``rtol`` (cap ``nmax``).  As in :func:`integrate_half_line`, a last
-    doubling that still moves some end by more than 1e-4 (relative) raises
-    NumericalError: the integrand diverges or is not resolved, and the last
-    value would be wrong.
+    ``rtol`` (cap ``nmax``).  A last doubling that still moves some end by
+    more than 1e-4 (relative) raises NumericalError: the integrand diverges or
+    is not resolved, and the last value would be wrong.
     """
     val = tail_integral_values(f, a, n0, scale=scale)
     n, change = n0, 0.0

@@ -55,8 +55,13 @@ class VolterraProblem:
 
     @property
     def grid(self) -> np.ndarray:
-        n = int(round(self.T / self.dt))
-        return np.linspace(0.0, n * self.dt, n + 1)
+        return uniform_grid(self.T, self.dt)
+
+
+def uniform_grid(T: float, dt: float) -> np.ndarray:
+    """Nodes 0, dt, ..., n dt with n = round(T/dt)."""
+    n = int(round(T / dt))
+    return np.linspace(0.0, n * dt, n + 1)
 
 
 def _kernel_values_conv(prob: VolterraProblem) -> np.ndarray:
@@ -135,20 +140,31 @@ def reconstruct(prob: VolterraProblem, g_values: np.ndarray | None = None) -> np
     return g - m
 
 
+def _kernel_matrix(prob: VolterraProblem, t: np.ndarray) -> np.ndarray:
+    """K(t_i, t_j) as an n x n (possibly broadcast, read-only) array.
+
+    A convolution kernel is evaluated at max(t_i - t_j, 0), so the entries
+    right of the diagonal repeat K(0); only the lower triangle is used.
+    """
+    if prob.convolution:
+        K = prob.kernel(np.maximum(t[:, None] - t[None, :], 0.0))
+    else:
+        K = prob.kernel(t[:, None], t[None, :])
+    return np.broadcast_to(np.asarray(K, dtype=float), (len(t), len(t)))
+
+
 def _lower_operator(prob: VolterraProblem) -> np.ndarray:
-    """Dense lower-triangular quadrature operator L with (Lu)_i ~ int_0^{t_i} K u."""
+    """Dense lower-triangular quadrature operator L with (Lu)_i ~ int_0^{t_i} K u.
+
+    L is Fortran-ordered, so that ``resolvent_matrix`` can solve in its storage.
+    """
     t = prob.grid
     n = len(t)
     if n > MAX_RESOLVENT_NODES:
         raise NumericalError(
             f"resolvent matrix needs {n} nodes > cap {MAX_RESOLVENT_NODES}; "
             f"increase dt")
-    if prob.convolution:
-        Kfull = np.asarray(prob.kernel(t[:, None] - t[None, :]), dtype=float)
-    else:
-        Kfull = np.asarray(prob.kernel(t[:, None], t[None, :]), dtype=float)
-    Kfull = np.broadcast_to(Kfull, (n, n))
-    L = np.tril(Kfull) * prob.dt
+    L = np.asfortranarray(np.tril(_kernel_matrix(prob, t))) * prob.dt
     idx = np.arange(n)
     L[idx, idx] *= 0.5
     L[:, 0] *= 0.5
@@ -166,7 +182,8 @@ def resolvent_matrix(prob: VolterraProblem) -> tuple[np.ndarray, np.ndarray]:
     t = prob.grid
     L = _lower_operator(prob)
     n = len(t)
-    R = solve_triangular(np.eye(n) + L, L, lower=True)
+    # (I + L) R = L, solved in the storage of L so that two n x n arrays are live
+    R = solve_triangular(np.eye(n) + L, L, lower=True, overwrite_b=True)
     return t, R
 
 
@@ -181,19 +198,14 @@ def gripenberg_check(prob: VolterraProblem, T0_scan=(1.0, 2.0, 5.0, 10.0)) -> di
     t = prob.grid
     n = len(t)
     dt = prob.dt
-    if prob.convolution:
-        Kfull = np.asarray(prob.kernel(np.maximum(t[:, None] - t[None, :], 0.0)), float)
-    else:
-        Kfull = np.asarray(prob.kernel(t[:, None], t[None, :]), float)
-    Kfull = np.broadcast_to(Kfull, (n, n))
-    tri = np.tril(Kfull)
+    tri = np.tril(_kernel_matrix(prob, t))  # the kernel is read on the triangle only
     report: dict = {"hypothesis_flags": []}
     if np.min(tri) < 0:
         report["hypothesis_flags"].append("kernel takes negative values")
     # decrease of t -> K(t,s) along columns (within the triangle)
     col_incr = 0.0
     for j in range(0, n - 1, max(1, n // 64)):
-        col = Kfull[j:, j]
+        col = tri[j:, j]
         if len(col) > 1:
             col_incr = max(col_incr, float(np.max(np.diff(col))))
     report["max_column_increase"] = col_incr
@@ -258,8 +270,8 @@ def linear_dde_solve(prob: LinearDDEProblem, T: float, dt: float,
     """
     if T <= 0 or dt <= 0:
         raise DomainError("T and dt must be positive")
-    n = int(round(T / dt))
-    t = np.linspace(0.0, n * dt, n + 1)
+    t = uniform_grid(T, dt)
+    n = len(t) - 1
     I = np.empty(n + 1)
     dI = np.empty(n + 1)
     I[0] = prob.I0

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from nltransport import canonical_functional, quadrature, sources
-from nltransport.functionals import Profile
+from nltransport.functionals import Profile, weighted_norm_from_samples
 from nltransport.linstab import Linearization, semigroup
 from nltransport.model import Model
 from nltransport import dde, pde
 from nltransport.ratefit import fit_rate
+from nltransport.volterra import linear_dde_solve
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,18 @@ def test_linear_matches_nonlinear_I(linearization, log_model):
     assert rel < 1e-4
 
 
+def test_perturbation_at_reproduces_linear_evolve_norms(linearization, log_model):
+    # perturbation_at and linear_evolve share one reconstruction
+    pert = log_model.equilibrium_profile().scaled(1e-3)
+    out = linearization.linear_evolve(pert, T=6.0, dt=0.02, n_samples=20)
+    grid = out["grid"]
+    for row, ts in enumerate(out["sample_t"]):
+        idx = int(round(ts / 0.02))
+        val, dval = linearization.perturbation_at(pert, out["t"], out["u"], idx, grid)
+        norm = weighted_norm_from_samples(val, dval, grid)
+        assert abs(norm - out["norm_1inf"][row]) <= 1e-13 * out["norm_1inf"][row]
+
+
 def test_nonlinear_gap_scales_quadratically(weak_log_model):
     # distance between the full flow and the linearized flow is O(amplitude^2)
     lin = Linearization(weak_log_model)
@@ -223,45 +236,69 @@ def test_delay_coefficient_limits(linearization):
 
 def test_delay_memory_matches_kernel_derivative(linearization):
     t0 = 8.0
+    prob = linearization.delay_problem(0.0, Profile.constant(0.0), T=t0, dt=0.01)
     for s in (0.0, 4.0, 7.0):
-        _, m = linearization.lin_dde_coeffs(t0, s)
+        m = float(prob.k(t0, s))
         kp = float(linearization.kernel_K_prime(t0 - s))
         assert abs(m + kp) <= 0.1 * np.exp(-(t0 - s) / 2.0 - t0 / 2.0) + 1e-9
 
 
-def test_delay_routes_agree(linearization, log_model):
-    xp = log_model.equilibrium_profile()
-    pert = xp.scaled(1e-3)
-    r1 = linearization.lin_dde_solve(1e-3, pert, T=12.0, dt=0.01)
-    r2 = linearization.lin_dde_solve_volterra_route(1e-3, pert, T=12.0, dt=0.01)
+@pytest.fixture(scope="module")
+def delay_solutions(linearization, log_model):
+    # both linearized forms of one perturbation, solved with the Volterra
+    # cross-check at two step sizes: {(form, dt): report}
+    pert = log_model.equilibrium_profile().scaled(1e-3)
+    out = {}
+    for dt in (0.01, 0.005):
+        for form, build in (("delay", linearization.delay_problem),
+                            ("convolution", linearization.convolution_delay_problem)):
+            prob = build(1e-3, pert, T=12.0, dt=dt)
+            out[form, dt] = linear_dde_solve(prob, T=12.0, dt=dt,
+                                             hypothesis_report=False)
+    return out
+
+
+def test_delay_routes_agree(delay_solutions):
+    r1, r2 = delay_solutions["delay", 0.01], delay_solutions["convolution", 0.01]
     t = r1["t"]
-    d = np.abs(r1["I_tilde"] - r2["I_tilde"])
+    d = np.abs(r1["I"] - r2["I"])
     # identical derivatives at time zero pin the sign conventions
-    assert abs(r1["dI_tilde"][0] - r2["dI_tilde"][0]) < 1e-10
+    assert abs(r1["dI"][0] - r2["dI"][0]) < 1e-10
     assert np.max(d[t <= 0.5]) < 1e-6
     weighted = np.max(d * np.exp(t / 4.0))
     assert np.isfinite(weighted)
     # the weighted gap stays stable under refinement
-    r1b = linearization.lin_dde_solve(1e-3, pert, T=12.0, dt=0.005)
-    r2b = linearization.lin_dde_solve_volterra_route(1e-3, pert, T=12.0, dt=0.005)
-    weighted_b = np.max(np.abs(r1b["I_tilde"] - r2b["I_tilde"])
-                        * np.exp(r1b["t"] / 4.0))
+    r1b, r2b = delay_solutions["delay", 0.005], delay_solutions["convolution", 0.005]
+    weighted_b = np.max(np.abs(r1b["I"] - r2b["I"]) * np.exp(r1b["t"] / 4.0))
     assert weighted_b <= 1.5 * weighted + 1e-9
 
 
-def test_delay_solution_bounded(linearization, log_model):
+@pytest.mark.parametrize("form", ["delay", "convolution"])
+def test_delay_forms_pass_volterra_cross_check(delay_solutions, form):
+    # the march and the independent Volterra discretization of the same
+    # problem differ at second order: the residual falls ~4x per halving of dt
+    coarse = delay_solutions[form, 0.01]["cross_check_residual"]
+    fine = delay_solutions[form, 0.005]["cross_check_residual"]
+    assert coarse < 1e-9
+    assert 3.5 <= coarse / fine <= 4.5
+
+
+def test_delay_solution_bounded(linearization):
     # zero profile perturbation, nonzero scalar offset: solution stays bounded
-    zero = Profile.constant(0.0)
-    out = linearization.lin_dde_solve(1.0, zero, T=20.0, dt=0.02)
-    bound = np.max(np.abs(out["I_tilde"]))
+    prob = linearization.delay_problem(1.0, Profile.constant(0.0), T=20.0, dt=0.02)
+    out = linear_dde_solve(prob, T=20.0, dt=0.02, cross_check=False,
+                           hypothesis_report=False)
+    bound = np.max(np.abs(out["I"]))
     assert bound <= 5.0
     print(f"delay response bound C = {bound:.3f} for unit offset")
 
 
 def test_delay_derivative_decays(linearization, log_model):
     xp = log_model.equilibrium_profile()
-    out = linearization.lin_dde_solve(1e-3, xp.scaled(1e-3), T=16.0, dt=0.01)
-    d = np.abs(out["dI_tilde"])
+    prob = linearization.delay_problem(1e-3, xp.scaled(1e-3), T=16.0, dt=0.01)
+    out = linear_dde_solve(prob, T=16.0, dt=0.01, cross_check=False,
+                           hypothesis_report=False)
+    d = np.abs(out["dI"])
     sel = d > 1e-16
     fit = fit_rate(out["t"][sel], d[sel], window=0.5)
     assert fit.rate >= 1.0 / (1.2 * 2.0)
