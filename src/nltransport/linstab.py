@@ -34,7 +34,8 @@ and m(t,s) with
 Its integrated convolution form reads dJ/dt + K(0) J + K'*J = K J0 - g/denom.
 ``delay_problem`` and ``convolution_delay_problem`` tabulate either form on a
 uniform grid as a ``volterra.LinearDDEProblem``, which
-``volterra.linear_dde_solve`` integrates and cross-checks.  M(0) pairs to h
+``volterra.linear_dde_solve`` integrates and cross-checks; their tables raise
+DomainError when read off that grid.  M(0) pairs to h
 exactly, so the two forms agree to second order at small times; at large times
 M -> K(0) and m -> -K' exponentially.  Both facts are asserted in tests, which
 pins the sign conventions.
@@ -47,18 +48,20 @@ import numpy as np
 from .errors import DomainError, ModelViolationError
 from .functionals import Profile, weighted_norm_from_samples
 from .model import Model
-from .quadrature import cumtrapz, gauss_panels, trapz_weights
+from .quadrature import cumtrapz, trapz_weights, unit_gauss_nodes
 from .ratefit import fit_rate
 from .volterra import (LinearDDEProblem, VolterraProblem, solve as volterra_solve,
                        uniform_grid)
 
 LAPLACE_HORIZON = 40.0  # laplace_khat integrates K over [0, 40 p]
+LAPLACE_PANEL_NODES = 16  # Gauss nodes per panel of laplace_khat's rule
 CONTOUR_Q = 1.2  # condition_H3's rectangle: Re z from -1/(1.2 p) ...
 CONTOUR_RE_MAX = 2.0  # ... to 2
 CONTOUR_N0, CONTOUR_N_CAP = 4000, 2 ** 16  # contour points: first try, cap
 MONOTONICITY_HORIZON = 10.0  # monotonicity_certificate samples K on [0, 10 p]
 NORM_GRID = np.geomspace(1e-2, 1e4, 300)  # linear_evolve's norm grid
 FIT_WINDOW = 0.5  # trailing fraction of the samples its decay fit uses
+TABLE_SLACK = 1e-9  # reach past a table's grid, relative to its span, taken as rounding
 
 
 def semigroup(prof: Profile, p: float, t: float, y):
@@ -86,6 +89,7 @@ class Linearization:
         if self.denom <= 0:
             raise ModelViolationError("equilibrium admissibility denominator "
                                       "is not positive")
+        self._lap_rules: dict = {}  # laplace_khat's panel rule per omega_max
 
     # -- pointwise building blocks -----------------------------------------
 
@@ -162,8 +166,18 @@ class Linearization:
     def laplace_khat(self, z, omega_max: float = 50.0):
         """K_hat(z) on Re z > -1/p by truncated quadrature with a tail bound.
 
-        Returns (values, tail_bound_at_min_Re).  The tail uses the certified
-        envelope K(t) <= K(T_L) e^{-(t-T_L)/p}, T_L = LAPLACE_HORIZON p.
+        Returns (values, tail_bound_at_min_Re).  The rule on [0, T_L],
+        T_L = LAPLACE_HORIZON p, has P uniform panels of width h with
+        LAPLACE_PANEL_NODES Gauss nodes k h + h u_j each, so e^{-z t} factors
+        by panel and
+
+            K_hat(z) = sum_k e^{-z k h} G_k(z),
+            G_k(z)   = sum_j e^{-z h u_j} h w_j K(k h + h u_j),
+
+        with G one matrix product.  A call on Z points evaluates
+        Z (P + LAPLACE_PANEL_NODES) exponentials instead of one per point and
+        node.  The tail uses the certified envelope
+        K(t) <= K(T_L) e^{-(t-T_L)/p}.
         """
         p = self.p
         T_L = LAPLACE_HORIZON * p
@@ -171,12 +185,14 @@ class Linearization:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         if np.any(z.real <= -1.0 / p):
             raise DomainError("Laplace transform needs Re z > -1/p")
-        nodes, weights, Kv = self._laplace_rule(T_L, omega_max)
+        starts, offsets, WK = self._laplace_rule(omega_max)
         out = np.empty(len(z), dtype=complex)
-        chunk = max(1, int(4e6 // len(nodes)))
+        chunk = max(1, int(2.5e5 // len(starts)))  # 4 MB per chunk x P temporary
         for lo in range(0, len(z), chunk):
             zz = z[lo:lo + chunk]
-            out[lo:lo + chunk] = np.exp(-np.outer(zz, nodes)) @ (weights * Kv)
+            G = np.exp(np.outer(zz, -offsets)) @ WK.T
+            G *= np.exp(np.outer(zz, -starts))
+            out[lo:lo + chunk] = G.sum(axis=1)
         K_TL = float(self.kernel_K(T_L))
         sigma = float(np.min(z.real))
         tail = K_TL * np.exp(-sigma * T_L) / (sigma + 1.0 / p)
@@ -184,15 +200,29 @@ class Linearization:
             return complex(out[0]), tail
         return out, tail
 
-    def _laplace_rule(self, T_L, omega_max):
-        """Panel nodes and weights on [0, T_L] and K at the nodes, cached per omega_max."""
-        if getattr(self, "_lap_key", None) != omega_max:
+    def _laplace_rule(self, omega_max):
+        """``laplace_khat``'s panel rule on [0, T_L], cached per omega_max.
+
+        Returns (starts, offsets, WK): panel starts k h, node offsets h u_j
+        within a panel, and WK[k, j] = h w_j K(k h + h u_j).  K is evaluated
+        at exactly starts + offsets, so the factored sum is this rule's sum.
+        The rule is published by one dict assignment, which keeps the cache
+        consistent for threads sharing the linearization.
+        """
+        rule = self._lap_rules.get(omega_max)
+        if rule is None:
+            T_L = LAPLACE_HORIZON * self.p
             width = min(0.15 * 50.0 / max(omega_max, 1.0), self.p / 4)
             n_panels = int(np.ceil(T_L / width))
-            nodes, weights = gauss_panels(0.0, T_L, n_panels, 16)
-            self._lap_rule = (nodes, weights, self.kernel_K(nodes))
-            self._lap_key = omega_max
-        return self._lap_rule
+            h = T_L / n_panels
+            u, w = unit_gauss_nodes(LAPLACE_PANEL_NODES)
+            starts = h * np.arange(n_panels)
+            offsets = h * u
+            nodes = starts[:, None] + offsets[None, :]
+            WK = (h * w) * self.kernel_K(nodes.ravel()).reshape(nodes.shape)
+            rule = (starts, offsets, WK)
+            self._lap_rules[omega_max] = rule
+        return rule
 
     def condition_H3(self, omega: float = 50.0) -> dict:
         """Sample 1 + K_hat on a rectangle boundary; report min modulus and winding.
@@ -202,21 +232,9 @@ class Linearization:
         CONTOUR_N_CAP points); status is conclusive when the truncation tail is
         small against the observed minimum modulus.
         """
-        p = self.p
-        a = -1.0 / (CONTOUR_Q * p)
-        re_max = CONTOUR_RE_MAX
         n = CONTOUR_N0
         while True:
-            per_side = max(n // 4, 8)
-            top = np.linspace(a + 1j * omega, re_max + 1j * omega, per_side,
-                              endpoint=False)
-            right = np.linspace(re_max + 1j * omega, re_max - 1j * omega, per_side,
-                                endpoint=False)
-            bottom = np.linspace(re_max - 1j * omega, a - 1j * omega, per_side,
-                                 endpoint=False)
-            left = np.linspace(a - 1j * omega, a + 1j * omega, per_side,
-                               endpoint=False)
-            zs = np.concatenate([top, right, bottom, left])
+            zs = h3_contour(self.p, omega, n)
             vals, tail = self.laplace_khat(zs, omega_max=omega)
             w = 1.0 + vals
             phases = np.angle(np.roll(w, -1) / w)
@@ -234,6 +252,7 @@ class Linearization:
             "min_abs_one_plus_khat": min_abs,
             "tail_bound": float(tail),
             "n_contour_points": len(zs),
+            "n_laplace_nodes": int(self._laplace_rule(omega)[2].size),
         }
 
     # -- linear evolution and decay -------------------------------------------
@@ -355,9 +374,11 @@ class Linearization:
         g = -(self.forcing_g(xi0_tilde, t)
               + I0_tilde * self._pair_h_forcing(t)) / self.denom
 
+        Kp_at, c_at = _on_grid(t, Kp), _on_grid(t, c)
+
         def m(ti, s):
             lag = ti - np.asarray(s, dtype=float)
-            return -np.interp(lag, t, Kp) + np.exp(-lag / self.p) * np.interp(ti, t, c)
+            return -Kp_at(lag) + np.exp(-lag / self.p) * c_at(ti)
 
         return LinearDDEProblem(a=_on_grid(t, a), k=m, f=_on_grid(t, g), I0=I0_tilde)
 
@@ -371,9 +392,10 @@ class Linearization:
         Kv = self.kernel_K(t)
         Kp = self.kernel_K_prime(t)
         f = Kv * I0_tilde - self.forcing_g(xi0_tilde, t) / self.denom
+        Kp_at = _on_grid(t, Kp)
         return LinearDDEProblem(
             a=_on_grid(t, Kv[0] + cumtrapz(Kp, dx=dt)),
-            k=lambda ti, s: -np.interp(ti - np.asarray(s, dtype=float), t, Kp),
+            k=lambda ti, s: -Kp_at(ti - np.asarray(s, dtype=float)),
             f=_on_grid(t, f), I0=I0_tilde)
 
     def _pair_h_forcing(self, t):
@@ -384,6 +406,36 @@ class Linearization:
             ((vals * self.dI_p[None, :]) @ self.weights)
 
 
+def h3_contour(p: float, omega: float, n: int) -> np.ndarray:
+    """``condition_H3``'s rectangle boundary, about n points, clockwise from the top left."""
+    a = -1.0 / (CONTOUR_Q * p)
+    re_max = CONTOUR_RE_MAX
+    per_side = max(n // 4, 8)
+    top = np.linspace(a + 1j * omega, re_max + 1j * omega, per_side,
+                      endpoint=False)
+    right = np.linspace(re_max + 1j * omega, re_max - 1j * omega, per_side,
+                        endpoint=False)
+    bottom = np.linspace(re_max - 1j * omega, a - 1j * omega, per_side,
+                         endpoint=False)
+    left = np.linspace(a - 1j * omega, a + 1j * omega, per_side,
+                       endpoint=False)
+    return np.concatenate([top, right, bottom, left])
+
+
 def _on_grid(t: np.ndarray, values: np.ndarray):
     """A function of time that reads a table on the grid ``t``."""
-    return lambda s: np.interp(s, t, values)
+    return lambda s: _read_table(t, values, s)
+
+
+def _read_table(t: np.ndarray, values: np.ndarray, s):
+    """Linear interpolation of ``values`` on ``t`` at ``s``.
+
+    A point past either end of the grid by more than rounding raises
+    DomainError: ``np.interp`` would return the end value without a word.
+    """
+    slack = TABLE_SLACK * (t[-1] - t[0])
+    s_arr = np.asarray(s, dtype=float)
+    if np.any(s_arr < t[0] - slack) or np.any(s_arr > t[-1] + slack):
+        raise DomainError(f"table on [{t[0]:g}, {t[-1]:g}] read at "
+                          f"[{np.min(s_arr):g}, {np.max(s_arr):g}]")
+    return np.interp(s, t, values)

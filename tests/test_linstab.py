@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nltransport import canonical_functional, quadrature, sources
+from nltransport import canonical_functional, linstab, quadrature, sources
+from nltransport.errors import DomainError
 from nltransport.functionals import Profile, weighted_norm_from_samples
 from nltransport.linstab import Linearization, semigroup
 from nltransport.model import Model
@@ -92,6 +93,59 @@ def test_condition_h3_log_source(linearization):
     assert rep["status"] == "conclusive"
     assert rep["winding_number"] == 0
     assert rep["min_abs_one_plus_khat"] > 0.5
+
+
+def _khat_node_by_node(lin, z, n_panels):
+    # the same rule summed node by node: n_panels uniform panels on
+    # [0, 40 p] with 16 Gauss nodes each, K evaluated at every node
+    h = linstab.LAPLACE_HORIZON * lin.p / n_panels
+    u, w = quadrature.unit_gauss_nodes(16)
+    nodes = (h * np.arange(n_panels)[:, None] + h * u[None, :]).ravel()
+    wK = np.tile(h * w, n_panels) * lin.kernel_K(nodes)
+    out = np.empty(len(z), dtype=complex)
+    for lo in range(0, len(z), 200):
+        out[lo:lo + 200] = np.exp(-np.outer(z[lo:lo + 200], nodes)) @ wK
+    return out
+
+
+@pytest.fixture(scope="module")
+def log_lin_p3(log_model_p3):
+    return Linearization(log_model_p3)
+
+
+@pytest.mark.parametrize("lin_name", ["linearization", "log_lin_p3", "const_lin"])
+def test_laplace_factored_matches_node_by_node(lin_name, request):
+    lin = request.getfixturevalue(lin_name)
+    z = linstab.h3_contour(lin.p, 50.0, linstab.CONTOUR_N0)
+    vals, _ = lin.laplace_khat(z)
+    n_panels = lin._laplace_rule(50.0)[2].shape[0]
+    assert np.max(np.abs(vals - _khat_node_by_node(lin, z, n_panels))) < 1e-13
+
+
+def test_laplace_exponential_count(linearization, monkeypatch):
+    # one exponential per point and panel plus one per point and panel node;
+    # the node-by-node sum takes one per point and node (34 M here)
+    starts, offsets, _ = linearization._laplace_rule(50.0)
+    z = linstab.h3_contour(linearization.p, 50.0, linstab.CONTOUR_N0)
+    count = [0]
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        out = exp(x, *args, **kwargs)
+        count[0] += np.size(out)
+        return out
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    linearization.laplace_khat(z)
+    n_z = len(z)
+    assert count[0] <= n_z * (len(starts) + len(offsets)) + n_z
+
+
+def test_condition_h3_reports_rule_size(linearization):
+    rep = linearization.condition_H3()
+    assert rep["n_contour_points"] == 4000
+    # 534 panels of width 0.15 on [0, 80], 16 nodes each
+    assert rep["n_laplace_nodes"] == 534 * 16
 
 
 def test_linear_decay_weak_coupling(weak_log_model):
@@ -281,6 +335,24 @@ def test_delay_forms_pass_volterra_cross_check(delay_solutions, form):
     fine = delay_solutions[form, 0.005]["cross_check_residual"]
     assert coarse < 1e-9
     assert 3.5 <= coarse / fine <= 4.5
+
+
+@pytest.mark.parametrize("form", ["delay_problem", "convolution_delay_problem"])
+def test_delay_tables_refuse_reads_off_grid(linearization, log_model, form, monkeypatch):
+    pert = log_model.equilibrium_profile().scaled(1e-3)
+    build = getattr(linearization, form)
+    prob = build(1e-3, pert, T=2.0, dt=0.02)
+    # the default hypothesis monitors read k at lags up to 10 T
+    with pytest.raises(DomainError):
+        linear_dde_solve(prob, T=2.0, dt=0.02)
+    out = linear_dde_solve(prob, T=2.0, dt=0.02, hypothesis_report=False)
+    # on the grid the guard changes no bit against plain np.interp reads
+    monkeypatch.setattr(linstab, "_read_table", lambda t, v, s: np.interp(s, t, v))
+    ref = linear_dde_solve(build(1e-3, pert, T=2.0, dt=0.02), T=2.0, dt=0.02,
+                           hypothesis_report=False)
+    assert out.keys() == ref.keys()
+    for key in out:
+        assert np.asarray(out[key]).tobytes() == np.asarray(ref[key]).tobytes()
 
 
 def test_delay_solution_bounded(linearization):

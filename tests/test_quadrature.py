@@ -10,7 +10,7 @@ from nltransport.errors import NumericalError
 from nltransport.sources import SourceFn, compact_kernel, log_kernel
 from nltransport.quadrature import (HalfLineRule, cumtrapz, gauss_panels,
                                     simpson_integrate, tail_integral_refined,
-                                    trapz_weights)
+                                    tail_integral_values, trapz_weights)
 
 
 def test_inverse_square_exact():
@@ -54,6 +54,19 @@ def test_tail_integral_vectorized_scaling():
     a = np.array([0.5, 10.0, 1e4, 3e6])
     vals = tail_integral_refined(lambda y: 1.0 / y ** 2, a)
     assert np.max(np.abs(vals - 1.0 / a)) < 1e-10
+
+
+def test_tail_integral_result_is_shaped_like_lower_ends():
+    # int_a^inf y^-2 dy = 1/a; a scalar end gives a 0-d result
+    f = lambda y: 1.0 / y ** 2
+    for val in (tail_integral_values(f, 1.0), tail_integral_values(f, 1.0, scale=2.0),
+                tail_integral_refined(f, 1.0)):
+        assert np.shape(val) == ()
+        assert abs(val - 1.0) < 1e-10
+    for shape in ((1,), (2, 3)):
+        a = np.full(shape, 2.0)
+        assert np.shape(tail_integral_values(f, a)) == shape
+        assert np.shape(tail_integral_refined(f, a)) == shape
 
 
 @settings(max_examples=25, deadline=None)
