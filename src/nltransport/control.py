@@ -52,13 +52,12 @@ MIN_CONTROL_CEILING = 8.0
 
 
 class PayoffG:
-    """Payoff density g with derivatives, its limit at infinity and z_inf."""
+    """Payoff density g with its derivative, its limit at infinity and z_inf."""
 
-    def __init__(self, g: Callable, gprime: Callable, gsecond: Callable | None,
-                 g_inf: float, z_inf: float, name: str = ""):
+    def __init__(self, g: Callable, gprime: Callable, g_inf: float, z_inf: float,
+                 name: str = ""):
         self.g = g
         self.gprime = gprime
-        self.gsecond = gsecond
         self.g_inf = float(g_inf)
         self.z_inf = float(z_inf)
         self.name = name
@@ -81,7 +80,6 @@ class PayoffG:
     def constant(g0: float) -> "PayoffG":
         return PayoffG(g=lambda z: np.full_like(np.asarray(z, float), g0),
                        gprime=lambda z: np.zeros_like(np.asarray(z, float)),
-                       gsecond=lambda z: np.zeros_like(np.asarray(z, float)),
                        g_inf=g0, z_inf=0.0, name=f"const({g0:g})")
 
     @staticmethod
@@ -91,8 +89,7 @@ class PayoffG:
         z_inf = _slope_support(source)
         return PayoffG(g=lambda z: -c * source.eval(z, 1),
                        gprime=lambda z: -c * source.eval(z, 2),
-                       gsecond=None, g_inf=0.0, z_inf=z_inf,
-                       name="-(1+y/p) h'")
+                       g_inf=0.0, z_inf=z_inf, name="-(1+y/p) h'")
 
     @staticmethod
     def from_source_weighted(source: SourceFn, p: float) -> "PayoffG":
@@ -100,7 +97,6 @@ class PayoffG:
         z_inf = _slope_support(source)
         return PayoffG(g=lambda z: source.eval(z, 0) / p,
                        gprime=lambda z: source.eval(z, 1) / p,
-                       gsecond=lambda z: source.eval(z, 2) / p,
                        g_inf=source.h_inf / p, z_inf=z_inf, name="h/p")
 
 

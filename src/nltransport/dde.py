@@ -23,19 +23,16 @@ initial-data remainder
 
 ``IHistory`` runs this route on the stepping engine ``pde.LagrangianState``,
 which owns the node buffers, e^R and the cumulative C = int e^R at the nodes,
-node lookup, the reconstruction and the run loop ``pde.evolve``.  Only three
-things are its own.  First, log I is the evolved variable and is interpolated
-piecewise linearly, so a trial d log I/dt fixes R(s) = s/p + [log I(s) -
+node lookup, the reconstruction, the per-step fixed-point loop (secant steps
+on rho, one tolerance, one ``StepError``) and the run loop ``pde.evolve``.
+Only two things are its own.  First, the bookkeeping of a node: log I is the
+evolved variable and is interpolated piecewise linearly, so a trial rho sets
+d log I/dt = p rho - 1, log I by the trapezoid and R(s) = s/p + [log I(s) -
 log I(0)]/p at the new node; this keeps e^R piecewise exponential, exactly
-the structure the shared reconstruction assumes, so the two routes are
-algebraically identical step by step.  Second, each step solves the scalar
-fixed point for the new history ratio chi = e^{-int rho} over the step by
-plain fixed-point iteration, damped after DAMPING_AFTER iterations.  It stops
-when two successive evaluations of chi agree, so a secant step would still
-need a second evaluation after it to pass that test and saves none (log
-source, p = 2, dt = 0.01, T = 6: 3.33 evaluations per step with either).
-Third, it evaluates the history functionals: f and g (``fg_at``), the log I
-interpolant and the history ratio v.
+the structure the shared reconstruction assumes, and I at a committed node is
+exp(log I), not the functional's value.  Second, it evaluates the history
+functionals: f and g (``fg_at``), the log I interpolant and the history
+ratio v.
 
 The module also carries the constant-source reduction: when h is constant the
 pair I1 = (I/I(0))^{1/p}, I2 = (1/p) int_0^t e^{-(t-s)/p} I1(s) ds closes into
@@ -46,32 +43,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ModelViolationError, NumericalError, StepError
+from .errors import DomainError, ModelViolationError, NumericalError
 from .functionals import Profile
 from .model import Model
-from .pde import DEFAULT_TOL, MAX_FIXED_POINT_ITERS, LagrangianState, evolve
+from .pde import LagrangianState, evolve
 from .quadrature import cumtrapz, trapz_weights
-
-DAMPING_AFTER = 10
 
 
 class IHistory(LagrangianState):
-    """The stepping engine evolving log I: adds log I and d log I/dt nodes."""
+    """The stepping engine interpolating log I: adds log I and d log I/dt nodes."""
 
     _BUFFERS = LagrangianState._BUFFERS + ("_logI", "_dlogI")
 
-    def __init__(self, model: Model, xi0: Profile, capacity: int = 256,
-                 check_admissible: bool = True):
+    def __init__(self, model: Model, xi0: Profile, check_admissible: bool = True):
         if check_admissible:
             model.check_admissible(xi0)
         I0 = model.functional.value(xi0)
         if I0 <= 0:
             raise DomainError("I(0) must be positive")
-        super().__init__(model, xi0, capacity, check_admissible=False)
+        super().__init__(model, xi0, check_admissible=False)
         self._logI[0] = np.log(I0)
         self._dlogI[0] = model.p * self._rho[0] - 1.0
-        # a node's rho and I are read off the evolved d log I/dt and log I
-        self._rho[0] = (self._dlogI[0] + 1.0) / model.p
         self._I[0] = np.exp(self._logI[0])
 
     @property
@@ -121,51 +113,26 @@ class IHistory(LagrangianState):
         g = -spec.pair_from_samples(grad, G) / den
         return f, g
 
-    # -- stepping -----------------------------------------------------------------
+    # -- node bookkeeping -------------------------------------------------------
 
-    def _set_node(self, k: int, dt: float, D: float) -> None:
-        """Fill node k from a trial d log I/dt."""
+    def _set_node(self, k: int, dt: float, rho: float) -> None:
+        """Fill node k from a trial rho: d log I/dt, log I, R, e^R and C."""
         km = k - 1
         p = self.model.p
-        self._logI[k] = self._logI[km] + 0.5 * dt * (self._dlogI[km] + D)
+        self._rho[k] = rho
+        self._dlogI[k] = p * rho - 1.0
+        self._logI[k] = self._logI[km] + 0.5 * dt * (self._dlogI[km] + self._dlogI[k])
         self._R[k] = self._t[k] / p + (self._logI[k] - self._logI[0]) / p
         self._set_exp(k)
 
-    def step(self, dt: float, tol: float = DEFAULT_TOL) -> "IHistory":
-        """Append t+dt solving the fixed point for the new history ratio."""
-        k = self._open_node(dt)
-        km = k - 1
-        p = self.model.p
-        nodes = self.model.functional.nodes
-        D = self._dlogI[km]
-        chi_prev = None
-        delta = np.inf
-        for it in range(MAX_FIXED_POINT_ITERS):
-            self._set_node(k, dt, D)
-            xi, dxi = self.refined_samples(k, nodes)
-            res = self.model.rho_from_samples(xi, dxi)
-            D_new = p * res.rho - 1.0
-            chi = np.exp(-0.5 * dt * (self._dlogI[km] + D_new) / p)
-            if chi_prev is not None:
-                delta = abs(chi - chi_prev)
-                if delta < tol:
-                    D = D_new
-                    break
-            chi_prev = chi
-            D = 0.5 * (D + D_new) if it >= DAMPING_AFTER else D_new
-        else:
-            raise StepError(
-                f"history-ratio fixed point did not converge at "
-                f"t={self._t[k]:.6g}; try a smaller dt", MAX_FIXED_POINT_ITERS, delta)
-        self._dlogI[k] = D
-        self._set_node(k, dt, D)
+    def _commit_I(self, k: int, res) -> None:
+        """I at the committed node k from the evolved log I."""
         if not np.isfinite(self._logI[k]):
             raise ModelViolationError("I(t) lost positivity during stepping")
-        self._rho[k] = (D + 1.0) / p
         self._I[k] = np.exp(self._logI[k])
-        self._den[k] = res.denominator
-        self.n = k + 1
-        return self
+
+    # the tracer of bench/ wraps methods found in the class's own __dict__
+    step = LagrangianState.step
 
 
 def v_and_z(hist: IHistory, p: float, t: float, s, y: float):
@@ -287,7 +254,6 @@ def dF_gradient(source, p: float, t: float, y: float, s_grid: np.ndarray,
 
 
 def run(model: Model, xi0: Profile, T: float, dt: float, stride: int = 1,
-        tol: float = DEFAULT_TOL, norm_grid: np.ndarray | None = None,
         norms: bool = True):
     """Evolve the delay route to time T; returns (Trajectory, series dict).
 
@@ -295,7 +261,7 @@ def run(model: Model, xi0: Profile, T: float, dt: float, stride: int = 1,
     series at the sampled nodes.
     """
     hist = IHistory(model, xi0)
-    traj = evolve(hist, T, dt, stride, tol, norm_grid, norms)
+    traj = evolve(hist, T, dt, stride, norms)
     traj.monitors["dlogI_l1"] = float(
         np.sum(np.abs(hist.dlogI[:-1] + hist.dlogI[1:]) * 0.5 * dt))
     ks = [hist.node_index(t) for t in traj.t]

@@ -27,6 +27,7 @@ from .config import ConfigError, Scenario, load
 from .errors import DomainError, ModelViolationError, NumericalError
 from .linstab import Linearization
 from .ratefit import fit_rate
+from .trajectory import CSV_COLUMNS
 from .volterra import (LinearDDEProblem, VolterraProblem, gripenberg_check,
                        linear_dde_solve, reconstruct, resolvent, solve)
 
@@ -131,10 +132,10 @@ def _trajectory_report(scn: Scenario, traj, model) -> dict:
 def run_simulate_pde(scn: Scenario) -> dict:
     model = scn.build_model()
     xi0 = scn.build_initial(model)
-    traj = pde.run(model, xi0, stride=scn.run_cfg["stride"], tol=1e-12,
+    traj = pde.run(model, xi0, stride=scn.run_cfg["stride"],
                    T=scn.run_cfg["T"], dt=scn.run_cfg["dt"])
-    atomic_write(os.path.join(scn.output_dir, "trajectory_pde.csv"),
-                 traj.to_csv_text())
+    write_csv(os.path.join(scn.output_dir, "trajectory_pde.csv"), CSV_COLUMNS,
+              [getattr(traj, name) for name in CSV_COLUMNS])
     report = _trajectory_report(scn, traj, model)
     min_rate = scn.options.get("min_dist_rate")
     checks = [report["cumulative_rho_bound_slack"] >= -1e-6,
@@ -148,10 +149,10 @@ def run_simulate_pde(scn: Scenario) -> dict:
 def run_simulate_dde(scn: Scenario) -> dict:
     model = scn.build_model()
     xi0 = scn.build_initial(model)
-    traj, fg = dde.run(model, xi0, stride=scn.run_cfg["stride"], tol=1e-12,
+    traj, fg = dde.run(model, xi0, stride=scn.run_cfg["stride"],
                        T=scn.run_cfg["T"], dt=scn.run_cfg["dt"])
-    atomic_write(os.path.join(scn.output_dir, "trajectory_dde.csv"),
-                 traj.to_csv_text())
+    write_csv(os.path.join(scn.output_dir, "trajectory_dde.csv"), CSV_COLUMNS,
+              [getattr(traj, name) for name in CSV_COLUMNS])
     write_csv(os.path.join(scn.output_dir, "dde_series.csv"),
               ("t", "I", "dlogIdt", "f", "g"),
               (fg["t"], fg["I"], fg["dlogIdt"], fg["f"], fg["g"]))
@@ -162,7 +163,7 @@ def run_simulate_dde(scn: Scenario) -> dict:
     checks = [report["denom_min"] > 0.0]
     if scn.options.get("cross_check_pde", False):
         # only I is compared, so the reference skips the profile norms
-        ref = pde.run(model, xi0, stride=scn.run_cfg["stride"], tol=1e-12,
+        ref = pde.run(model, xi0, stride=scn.run_cfg["stride"],
                       T=scn.run_cfg["T"], dt=scn.run_cfg["dt"], norms=False)
         rel = float(np.max(np.abs(ref.I / traj.I - 1.0)))
         report["pde_dde_rel_diff"] = rel

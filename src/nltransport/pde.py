@@ -24,13 +24,14 @@ characteristic evaluation stays second order without substepping.
 
 ``LagrangianState`` is the one stepping engine of both routes.  It owns the
 node buffers, e^R and C at each node (C grows one interval per step), node
-lookup by time, the reconstruction ``reconstruct_profile`` at a node, and
-``evolve`` is its one run loop.  Its own evolved variable is rho, stored at
-the nodes and interpolated piecewise linearly, with R its exact trapezoid;
-each step solves the scalar self-consistency rho = rho(xi(.,t+dt; rho)) with
-secant steps on the residual rho(xi(.; g)) - g, falling back to a plain
-fixed-point step where the secant is undefined.  ``dde.IHistory`` subclasses
-it to evolve log I instead.
+lookup by time, the reconstruction ``reconstruct_profile`` at a node, the one
+fixed-point loop ``step`` and the one run loop ``evolve``.  Each step solves
+the scalar self-consistency rho = rho(xi(.,t+dt; rho)) with secant steps on
+the residual rho(xi(.; g)) - g, falling back to a plain fixed-point step where
+the secant is undefined.  How a trial rho fills the new node is the route's
+own: here rho is interpolated piecewise linearly, with R its exact trapezoid,
+and I at the node is the functional's value.  ``dde.IHistory`` subclasses it
+to interpolate log I instead, with I = exp(log I).
 """
 
 from __future__ import annotations
@@ -190,20 +191,20 @@ def characteristic(hist: RhoHistory, t: float, y, s: float):
 class LagrangianState:
     """The stepping engine, evolving rho: initial profile plus committed nodes.
 
-    A subclass evolving another scalar adds its ``_BUFFERS`` and overrides
-    ``_set_node`` (trial value -> R at the new node) and ``step``.
+    A subclass interpolating another scalar adds its ``_BUFFERS`` and
+    overrides ``_set_node`` (trial rho -> R at the new node) and ``_commit_I``
+    (I at a committed node).
     """
 
     _BUFFERS = ("_t", "_rho", "_R", "_E", "_C", "_I", "_den")
 
-    def __init__(self, model: Model, xi0: Profile, capacity: int = 256,
-                 check_admissible: bool = True):
+    def __init__(self, model: Model, xi0: Profile, check_admissible: bool = True):
         self.model = model
         self.xi0 = xi0
         if check_admissible:
             model.check_admissible(xi0)
         for name in self._BUFFERS:
-            setattr(self, name, np.zeros(capacity))
+            setattr(self, name, np.zeros(256))  # doubled by _grow
         self._E[0] = 1.0
         self.n = 1
         res = model.rho(xi0)
@@ -320,6 +321,10 @@ class LagrangianState:
         self._R[k] = self._R[k - 1] + 0.5 * dt * (self._rho[k - 1] + rho)
         self._set_exp(k)
 
+    def _commit_I(self, k: int, res) -> None:
+        """I at the committed node k: the functional's value."""
+        self._I[k] = res.I_value
+
     def step(self, dt: float, tol: float = DEFAULT_TOL) -> "LagrangianState":
         """Append t+dt with the self-consistent rho; returns self.
 
@@ -349,14 +354,13 @@ class LagrangianState:
                 f"rho fixed point did not converge at t={self._t[k]:.6g}; "
                 f"try a smaller dt", MAX_FIXED_POINT_ITERS, abs(r))
         self._set_node(k, dt, res.rho)
-        self._I[k] = res.I_value
+        self._commit_I(k, res)
         self._den[k] = res.denominator
         self.n = k + 1
         return self
 
 
 def evolve(state: LagrangianState, T: float, dt: float, stride: int = 1,
-           tol: float = DEFAULT_TOL, norm_grid: np.ndarray | None = None,
            norms: bool = True) -> Trajectory:
     """Step ``state`` to time T and sample it every ``stride`` steps.
 
@@ -368,7 +372,7 @@ def evolve(state: LagrangianState, T: float, dt: float, stride: int = 1,
         raise DomainError("T and dt must be positive")
     model = state.model
     n_steps = int(round(T / dt))
-    grid = DEFAULT_NORM_GRID if norm_grid is None else np.asarray(norm_grid, float)
+    grid = DEFAULT_NORM_GRID
     if norms:
         xi_p = model.equilibrium_values(grid, 0)
         dxi_p = model.equilibrium_values(grid, 1)
@@ -398,7 +402,7 @@ def evolve(state: LagrangianState, T: float, dt: float, stride: int = 1,
 
     sample(0)
     for k in range(1, n_steps + 1):
-        state.step(dt, tol=tol)
+        state.step(dt)
         if k % stride == 0 or k == n_steps:
             sample(k)
 
@@ -414,10 +418,9 @@ def evolve(state: LagrangianState, T: float, dt: float, stride: int = 1,
 
 
 def run(model: Model, xi0: Profile, T: float, dt: float, stride: int = 1,
-        tol: float = DEFAULT_TOL, norm_grid: np.ndarray | None = None,
         norms: bool = True) -> Trajectory:
     """Evolve the transport route to time T; see :func:`evolve`."""
-    return evolve(LagrangianState(model, xi0), T, dt, stride, tol, norm_grid, norms)
+    return evolve(LagrangianState(model, xi0), T, dt, stride, norms)
 
 
 def consistency_residual(traj: Trajectory) -> float:

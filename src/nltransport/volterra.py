@@ -78,30 +78,20 @@ def solve(prob: VolterraProblem) -> tuple[np.ndarray, np.ndarray]:
 
 def _solve_from_values(prob: VolterraProblem, t: np.ndarray, g: np.ndarray) -> np.ndarray:
     dt = prob.dt
-    n = len(t)
-    u = np.empty(n)
+    K = _kernel_values_conv(prob) if prob.convolution else None
+    u = np.empty(len(t))
     u[0] = g[0]
-    if prob.convolution:
-        K = _kernel_values_conv(prob)
-        K0 = K[0]
-        for i in range(1, n):
-            acc = 0.5 * K[i] * u[0]
-            if i > 1:
-                acc += K[i - 1:0:-1] @ u[1:i]
-            diag = 1.0 + 0.5 * dt * K0
-            if abs(diag) < 1e-12:
-                raise NumericalError("singular discrete Volterra system")
-            u[i] = (g[i] - dt * acc) / diag
-    else:
-        for i in range(1, n):
-            Ki = np.asarray(prob.kernel(t[i], t[:i + 1]), dtype=float)
-            acc = 0.5 * Ki[0] * u[0]
-            if i > 1:
-                acc += Ki[1:i] @ u[1:i]
-            diag = 1.0 + 0.5 * dt * Ki[i]
-            if abs(diag) < 1e-12:
-                raise NumericalError("singular discrete Volterra system")
-            u[i] = (g[i] - dt * acc) / diag
+    for i in range(1, len(t)):
+        # row K(t_i, t_j), j = 0..i; a convolution kernel reads K(t_i - t_j)
+        Ki = K[i::-1] if K is not None else \
+            np.asarray(prob.kernel(t[i], t[:i + 1]), dtype=float)
+        acc = 0.5 * Ki[0] * u[0]
+        if i > 1:
+            acc += Ki[1:i] @ u[1:i]
+        diag = 1.0 + 0.5 * dt * Ki[i]
+        if abs(diag) < 1e-12:
+            raise NumericalError("singular discrete Volterra system")
+        u[i] = (g[i] - dt * acc) / diag
     return u
 
 
@@ -252,7 +242,7 @@ class LinearDDEProblem:
 
 
 def linear_dde_solve(prob: LinearDDEProblem, T: float, dt: float,
-                     cross_check: bool = True, hypothesis_report: bool = True) -> dict:
+                     cross_check: bool = True) -> dict:
     """Integrate the delay equation with trapezoidal memory.
 
     Implicit-trapezoid stepping: the nodal derivative relation
@@ -260,8 +250,8 @@ def linear_dde_solve(prob: LinearDDEProblem, T: float, dt: float,
         I'_j = f_j - a_j I_j - sum_w k(t_j, s)(I_j - I_s)
 
     is closed against I_{j+1} (linear), and I is the cumulative trapezoid of
-    I'.  The report carries sup |I|, the tail oscillation on [0.9 T, T], the
-    Volterra cross-check residual and truncation-based hypothesis monitors.
+    I'.  The report carries sup |I|, the tail oscillation on [0.9 T, T] and
+    the Volterra cross-check residual.
 
     Both the march and the cross-check cost O(n^2) for n = T/dt steps, with
     one ``k`` call per step: the cross-check builds each kernel row
@@ -311,31 +301,4 @@ def linear_dde_solve(prob: LinearDDEProblem, T: float, dt: float,
         _, u = solve(vp)
         I_vol = prob.I0 + np.concatenate([[0.0], np.cumsum(0.5 * dt * (u[1:] + u[:-1]))])
         out["cross_check_residual"] = float(np.max(np.abs(I_vol - I)))
-    if hypothesis_report:
-        # sup_s int_s^inf k(t,s) dt on a [0, 10 T] truncation
-        horizon = np.linspace(0.0, 10.0 * T, 4001)
-        dtau = horizon[1] - horizon[0]
-        sup_q = 0.0
-        for si in np.linspace(0.0, T, 9):
-            mask = horizon >= si
-            vals = np.asarray(prob.k(horizon[mask], si), dtype=float)
-            sup_q = max(sup_q, float(np.trapezoid(vals, dx=dtau)))
-        out["memory_mass_sup"] = sup_q
-        # the large-gamma sliding monitor on the truncation
-        gammas = [T / 4, T / 2, T]
-        slide = {}
-        for gam in gammas:
-            best = 0.0
-            for Ti in np.linspace(gam, T, 5):
-                s_cut = np.linspace(0.0, max(Ti - gam, 0.0), 201)
-                if s_cut[-1] <= 0:
-                    continue
-                inner = []
-                for si in s_cut:
-                    mask = horizon >= Ti
-                    inner.append(np.trapezoid(
-                        np.asarray(prob.k(horizon[mask], si), float), dx=dtau))
-                best = max(best, float(np.trapezoid(np.asarray(inner), x=s_cut)))
-            slide[float(gam)] = best
-        out["late_memory_monitor"] = slide
     return out

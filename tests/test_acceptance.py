@@ -131,8 +131,7 @@ def test_criterion_06_linear_decay(weak_log_model, weak_lin):
     amps = [1e-3, 2e-3, 4e-3]
     gaps = []
     for amp in amps:
-        state = pde.LagrangianState(weak_log_model, xp.scaled(1.0 + amp),
-                                    capacity=640)
+        state = pde.LagrangianState(weak_log_model, xp.scaled(1.0 + amp))
         evo = weak_lin.linear_evolve(xp.scaled(amp), T=6.0, dt=0.01, n_samples=30)
         gap = 0.0
         for k in range(50, 601, 50):
@@ -346,7 +345,7 @@ def test_criterion_11_volterra_delay_demos():
     demo = LinearDDEProblem(a=lambda t: np.zeros_like(np.asarray(t, float)),
                             k=lambda t, s: np.exp(-(t - np.asarray(s, float))),
                             f=lambda t: np.zeros_like(np.asarray(t, float)), I0=1.0)
-    sol = linear_dde_solve(demo, T=100.0, dt=0.02, hypothesis_report=False)
+    sol = linear_dde_solve(demo, T=100.0, dt=0.02)
     ok = stable and sol["tail_oscillation"] < 1e-4
     report(11, "boundedness and delay demos", ok,
            f"resolvent mass {rep['sup_resolvent_l1']:.4f} stable to "

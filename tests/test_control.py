@@ -151,7 +151,7 @@ def test_hypothesis_reports(g_unweighted, g_weighted):
 
 def test_hypothesis_rejects_increasing_payoff():
     g = cc.PayoffG(g=lambda z: np.log1p(z), gprime=lambda z: 1.0 / (1.0 + z),
-                   gsecond=None, g_inf=np.inf, z_inf=np.inf, name="bad")
+                   g_inf=np.inf, z_inf=np.inf, name="bad")
     with pytest.raises(ModelViolationError):
         cc.ControlProblem("max01w", g, P, Y, T, T0).hypothesis_report()
 

@@ -224,7 +224,7 @@ def test_nonlinear_gap_scales_quadratically(weak_log_model):
     gaps = []
     for amp in amps:
         xi0 = xp.scaled(1.0 + amp)
-        state = pde.LagrangianState(weak_log_model, xi0, capacity=640)
+        state = pde.LagrangianState(weak_log_model, xi0)
         out = lin.linear_evolve(xp.scaled(amp), T=6.0, dt=0.01, n_samples=40)
         gap = 0.0
         for k in range(0, 601, 50):
@@ -307,8 +307,7 @@ def delay_solutions(linearization, log_model):
         for form, build in (("delay", linearization.delay_problem),
                             ("convolution", linearization.convolution_delay_problem)):
             prob = build(1e-3, pert, T=12.0, dt=dt)
-            out[form, dt] = linear_dde_solve(prob, T=12.0, dt=dt,
-                                             hypothesis_report=False)
+            out[form, dt] = linear_dde_solve(prob, T=12.0, dt=dt)
     return out
 
 
@@ -342,14 +341,15 @@ def test_delay_tables_refuse_reads_off_grid(linearization, log_model, form, monk
     pert = log_model.equilibrium_profile().scaled(1e-3)
     build = getattr(linearization, form)
     prob = build(1e-3, pert, T=2.0, dt=0.02)
-    # the default hypothesis monitors read k at lags up to 10 T
-    with pytest.raises(DomainError):
-        linear_dde_solve(prob, T=2.0, dt=0.02)
-    out = linear_dde_solve(prob, T=2.0, dt=0.02, hypothesis_report=False)
+    # k, a and f read past the end of the grid raise instead of clamping
+    for t_past in (2.0 + 1e-6, 20.0):
+        for read in (lambda s: prob.k(s, 0.0), prob.a, prob.f):
+            with pytest.raises(DomainError):
+                read(t_past)
+    out = linear_dde_solve(prob, T=2.0, dt=0.02)
     # on the grid the guard changes no bit against plain np.interp reads
     monkeypatch.setattr(linstab, "_read_table", lambda t, v, s: np.interp(s, t, v))
-    ref = linear_dde_solve(build(1e-3, pert, T=2.0, dt=0.02), T=2.0, dt=0.02,
-                           hypothesis_report=False)
+    ref = linear_dde_solve(build(1e-3, pert, T=2.0, dt=0.02), T=2.0, dt=0.02)
     assert out.keys() == ref.keys()
     for key in out:
         assert np.asarray(out[key]).tobytes() == np.asarray(ref[key]).tobytes()
@@ -358,8 +358,7 @@ def test_delay_tables_refuse_reads_off_grid(linearization, log_model, form, monk
 def test_delay_solution_bounded(linearization):
     # zero profile perturbation, nonzero scalar offset: solution stays bounded
     prob = linearization.delay_problem(1.0, Profile.constant(0.0), T=20.0, dt=0.02)
-    out = linear_dde_solve(prob, T=20.0, dt=0.02, cross_check=False,
-                           hypothesis_report=False)
+    out = linear_dde_solve(prob, T=20.0, dt=0.02, cross_check=False)
     bound = np.max(np.abs(out["I"]))
     assert bound <= 5.0
     print(f"delay response bound C = {bound:.3f} for unit offset")
@@ -368,8 +367,7 @@ def test_delay_solution_bounded(linearization):
 def test_delay_derivative_decays(linearization, log_model):
     xp = log_model.equilibrium_profile()
     prob = linearization.delay_problem(1e-3, xp.scaled(1e-3), T=16.0, dt=0.01)
-    out = linear_dde_solve(prob, T=16.0, dt=0.01, cross_check=False,
-                           hypothesis_report=False)
+    out = linear_dde_solve(prob, T=16.0, dt=0.01, cross_check=False)
     d = np.abs(out["dI"])
     sel = d > 1e-16
     fit = fit_rate(out["t"][sel], d[sel], window=0.5)

@@ -7,7 +7,7 @@ from nltransport import canonical_functional, constant_source
 from nltransport.errors import DomainError, StepError
 from nltransport.functionals import Profile
 from nltransport.model import Model
-from nltransport import pde
+from nltransport import dde, pde
 
 
 def make_history(rho_const, T=4.0, n=401):
@@ -74,8 +74,7 @@ def test_pure_accumulation():
 
 
 def test_equilibrium_is_fixed_point(log_model):
-    state = pde.LagrangianState(log_model, log_model.equilibrium_profile(),
-                                capacity=128)
+    state = pde.LagrangianState(log_model, log_model.equilibrium_profile())
     for _ in range(100):
         state.step(0.02)
     assert np.max(np.abs(state.rho_values - 0.5)) < 1e-9
@@ -91,8 +90,7 @@ def test_equilibrium_profile_stays_put(log_model):
 
 def test_decreasing_data_stays_decreasing(log_model, log_model_p3):
     state = pde.LagrangianState(log_model,
-                                log_model_p3.equilibrium_profile(),
-                                capacity=128)
+                                log_model_p3.equilibrium_profile())
     for _ in range(60):
         state.step(0.02)
     grid = np.geomspace(1e-3, 1e4, 200)
@@ -183,8 +181,7 @@ def test_admissible_scale_range(log_model):
 
 def test_xi_eval_grid_vs_refined_close(log_model, log_model_p3):
     state = pde.LagrangianState(log_model,
-                                log_model_p3.equilibrium_profile(),
-                                capacity=128)
+                                log_model_p3.equilibrium_profile())
     for _ in range(50):
         state.step(0.02)
     y = np.geomspace(1.0, 50.0, 20)
@@ -199,13 +196,12 @@ def test_xi_eval_grid_vs_refined_close(log_model, log_model_p3):
 
 def _wrong_equilibrium_state(log_model, log_model_p3):
     return pde.LagrangianState(log_model,
-                               log_model_p3.equilibrium_profile(),
-                               capacity=256)
+                               log_model_p3.equilibrium_profile())
 
 
 def test_secant_step_work_count(log_model, log_model_p3, monkeypatch):
-    # damped fixed-point iteration took 4.91 evaluations per step (5 at most) here
-    state = _wrong_equilibrium_state(log_model, log_model_p3)
+    # damped fixed-point iteration took 4.91 evaluations per step (5 at most)
+    # here; both routes step with the one secant loop
     calls = []
     rho_from_samples = Model.rho_from_samples
 
@@ -213,11 +209,14 @@ def test_secant_step_work_count(log_model, log_model_p3, monkeypatch):
         calls[-1] += 1
         return rho_from_samples(self, xi, dxi)
 
-    monkeypatch.setattr(Model, "rho_from_samples", counted)
-    for _ in range(100):
-        calls.append(0)
-        state.step(0.01)
-    assert max(calls) <= 3
+    for state_class in (pde.LagrangianState, dde.IHistory):
+        state = state_class(log_model, log_model_p3.equilibrium_profile())
+        with monkeypatch.context() as patch:
+            patch.setattr(Model, "rho_from_samples", counted)
+            for _ in range(200):
+                calls.append(0)
+                state.step(0.01)
+    assert len(calls) == 400 and max(calls) <= 3
 
 
 def test_steps_reuse_the_cached_panel_rule(log_model, log_model_p3, monkeypatch):
@@ -235,7 +234,7 @@ def test_steps_reuse_the_cached_panel_rule(log_model, log_model_p3, monkeypatch)
 
 def test_secant_matches_picard_iteration(log_model, log_model_p3):
     xi0 = log_model_p3.equilibrium_profile()
-    state = pde.LagrangianState(log_model, xi0, capacity=256)
+    state = pde.LagrangianState(log_model, xi0)
     dt, tol = 0.01, pde.DEFAULT_TOL
     nodes = log_model.functional.nodes
     t, rho, R = [0.0], [state.rho_values[0]], [0.0]
