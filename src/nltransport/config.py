@@ -10,6 +10,8 @@ errors carry the offending field path.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -43,10 +45,16 @@ def _get(section: dict, key: str, path: str, typ, default=_MISSING):
             raise ConfigError(f"{path}.{key}: required field is missing")
         return default
     val = section[key]
+    where = f"{path}.{key}"
+    # json gives true/false as bool, an int subclass, and Infinity/NaN as floats
+    _expect(not (typ in (int, float) and isinstance(val, bool)), where,
+            f"expected {typ.__name__}, got bool")
     if typ is float and isinstance(val, int):
+        _expect(abs(val) <= sys.float_info.max, where, "must be finite")
         val = float(val)
-    _expect(isinstance(val, typ), f"{path}.{key}",
+    _expect(isinstance(val, typ), where,
             f"expected {getattr(typ, '__name__', typ)}, got {type(val).__name__}")
+    _expect(typ is not float or math.isfinite(val), where, f"must be finite, got {val}")
     return val
 
 

@@ -26,6 +26,9 @@ which is strictly increasing with F(z2) - F(z1) >= z2 - z1 below
 z_inf = sup{z : g'(z) < 0} and diverges there; all roots are bracketed by
 these inequalities.  Level-map inversions take safeguarded Newton steps,
 and the ratio and merge-time roots take Brent steps, inside those brackets.
+The module needs no scipy: the level map's tables are not-a-knot cubic
+splines solved by one tridiagonal sweep (``_Spline``), and ``_brent`` is a
+port of scipy's ``brentq``.
 
 ``brute_force`` runs backward-induction dynamic programming in reversed time
 (so the pinned endpoint becomes an initial condition) as an independent
@@ -49,6 +52,8 @@ from .sources import SourceFn
 VARIANTS = ("max01", "min1inf", "max01w", "min1infw")
 BISECT_ITERS = 60
 MIN_CONTROL_CEILING = 8.0
+# uniform s nodes of the characteristics behind value_min1infw
+S_NODES = 401
 
 
 class PayoffG:
@@ -368,34 +373,97 @@ def value_min1inf(prob: ControlProblem, x: float | None = None) -> tuple[float, 
     return val, info
 
 
+class _Spline:
+    """Not-a-knot cubic spline through (x, y) on a uniform grid x.
+
+    The knot slopes solve the tridiagonal system that scipy's ``CubicSpline``
+    solves for not-a-knot ends, by one Thomas sweep without pivoting: the
+    interior rows are diagonally dominant and the pivots of the two end rows
+    stay positive and of the order of the spacing.  Between knots the cubic
+    Hermite form is evaluated in its power basis, in scipy's order of
+    operations; outside the grid the end cubics extrapolate.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # row i: lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
+        lower = np.concatenate([[0.0], dx[1:], [x[-1] - x[-3]]])
+        diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
+        upper = np.concatenate([[x[2] - x[0]], dx[:-1], [0.0]])
+        rhs = np.empty(len(x))
+        rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d = x[2] - x[0]
+        rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        s = _thomas(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist())
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        self.x, self.y = x, y
+        self._c3 = t / dx
+        self._c2 = (slope - s[:-1]) / dx - t
+        self._c1 = s[:-1]
+        self._c0 = y[:-1]
+
+    def __call__(self, x, nu: int = 0):
+        """The spline (nu = 0) or its first derivative (nu = 1) at x."""
+        i = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, len(self.x) - 2)
+        h = x - self.x[i]
+        if nu == 0:
+            return self._c0[i] + self._c1[i] * h + self._c2[i] * (h * h) \
+                + self._c3[i] * (h * h * h)
+        return self._c1[i] + self._c2[i] * h * 2 + self._c3[i] * (h * h) * 3
+
+
+def _thomas(lower: list, diag: list, upper: list, rhs: list) -> np.ndarray:
+    """Solve a tridiagonal system: forward elimination, back substitution."""
+    for i in range(1, len(diag)):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    x = rhs
+    x[-1] /= diag[-1]
+    for i in range(len(diag) - 2, -1, -1):
+        x[i] = (x[i] - upper[i] * x[i + 1]) / diag[i]
+    return np.array(x)
+
+
+def _exprel(x: np.ndarray) -> np.ndarray:
+    """expm1(x)/x, with its limit 1 at x = 0."""
+    zero = x == 0.0
+    x = np.where(zero, 1.0, x)
+    return np.where(zero, 1.0, np.expm1(x) / x)
+
+
 class CharMap:
     """The level map F(z) = -z log(-g'(z)) + int_{z0}^z log(-g'(z')) dz'.
 
-    The antiderivative is tabulated once on a dense logarithmic grid (the
-    integrand is smooth in log z) with cumulative Simpson and a cubic spline.
-    Next to it a cubic spline of log(-g') gives the slope
-    F'(z) = -z g''/g' = -d log(-g') / d log z without g''.  That spline runs
-    over w = log z - log(1 - z/z_inf), which stretches the approach to a
-    finite z_inf, where log(-g') has a logarithmic singularity that no grid
-    in log z resolves.  F is strictly increasing on (0, z_inf) with slope
-    >= 1 and diverges at z_inf, which brackets every inversion.
+    The antiderivative is tabulated once on PHI_NODES points of a uniform
+    grid in log z over [Z_LO, z_hi] (the integrand is smooth in log z) with
+    cumulative Simpson and a not-a-knot cubic spline; z_hi is Z_HI or just
+    below a finite z_inf.  Next to it a spline of log(-g') on SLOPE_NODES
+    points gives the slope F'(z) = -z g''/g' = -d log(-g') / d log z without
+    g''.  That spline runs over w = log z - log(1 - z/z_inf), which stretches
+    the approach to a finite z_inf, where log(-g') has a logarithmic
+    singularity that no grid in log z resolves.  F is strictly increasing on
+    (0, z_inf) with slope >= 1 and diverges at z_inf, which brackets every
+    inversion.
     """
 
     Z0 = 1.0
+    Z_LO = 1e-8
+    Z_HI = 1e6
+    PHI_NODES = 16001
     # Newton needs the slope to ~1e-6, far less than F's accuracy
     SLOPE_NODES = 2001
 
-    def __init__(self, g: PayoffG, z_lo: float = 1e-8, z_hi: float | None = None,
-                 n: int = 16001):
-        from scipy.interpolate import CubicSpline
-
+    def __init__(self, g: PayoffG):
         if g.degenerate:
             raise DomainError("level map undefined for flat payoffs")
         self.g = g
         cap = g.z_inf * (1.0 - 1e-12) if np.isfinite(g.z_inf) else np.inf
-        self.z_hi = min(cap, 1e6 if z_hi is None else z_hi)
-        self.z_lo = z_lo
-        u = np.linspace(np.log(self.z_lo), np.log(self.z_hi), n)
+        self.z_hi = min(cap, self.Z_HI)
+        u = np.linspace(np.log(self.Z_LO), np.log(self.z_hi), self.PHI_NODES)
         z = np.exp(u)
         vals = np.log(-g.d(z)) * z  # d Phi / du with u = log z
         # cumulative Simpson on the uniform u grid
@@ -409,20 +477,19 @@ class CharMap:
         phi[1::2] = phi[:-1:2] + du / 12.0 * (5.0 * vals[:-1:2]
                                               + 8.0 * vals[1::2] - vals[2::2])
         base = np.interp(np.log(self.Z0), u, phi)
-        self._phi = CubicSpline(u, phi - base)
-        self._u_range = (u[0], u[-1])
+        self._phi = _Spline(u, phi - base)
         # log(-g') over w; z = e^w / (1 + e^w / z_inf) inverts w(z)
         self._inv_z_inf = 1.0 / g.z_inf
-        w = np.linspace(*self._w(np.array([self.z_lo, self.z_hi])), self.SLOPE_NODES)
+        w = np.linspace(*self._w(np.array([self.Z_LO, self.z_hi])), self.SLOPE_NODES)
         zw = np.exp(w) / (1.0 + np.exp(w) * self._inv_z_inf)
-        self._log_slope = CubicSpline(w, np.log(-g.d(zw)))
+        self._log_slope = _Spline(w, np.log(-g.d(zw)))
 
     def _w(self, z):
         return np.log(z) - np.log1p(-z * self._inv_z_inf)
 
     def F(self, z):
         z = np.asarray(z, dtype=float)
-        if np.any(z <= self.z_lo) or np.any(z > self.z_hi * (1 + 1e-12)):
+        if np.any(z <= self.Z_LO) or np.any(z > self.z_hi * (1 + 1e-12)):
             raise DomainError("level map evaluated outside its tabulated range")
         lz = np.log(z)
         return -z * np.log(-self.g.d(z)) + self._phi(lz)
@@ -447,8 +514,6 @@ class CharMap:
         which exceeds 1e-15 z for small z.  After BISECT_ITERS steps the last
         iterate, which lies in the bracket, is returned.
         """
-        from scipy.special import exprel
-
         c = np.atleast_1d(np.asarray(c, dtype=float))
         lo = np.broadcast_to(np.atleast_1d(np.asarray(lo, dtype=float)), c.shape).copy()
         resid = self.F(lo) - c
@@ -462,7 +527,7 @@ class CharMap:
             zl, lol, hil = z[live], lo[live], hi[live]
             step = -resid[live] / self._slope(zl)
             # the Newton step in v mapped back to z; it stops short of z_inf
-            new = zl + step * exprel(-step / (self.g.z_inf - zl))
+            new = zl + step * _exprel(-step / (self.g.z_inf - zl))
             new = np.where((new >= lol) & (new <= hil), new, 0.5 * (lol + hil))
             step = np.abs(new - zl)
             z[live] = new
@@ -481,22 +546,64 @@ class CharMap:
 
 
 def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
-    """Brent's root of f between a and b, 4 eps relative, from known end values.
+    """Brent's root of f between a and b, to 4 eps relative.
 
-    fa and fb are certified limits or values the caller already has; brentq
-    reads them instead of calling f, so f runs only inside the bracket, whose
-    ends may be singular.
+    A line-for-line port of scipy's ``brentq`` (Brent 1973, ch. 4) with
+    xtol the smallest normal float and rtol = 4 eps, so it returns the same
+    root after the same evaluations.  fa and fb are certified limits or
+    values the caller already has: f runs only inside the bracket, whose
+    ends may be singular.  A NaN value, ends of one sign or more than
+    4 BISECT_ITERS evaluations raise NumericalError.
     """
-    from scipy.optimize import brentq
+    xtol, rtol = np.finfo(float).tiny, 4.0 * np.finfo(float).eps
+    xpre, xcur, fpre, fcur = float(a), float(b), float(fa), float(fb)
+    if np.isnan(fpre) or np.isnan(fcur):
+        raise NumericalError("Brent bracket has a NaN end value")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericalError("Brent bracket ends have one sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(4 * BISECT_ITERS):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        bisect = True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:  # inverse quadratic step
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num = -fcur * (fblk * dblk - fpre * dpre)
+                den = dblk * dpre * (fblk - fpre)
+            # a zero denominator is an infinite or NaN step, which bisects
+            if den != 0.0:
+                stry = num / den
+                if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                    spre, scur = scur, stry
+                    bisect = False
+        if bisect:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))
+        if np.isnan(fcur):
+            raise NumericalError(f"Brent step reached a NaN value at {xcur!r}")
+    raise NumericalError(f"Brent root not converged after {4 * BISECT_ITERS} "
+                         f"evaluations; last iterate {xcur!r}")
 
-    ends = {a: fa, b: fb}
-    return brentq(lambda v: ends[v] if v in ends else f(v), a, b,
-                  xtol=np.finfo(float).tiny, rtol=4.0 * np.finfo(float).eps,
-                  maxiter=4 * BISECT_ITERS)
 
-
-def value_min1infw(prob: ControlProblem, x: float | None = None,
-                   n_s: int = 401) -> tuple[float, dict]:
+def value_min1infw(prob: ControlProblem, x: float | None = None) -> tuple[float, dict]:
     """Closed-form value for the discounted min problem (three regions).
 
     Region "ratio": characteristics y_p(s, lambda) built from the level map;
@@ -520,7 +627,7 @@ def value_min1infw(prob: ControlProblem, x: float | None = None,
     if z_inf <= y:
         boundary1 = y * np.exp((1.0 / p + 1.0 / z_inf) * (T - t))
     else:
-        boundary1 = _y_p_state(prob, cm, t, y * (1.0 - 1e-12), n_s)
+        boundary1 = _y_p_state(prob, cm, t, y * (1.0 - 1e-12))
     info = {"boundary_ratio_region": float(boundary1)}
     info["near_boundary"] = bool(abs(x - boundary1) <= 1e-9 * max(1.0, x))
     if x >= boundary1:
@@ -529,16 +636,16 @@ def value_min1infw(prob: ControlProblem, x: float | None = None,
         lam_hi = lam_max * (1.0 - 1e-12)
         lam_lo = lam_hi / 2.0
         for _ in range(200):
-            x_lo = _y_p_state(prob, cm, t, lam_lo, n_s)
+            x_lo = _y_p_state(prob, cm, t, lam_lo)
             if x_lo >= x:
                 break
             lam_lo /= 2.0
             if lam_lo < 1e-12:
                 raise NumericalError("ratio-region bracket failed")
-        lam = _brent(lambda lam: _y_p_state(prob, cm, t, lam, n_s) - x,
+        lam = _brent(lambda lam: _y_p_state(prob, cm, t, lam) - x,
                      lam_lo, lam_hi, x_lo - x, boundary1 - x)
-        s = np.linspace(t, T, n_s)
-        zp = cm.invert(cm.F(np.array([lam])) + (T - s), np.full(n_s, lam))
+        s = np.linspace(t, T, S_NODES)
+        zp = cm.invert(cm.F(np.array([lam])) + (T - s), np.full(S_NODES, lam))
         integ = cumtrapz(1.0 / p + 1.0 / zp, x=s)
         yp = y * np.exp(integ[-1] - integ)
         vals = g(zp) / zp * yp * np.exp(-(T - s) / p)
@@ -571,13 +678,13 @@ def value_min1infw(prob: ControlProblem, x: float | None = None,
     # merge region: x_p(t, tau) = x with tau in (tau_lo, T); the merged state
     # increases in tau from x_tau_lo (x_p(t), or B at the singular T_inf) to
     # boundary1
-    tau = _brent(lambda tau: _merge_state(prob, cm, t, tau, n_s) - x,
+    tau = _brent(lambda tau: _merge_state(prob, cm, t, tau) - x,
                  tau_lo, T, x_tau_lo - x, boundary1 - x)
     info["region"] = "merge"
     info["tau"] = float(tau)
-    s = np.linspace(t, tau, n_s)
+    s = np.linspace(t, tau, S_NODES)
     xp_tau = float(prob.x_p(tau))
-    zt = cm.invert(cm.F(np.array([xp_tau])) + (tau - s), np.full(n_s, xp_tau))
+    zt = cm.invert(cm.F(np.array([xp_tau])) + (tau - s), np.full(S_NODES, xp_tau))
     integ = cumtrapz(1.0 / p + 1.0 / zt, x=s)
     xp_s = xp_tau * np.exp(integ[-1] - integ)
     vals = g(zt) / zt * xp_s * np.exp(-(T - s) / p)
@@ -586,21 +693,19 @@ def value_min1infw(prob: ControlProblem, x: float | None = None,
     return part1 + part2, info
 
 
-def _y_p_state(prob: ControlProblem, cm: CharMap, tq: float, lam: float,
-               n_s: int) -> float:
-    s = np.linspace(tq, prob.T, n_s)
-    zp = cm.invert(cm.F(np.array([lam])) + (prob.T - s), np.full(n_s, lam))
+def _y_p_state(prob: ControlProblem, cm: CharMap, tq: float, lam: float) -> float:
+    s = np.linspace(tq, prob.T, S_NODES)
+    zp = cm.invert(cm.F(np.array([lam])) + (prob.T - s), np.full(S_NODES, lam))
     integ = simpson_integrate(1.0 / prob.p + 1.0 / zp, s[1] - s[0])
     return float(prob.y * np.exp(integ))
 
 
-def _merge_state(prob: ControlProblem, cm: CharMap, tq: float, tau: float,
-                 n_s: int) -> float:
+def _merge_state(prob: ControlProblem, cm: CharMap, tq: float, tau: float) -> float:
     if tau <= tq + 1e-14:
         return float(prob.x_p(tq))
-    s = np.linspace(tq, tau, n_s)
+    s = np.linspace(tq, tau, S_NODES)
     xp_tau = float(prob.x_p(tau))
-    zt = cm.invert(cm.F(np.array([xp_tau])) + (tau - s), np.full(n_s, xp_tau))
+    zt = cm.invert(cm.F(np.array([xp_tau])) + (tau - s), np.full(S_NODES, xp_tau))
     integ = simpson_integrate(1.0 / prob.p + 1.0 / zt, s[1] - s[0])
     return xp_tau * np.exp(integ)
 

@@ -332,8 +332,10 @@ def run_scenario(config_path: str, overrides: dict | None = None) -> int:
         print(f"config error: {exc}")
         return EXIT_SCHEMA
     except (NumericalError, ModelViolationError, ArithmeticError, ValueError) as exc:
-        # DomainError and scipy's failures are ValueErrors; ArithmeticError
-        # covers ZeroDivisionError, FloatingPointError and OverflowError
+        # DomainError, LinAlgError and the argument checks of the scipy calls
+        # left (tabulated sources, the Volterra solve) are ValueErrors;
+        # ArithmeticError covers ZeroDivisionError, FloatingPointError and
+        # OverflowError
         print(f"numeric error: {type(exc).__name__}: {' '.join(str(exc).split())}")
         return EXIT_NUMERIC
     report_path = os.path.join(scn.output_dir, "report.json")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nltransport import compact_source, constant_source, log_source
-from nltransport.errors import DomainError, ModelViolationError
+from nltransport.errors import DomainError, ModelViolationError, NumericalError
 from nltransport import control as cc
 
 
@@ -240,6 +240,110 @@ def test_min_weighted_value_work_count(g_weighted, monkeypatch):
     val, _ = cc.value_min1infw(prob, _mid_state(prob, 0.5))
     assert np.isfinite(val)
     assert len(calls) <= 400
+
+
+@pytest.mark.parametrize("payoff", [
+    lambda: cc.PayoffG.from_source_unweighted(log_source(1.0), P, Y),
+    lambda: cc.PayoffG.from_source_weighted(log_source(1.0), P),
+    lambda: cc.PayoffG.from_source_weighted(compact_source(1.0, 2.0), P),
+], ids=["log-unweighted", "log-weighted", "compact-weighted"])
+@pytest.mark.parametrize("table", ["_phi", "_log_slope"])
+def test_level_map_splines_match_scipy(payoff, table):
+    # both tables are the not-a-knot spline scipy builds from the same knots,
+    # in value and slope, at the knots and between them
+    from scipy.interpolate import CubicSpline
+
+    spline = getattr(payoff().char_map, table)
+    ref = CubicSpline(spline.x, spline.y)
+    rng = np.random.default_rng(0)
+    q = np.concatenate([spline.x, rng.uniform(spline.x[0], spline.x[-1], 5000)])
+    for nu in (0, 1):
+        want = ref(q, nu)
+        assert np.max(np.abs(spline(q, nu) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _counted(f):
+    xs = []
+
+    def wrapped(v):
+        xs.append(v)
+        return f(v)
+
+    return wrapped, xs
+
+
+def _brentq_reference(f, a, b, fa, fb):
+    """scipy's brentq with the tolerances of cc._brent and its end values."""
+    from scipy.optimize import brentq
+
+    ends = {a: fa, b: fb}
+    return brentq(lambda v: ends[v] if v in ends else f(v), a, b,
+                  xtol=np.finfo(float).tiny, rtol=4.0 * np.finfo(float).eps,
+                  maxiter=4 * cc.BISECT_ITERS)
+
+
+def _assert_brent_matches_brentq(f, a, b, fa, fb):
+    f_port, xs_port = _counted(f)
+    f_ref, xs_ref = _counted(f)
+    root = cc._brent(f_port, a, b, fa, fb)
+    assert root == _brentq_reference(f_ref, a, b, fa, fb)
+    assert xs_port == xs_ref
+    return len(xs_port)
+
+
+@pytest.mark.parametrize("f,a,b,min_calls", [
+    (lambda x: np.exp(x) - 2.0, 0.0, 3.0, 1),
+    (lambda x: np.cos(x) - x, 0.0, 1.0, 1),
+    (lambda x: np.tanh(50.0 * (x - 0.3)), 0.0, 1.0, 1),
+    (lambda x: np.arctan(1e6 * (x - 0.7)), 0.0, 1.0, 1),
+    (lambda x: np.cbrt(x - 0.25), 0.0, 1.0, 1),
+    # a triple root: superlinear steps stall and bisection takes over
+    (lambda x: (x - 1.0) ** 3, 0.0, 1e4, 150),
+], ids=["exp", "cos", "tanh", "arctan", "cbrt", "triple-root"])
+def test_brent_matches_brentq_on_closed_forms(f, a, b, min_calls):
+    calls = _assert_brent_matches_brentq(f, a, b, f(a), f(b))
+    assert min_calls <= calls <= 4 * cc.BISECT_ITERS
+
+
+@pytest.mark.parametrize("source,frac,region", [
+    (log_source(1.0), 0.5, "merge"),
+    (log_source(1.0), 12.0, "ratio"),
+    (compact_source(1.0, 2.0), 2.0, "merge"),
+    (compact_source(1.0, 2.0), 12.0, "ratio"),
+], ids=["log-tau", "log-lambda", "compact-tau", "compact-lambda"])
+def test_brent_matches_brentq_on_value_roots(source, frac, region, monkeypatch):
+    # the ratio (lambda) and merge-time (tau) roots of value_min1infw, from
+    # end values that are certified limits brentq never evaluates
+    g = cc.PayoffG.from_source_weighted(source, P)
+    prob = cc.ControlProblem("min1infw", g, P, Y, T, T0)
+    brackets = []
+    brent = cc._brent
+
+    def recorded(f, a, b, fa, fb):
+        brackets.append((f, a, b, fa, fb))
+        return brent(f, a, b, fa, fb)
+
+    monkeypatch.setattr(cc, "_brent", recorded)
+    _, info = cc.value_min1infw(prob, _mid_state(prob, frac))
+    assert info["region"] == region and len(brackets) == 1
+    assert _assert_brent_matches_brentq(*brackets[0]) >= 5
+
+
+def test_brent_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(cc, "BISECT_ITERS", 2)
+    f, xs = _counted(lambda x: (x - 1.0) ** 3)
+    with pytest.raises(NumericalError, match="not converged after 8 evaluations"):
+        cc._brent(f, 0.0, 1e4, -1.0, (1e4 - 1.0) ** 3)
+    assert len(xs) == 8
+
+
+def test_brent_rejects_unbracketed_and_nan_ends():
+    with pytest.raises(NumericalError, match="one sign"):
+        cc._brent(lambda x: x, 1.0, 2.0, 1.0, 2.0)
+    with pytest.raises(NumericalError, match="NaN"):
+        cc._brent(lambda x: x, -1.0, 2.0, np.nan, 2.0)
+    with pytest.raises(NumericalError, match="NaN"):
+        cc._brent(lambda x: np.nan, -1.0, 2.0, -1.0, 2.0)
 
 
 def test_min_weighted_compact_sweep_monotone():

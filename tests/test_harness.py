@@ -8,7 +8,7 @@ import pytest
 
 from nltransport.cli import main as cli_main
 from nltransport.config import ConfigError, load, validate
-from nltransport import experiments
+from nltransport import control, experiments
 from nltransport.experiments import (EXIT_ASSERTION, EXIT_NUMERIC, EXIT_PASS,
                                      EXIT_SCHEMA, config_hash, run_scenario)
 from nltransport.ratefit import fit_rate
@@ -163,6 +163,27 @@ def test_sources_without_an_equilibrium_exit_one(tmp_path, capsys, source, field
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    (("model",), "p", float("inf")),
+    (("model", "functional"), "eps0", float("inf")),
+    (("model", "functional"), "q", float("nan")),
+    (("model", "source"), "h_inf", 10 ** 400),
+    (("model", "functional"), "q", True),
+    ((), "seed", True),
+], ids=["p-infinity", "eps0-infinity", "q-nan", "h_inf-huge-int", "q-true", "seed-true"])
+def test_non_finite_and_boolean_numbers_exit_one(tmp_path, capsys, section, key, value):
+    # json reads Infinity, NaN and true as numbers; the schema does not
+    doc = base_config(str(tmp_path / "out"))
+    target = doc
+    for name in section:
+        target = target[name]
+    target[key] = value
+    assert run_scenario(write_config(tmp_path, doc)) == EXIT_SCHEMA
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1 and ".".join(("config",) + section + (key,)) in out
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_compact_kernel_p_equilibrium_passes(tmp_path):
     doc = base_config(str(tmp_path / "out"))
     doc["model"]["source"] = {"kind": "kernel_p", "kernel": "compact",
@@ -194,6 +215,59 @@ def test_cli_and_delay_run_import_no_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "0 [] []"
 
 
+def _small_run_config(tmp_path, experiment):
+    out = str(tmp_path / "out")
+    if experiment == "control-verify":
+        return {"experiment": experiment, "seed": 5,
+                "model": {"p": 2.0, "source": {"kind": "kernel_inf", "kernel": "log",
+                                               "h_inf": 1.0}},
+                "output": {"dir": out},
+                "options": {"n_samples": 4, "n_histories": 10, "T": 2.0}}
+    if experiment == "linear-stability":
+        doc = base_config(out, experiment=experiment)
+        doc["run"] = {"T": 8.0, "dt": 0.02, "stride": 1}
+        doc["options"] = {"kernel_grid": 100, "contour_omega": 10.0}
+        return doc
+    return {"experiment": experiment, "seed": 0,
+            "model": {"p": 2.0, "source": {"kind": "constant", "h_inf": 1.0}},
+            "output": {"dir": out},
+            "options": {"T": 4.0, "dt": 0.001, "gripenberg_T": 60.0,
+                        "gripenberg_dt": 0.1, "dde_T": 30.0, "dde_dt": 0.02}}
+
+
+def _scipy_modules_after(tmp_path, script, *args):
+    """The sorted scipy modules a fresh interpreter holds after the script."""
+    script += ("\nimport json\nprint(json.dumps(sorted(m for m in sys.modules "
+               "if m.split('.')[0] == 'scipy')))\n")
+    src_dir = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = [os.path.abspath(src_dir)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("experiment", ["control-verify", "linear-stability",
+                                        "volterra-demo"])
+def test_experiment_import_budget(tmp_path, experiment):
+    # control-verify and linear-stability load no scipy; volterra-demo loads
+    # scipy.linalg for its triangular solve and nothing beyond what that
+    # import brings along
+    cfg = write_config(tmp_path, _small_run_config(tmp_path, experiment))
+    script = ("import sys\n"
+              "import nltransport.cli\n"
+              "code = nltransport.cli.main([sys.argv[1], '--config', sys.argv[2]])\n"
+              "assert code == 0, code")
+    loaded = _scipy_modules_after(tmp_path, script, experiment, cfg)
+    if experiment != "volterra-demo":
+        assert loaded == []
+        return
+    linalg_alone = _scipy_modules_after(tmp_path, "import sys\nimport scipy.linalg")
+    assert "scipy.linalg" in loaded
+    assert set(loaded) <= set(linalg_alone)
+
+
 def test_assertion_failure_exit_two(tmp_path):
     doc = base_config(str(tmp_path / "out"))
     doc["options"] = {"tolerance": -1.0}  # unsatisfiable tolerance
@@ -216,6 +290,18 @@ def test_runner_errors_map_to_exit_codes(tmp_path, monkeypatch, capsys, error, c
     assert run_scenario(cfg) == code
     out = capsys.readouterr()
     assert len(out.out.splitlines()) == 1
+    assert "Traceback" not in out.out + out.err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_brent_iteration_cap_exit_three(tmp_path, monkeypatch, capsys):
+    # a Brent root that runs out of steps is a numeric error, not a traceback
+    monkeypatch.setattr(control, "BISECT_ITERS", 2)
+    cfg = write_config(tmp_path, _small_run_config(tmp_path, "control-verify"))
+    assert run_scenario(cfg) == EXIT_NUMERIC
+    out = capsys.readouterr()
+    assert len(out.out.splitlines()) == 1
+    assert "NumericalError: Brent root not converged after 8 evaluations" in out.out
     assert "Traceback" not in out.out + out.err
     assert not (tmp_path / "out" / "report.json").exists()
 
