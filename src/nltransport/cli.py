@@ -1,9 +1,21 @@
 """Command-line front end.
 
 Subcommands select the experiment; a JSON scenario config supplies the model
-and run parameters, and the flags --out, --seed, --dt, --T override the
-corresponding config fields.  Exit codes: 0 all checks passed, 1 schema
-violation, 2 assertion failure, 3 numeric error.
+and run parameters.  The subcommand and the flags edit the document before
+its one validation (``config.load``), so they pass the schema's checks and
+change the config hash:
+
+- the subcommand sets ``experiment``;
+- ``--seed`` sets ``seed`` on every experiment; a suite's entries inherit it
+  unless they set their own;
+- ``--T`` and ``--dt`` set ``run.T`` and ``run.dt`` on simulate-pde,
+  simulate-dde and linear-stability, and on each such entry of a suite.
+  equilibrium, volterra-demo and control-verify read no ``run``, so the two
+  flags are a schema error there, and on a suite with no entry that reads it.
+
+``--out`` only places the outputs, on every experiment and on every entry of a
+suite; it enters no hashed document.  Exit codes: 0 all checks passed, 1
+schema violation, 2 assertion failure, 3 numeric error.
 """
 
 from __future__ import annotations

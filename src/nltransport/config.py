@@ -3,14 +3,18 @@
 A scenario is a single JSON document with nested sections (documented in the
 README): ``model`` (source kind/parameters, functional parameters, p),
 ``initial`` (profile family), ``run`` (T, dt, stride), ``output``, ``seed``,
-an ``experiment`` selector, and per-experiment ``options``.  Validation
-errors carry the offending field path.
+an ``experiment`` selector, and per-experiment ``options``, checked against
+the one declared table ``OPTIONS``.  Validation errors carry the offending
+field path.  ``load`` applies the command-line flags as edits to the document
+before its one validation, so the flags pass the same checks and enter the
+config hash.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Any
@@ -27,8 +31,65 @@ EXPERIMENTS = ("equilibrium", "simulate-pde", "simulate-dde", "linear-stability"
                "volterra-demo", "control-verify", "suite")
 
 
+# the experiments that read the run section: the only ones --T and --dt edit
+RUN_EXPERIMENTS = ("simulate-pde", "simulate-dde", "linear-stability")
+
+
 class ConfigError(ValueError):
     """Schema violation; the message names the field path."""
+
+
+@dataclass(frozen=True)
+class Option:
+    """One experiment option: its type, its default and the range it must lie in.
+
+    ``bound`` is ``None`` (any finite value) or ``"> x"`` / ``">= x"``; a
+    default given as a dict is keyed by ``model.source.kind``.
+    """
+
+    typ: type
+    default: Any
+    bound: str | None = None
+
+
+OPTIONS = {
+    "equilibrium": {
+        # a constant source has its equilibrium in closed form, so its gate is tighter
+        "tolerance": Option(float, {"constant": 1e-10, "kernel_inf": 1e-6,
+                                    "kernel_p": 1e-6}),
+    },
+    "simulate-pde": {},
+    "simulate-dde": {
+        "cross_check_pde": Option(bool, False),
+        "equivalence_tol": Option(float, 1e-6),
+    },
+    "linear-stability": {
+        "kernel_grid": Option(int, 400, ">= 2"),
+        "contour_omega": Option(float, 50.0, "> 0"),
+        "amplitude": Option(float, 1e-3, "> 0"),
+    },
+    "volterra-demo": {
+        "T": Option(float, 10.0, "> 0"),
+        "dt": Option(float, 1e-3, "> 0"),
+        "gripenberg_T": Option(float, 200.0, "> 0"),
+        "gripenberg_dt": Option(float, 0.1, "> 0"),
+        "dde_T": Option(float, 100.0, "> 0"),
+        "dde_dt": Option(float, 0.02, "> 0"),
+    },
+    "control-verify": {
+        "y": Option(float, 1.0, "> 0"),
+        "T": Option(float, 3.0, "> 0"),
+        "t": Option(float, 0.0),
+        "n_samples": Option(int, 500, ">= 1"),
+        "n_histories": Option(int, 200, ">= 1"),
+        "margin_tol": Option(float, 1e-6),
+    },
+    "suite": {
+        "workers": Option(int, 4, ">= 1"),
+    },
+}
+
+_COMPARE = {">": operator.gt, ">=": operator.ge}
 
 
 def _expect(cond: bool, path: str, message: str) -> None:
@@ -56,6 +117,31 @@ def _get(section: dict, key: str, path: str, typ, default=_MISSING):
             f"expected {getattr(typ, '__name__', typ)}, got {type(val).__name__}")
     _expect(typ is not float or math.isfinite(val), where, f"must be finite, got {val}")
     return val
+
+
+def _options(doc: dict, experiment: str, path: str, source_kind: str | None) -> dict:
+    """The experiment's options from ``OPTIONS``, checked, with defaults filled in."""
+    given = _get(doc, "options", path, dict, {})
+    table = OPTIONS[experiment]
+    for name in given:
+        _expect(name in table, f"{path}.options.{name}",
+                f"unknown option for {experiment}; it takes "
+                f"{', '.join(table) if table else 'none'}")
+    resolved = {}
+    for name, opt in table.items():
+        default = opt.default
+        if isinstance(default, dict):
+            default = default[source_kind]
+        val = _get(given, name, f"{path}.options", opt.typ, default)
+        if opt.bound is not None:
+            op, limit = opt.bound.split()
+            _expect(_COMPARE[op](val, float(limit)), f"{path}.options.{name}",
+                    f"must be {opt.bound}, got {val}")
+        resolved[name] = val
+    if experiment == "control-verify":
+        _expect(resolved["t"] < resolved["T"], f"{path}.options.t",
+                f"must be < options.T = {resolved['T']}, got {resolved['t']}")
+    return resolved
 
 
 @dataclass
@@ -152,12 +238,14 @@ def validate(doc: Any, path: str = "config") -> Scenario:
     _expect(seed >= 0, f"{path}.seed", "must be nonnegative")
     output = _get(doc, "output", path, dict, {})
     out_dir = _get(output, "dir", f"{path}.output", str, "out")
-    options = _get(doc, "options", path, dict, {})
 
     subs = []
     if experiment == "suite":
+        options = _options(doc, experiment, path, None)
         entries = _get(doc, "scenarios", path, list)
         for i, entry in enumerate(entries):
+            _expect(isinstance(entry, dict), f"{path}.scenarios[{i}]",
+                    "must be an object")
             sub = dict(entry)
             sub.setdefault("seed", seed)
             sub.setdefault("output", {"dir": out_dir})
@@ -215,13 +303,39 @@ def validate(doc: Any, path: str = "config") -> Scenario:
     _expect(dt > 0, f"{path}.run.dt", "must be positive")
     _expect(stride >= 1, f"{path}.run.stride", "must be >= 1")
     run_cfg = {"T": T, "dt": dt, "stride": stride}
+    options = _options(doc, experiment, path, kind)
 
     return Scenario(experiment=experiment, seed=seed, model_cfg=model_cfg,
                     initial_cfg=initial_cfg, run_cfg=run_cfg, output_dir=out_dir,
                     options=options, raw=doc)
 
 
-def load(path: str) -> Scenario:
+def _edit_run(doc: Any, key: str, value: float) -> int:
+    """Set ``run.<key>`` on a document whose experiment reads ``run``, or on
+    each such entry of a suite; returns the number of documents edited.  A
+    shape the schema rejects is left for ``validate`` to report."""
+    if not isinstance(doc, dict):
+        return 0
+    if doc.get("experiment") == "suite":
+        entries = doc.get("scenarios")
+        return sum(_edit_run(entry, key, value) for entry in entries) \
+            if isinstance(entries, list) else 0
+    if doc.get("experiment") in RUN_EXPERIMENTS \
+            and isinstance(doc.setdefault("run", {}), dict):
+        doc["run"][key] = value
+        return 1
+    return 0
+
+
+def load(path: str, overrides: dict | None = None) -> Scenario:
+    """Read, edit and validate a scenario document.
+
+    ``overrides`` holds the command-line flags, ``None`` where not given.
+    The subcommand (``experiment``), ``seed``, ``T`` and ``dt`` edit the
+    document before validation, so they pass its checks and ``Scenario.raw``
+    and the config hash include them.  ``out`` only places the outputs and is
+    set after validation.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -230,4 +344,24 @@ def load(path: str) -> Scenario:
                           f"column {exc.colno}: {exc.msg}") from exc
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    return validate(doc)
+    except RecursionError as exc:
+        raise ConfigError("config: JSON nested too deeply to read") from exc
+    overrides = overrides or {}
+    if isinstance(doc, dict):
+        for key in ("experiment", "seed"):
+            if overrides.get(key) is not None:
+                doc[key] = overrides[key]
+        for key in ("T", "dt"):
+            value = overrides.get(key)
+            if value is not None and not _edit_run(doc, key, value) \
+                    and doc.get("experiment") in EXPERIMENTS:
+                raise ConfigError(
+                    f"--{key}: {doc['experiment']} reads no run section; the flag "
+                    f"applies to {', '.join(RUN_EXPERIMENTS)} and to their suites")
+    scn = validate(doc)
+    placing = [scn] if overrides.get("out") else []
+    while placing:  # every entry of a suite, nested suites included
+        placed = placing.pop()
+        placed.output_dir = overrides["out"]
+        placing += placed.sub_scenarios
+    return scn

@@ -177,12 +177,12 @@ class ControlProblem:
     def with_x(self, x: float) -> "ControlProblem":
         return replace(self, x=float(x))
 
-    def hypothesis_report(self, grid: np.ndarray | None = None,
-                          tol: float = 1e-9) -> dict:
-        """Grid-check of the shape condition required by the variant."""
-        if grid is None:
-            hi = self.g.z_inf if np.isfinite(self.g.z_inf) and self.g.z_inf > 0 else 1e4
-            grid = np.geomspace(1e-3, hi * (1 - 1e-9) if hi < 1e4 else 1e4, 400)
+    def hypothesis_report(self) -> dict:
+        """Check of the shape condition required by the variant, to 1e-9, on
+        400 geometric points from 1e-3 to min(z_inf, 1e4)."""
+        tol = 1e-9
+        hi = self.g.z_inf if np.isfinite(self.g.z_inf) and self.g.z_inf > 0 else 1e4
+        grid = np.geomspace(1e-3, hi * (1 - 1e-9) if hi < 1e4 else 1e4, 400)
         g = self.g
         vals = {}
         if self.variant == "max01":
@@ -266,12 +266,12 @@ def trajectory_x(prob: ControlProblem, control: PiecewiseControl, s):
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
-def payoff(prob: ControlProblem, control: PiecewiseControl,
-           nodes_per_segment: int = 16) -> float:
-    """Gauss quadrature of the payoff along the exact trajectory."""
+def payoff(prob: ControlProblem, control: PiecewiseControl) -> float:
+    """16-point Gauss quadrature per segment of the payoff along the exact
+    trajectory."""
     control.check_admissible(prob.variant)
     p = prob.p
-    u, w = unit_gauss_nodes(nodes_per_segment)
+    u, w = unit_gauss_nodes(16)
     edges = control.edges
     xe = _edge_states(prob, control)
     total = 0.0
@@ -644,8 +644,7 @@ def value_min1infw(prob: ControlProblem, x: float | None = None) -> tuple[float,
                 raise NumericalError("ratio-region bracket failed")
         lam = _brent(lambda lam: _y_p_state(prob, cm, t, lam) - x,
                      lam_lo, lam_hi, x_lo - x, boundary1 - x)
-        s = np.linspace(t, T, S_NODES)
-        zp = cm.invert(cm.F(np.array([lam])) + (T - s), np.full(S_NODES, lam))
+        s, zp = _characteristic(cm, lam, t, T)
         integ = cumtrapz(1.0 / p + 1.0 / zp, x=s)
         yp = y * np.exp(integ[-1] - integ)
         vals = g(zp) / zp * yp * np.exp(-(T - s) / p)
@@ -682,9 +681,8 @@ def value_min1infw(prob: ControlProblem, x: float | None = None) -> tuple[float,
                  tau_lo, T, x_tau_lo - x, boundary1 - x)
     info["region"] = "merge"
     info["tau"] = float(tau)
-    s = np.linspace(t, tau, S_NODES)
     xp_tau = float(prob.x_p(tau))
-    zt = cm.invert(cm.F(np.array([xp_tau])) + (tau - s), np.full(S_NODES, xp_tau))
+    s, zt = _characteristic(cm, xp_tau, t, tau)
     integ = cumtrapz(1.0 / p + 1.0 / zt, x=s)
     xp_s = xp_tau * np.exp(integ[-1] - integ)
     vals = g(zt) / zt * xp_s * np.exp(-(T - s) / p)
@@ -693,9 +691,15 @@ def value_min1infw(prob: ControlProblem, x: float | None = None) -> tuple[float,
     return part1 + part2, info
 
 
+def _characteristic(cm: CharMap, z1: float, t0: float, t1: float):
+    """The level-map characteristic that ends at z1 at time t1: its uniform s
+    grid on [t0, t1] (S_NODES points) and z(s), with F(z(s)) = F(z1) + t1 - s."""
+    s = np.linspace(t0, t1, S_NODES)
+    return s, cm.invert(cm.F(np.array([z1])) + (t1 - s), np.full(S_NODES, z1))
+
+
 def _y_p_state(prob: ControlProblem, cm: CharMap, tq: float, lam: float) -> float:
-    s = np.linspace(tq, prob.T, S_NODES)
-    zp = cm.invert(cm.F(np.array([lam])) + (prob.T - s), np.full(S_NODES, lam))
+    s, zp = _characteristic(cm, lam, tq, prob.T)
     integ = simpson_integrate(1.0 / prob.p + 1.0 / zp, s[1] - s[0])
     return float(prob.y * np.exp(integ))
 
@@ -703,9 +707,8 @@ def _y_p_state(prob: ControlProblem, cm: CharMap, tq: float, lam: float) -> floa
 def _merge_state(prob: ControlProblem, cm: CharMap, tq: float, tau: float) -> float:
     if tau <= tq + 1e-14:
         return float(prob.x_p(tq))
-    s = np.linspace(tq, tau, S_NODES)
     xp_tau = float(prob.x_p(tau))
-    zt = cm.invert(cm.F(np.array([xp_tau])) + (tau - s), np.full(S_NODES, xp_tau))
+    s, zt = _characteristic(cm, xp_tau, tq, tau)
     integ = simpson_integrate(1.0 / prob.p + 1.0 / zt, s[1] - s[0])
     return xp_tau * np.exp(integ)
 
@@ -745,18 +748,18 @@ def value_x_derivative(prob: ControlProblem, x: float, rel_step: float = 1e-6):
 # -- sampled-control verification -----------------------------------------------
 
 
-def sample_controls(prob: ControlProblem, n_samples: int, seed: int,
-                    n_segments: int = 20, v_floor: float = 1e-3,
-                    v_ceiling: float = MIN_CONTROL_CEILING):
-    """Random admissible piecewise-constant controls, log-uniform values."""
+def sample_controls(prob: ControlProblem, n_samples: int, seed: int):
+    """Random admissible controls: 20 equal segments, values log-uniform on
+    [1e-3, 1] (max variants) or [1, MIN_CONTROL_CEILING] (min variants)."""
+    n_segments = 20
     rng = np.random.default_rng(seed)
     edges = np.linspace(prob.t, prob.T, n_segments + 1)
     out = []
     for _ in range(n_samples):
         if prob.is_max:
-            vals = np.exp(rng.uniform(np.log(v_floor), 0.0, n_segments))
+            vals = np.exp(rng.uniform(np.log(1e-3), 0.0, n_segments))
         else:
-            vals = np.exp(rng.uniform(0.0, np.log(v_ceiling), n_segments))
+            vals = np.exp(rng.uniform(0.0, np.log(MIN_CONTROL_CEILING), n_segments))
         out.append(PiecewiseControl(edges=edges, values=vals))
     return out
 
@@ -892,9 +895,9 @@ def brute_force(prob: ControlProblem, n_steps: int = 64, x_nodes: int = 512,
 # -- stationarity at the flat control ----------------------------------------------
 
 
-def stationarity_check(prob: ControlProblem, n_tau: int = 200,
-                       tol: float = 1e-10) -> dict:
-    """The closed-form payoff gradient at v = 1 keeps one sign on (t, T).
+def stationarity_check(prob: ControlProblem) -> dict:
+    """The closed-form payoff gradient at v = 1 keeps one sign on (t, T), to
+    1e-10 at 200 interior points.
 
     Unweighted:  dq(tau) = [-x_p(1 + x_p/p) g'(x_p) - g(x_p) + g(x_p(t))]
                            / (1 + x_p/p), evaluated at x_p = x_p(tau);
@@ -903,7 +906,7 @@ def stationarity_check(prob: ControlProblem, n_tau: int = 200,
     Both must be nonnegative for conforming payoffs.
     """
     p, t, T = prob.p, prob.t, prob.T
-    taus = np.linspace(t, T, n_tau + 2)[1:-1]
+    taus = np.linspace(t, T, 202)[1:-1]
     xp = prob.x_p(taus)
     g = prob.g
     if not prob.weighted:
@@ -924,17 +927,17 @@ def stationarity_check(prob: ControlProblem, n_tau: int = 200,
         hyp_worst = float(np.max(np.diff(g(xp[::-1]))))  # g decreasing along xp
     worst = float(np.min(grad))
     return {"variant": prob.variant, "min_gradient": worst,
-            "passes": bool(worst >= -tol), "hypothesis_margin": hyp_worst}
+            "passes": bool(worst >= -1e-10), "hypothesis_margin": hyp_worst}
 
 
 # -- the delay-functional extremality certificate -----------------------------------
 
 
-def check_extremal_hypotheses(source: SourceFn, tol: float = 1e-9,
-                              grid: np.ndarray | None = None) -> None:
-    """Grid-check of the source conditions behind the extremality claim."""
-    if grid is None:
-        grid = np.geomspace(1e-3, 1e4, 500)
+def check_extremal_hypotheses(source: SourceFn) -> None:
+    """Check of the source conditions behind the extremality claim, to 1e-9,
+    on 500 geometric points from 1e-3 to 1e4."""
+    tol = 1e-9
+    grid = np.geomspace(1e-3, 1e4, 500)
     h0 = source.eval(grid, 0)
     h1 = source.eval(grid, 1)
     h2 = source.eval(grid, 2)
@@ -953,17 +956,16 @@ def check_extremal_hypotheses(source: SourceFn, tol: float = 1e-9,
 
 def extremal_history_certificate(source: SourceFn, p: float, t: float, y: float,
                                  n_samples: int = 200, seed: int = 0,
-                                 side: str = "below", v_floor: float = 0.05,
-                                 v_ceiling: float = 4.0, n_nodes: int = 16,
-                                 n_grid: int = 2001, tol: float = 1e-8) -> dict:
+                                 side: str = "below") -> dict:
     """Sampled histories never beat the flat history in the delay functional F.
 
-    ``side="below"`` samples 0 < v <= 1 and certifies F(v) <= F(1) + tol;
-    ``side="above"`` samples v >= 1 and certifies F(v) >= F(1) - tol.  The
-    histories are piecewise linear with ``n_nodes`` knots, values log-uniform,
-    and F(1) is evaluated with the same quadrature so discretization errors
-    cancel in the margin.
+    ``side="below"`` samples 0.05 <= v <= 1 and certifies F(v) <= F(1) + tol;
+    ``side="above"`` samples 1 <= v <= 4 and certifies F(v) >= F(1) - tol, with
+    tol = 1e-8.  The histories are piecewise linear with 16 equally spaced
+    knots, values log-uniform, on a 2001-point s grid, and F(1) is evaluated
+    with the same quadrature so discretization errors cancel in the margin.
     """
+    n_nodes, n_grid, tol = 16, 2001, 1e-8
     check_extremal_hypotheses(source)
     rng = np.random.default_rng(seed)
     s_grid = np.linspace(0.0, t, n_grid)
@@ -972,9 +974,9 @@ def extremal_history_certificate(source: SourceFn, p: float, t: float, y: float,
     worst = -np.inf
     for _ in range(n_samples):
         if side == "below":
-            kv = np.exp(rng.uniform(np.log(v_floor), 0.0, n_nodes))
+            kv = np.exp(rng.uniform(np.log(0.05), 0.0, n_nodes))
         elif side == "above":
-            kv = np.exp(rng.uniform(0.0, np.log(v_ceiling), n_nodes))
+            kv = np.exp(rng.uniform(0.0, np.log(4.0), n_nodes))
         else:
             raise DomainError("side must be 'below' or 'above'")
         v = np.interp(s_grid, knots, kv)

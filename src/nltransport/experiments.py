@@ -36,6 +36,9 @@ EXIT_SCHEMA = 1
 EXIT_ASSERTION = 2
 EXIT_NUMERIC = 3
 
+# the time at which control-verify certifies the flat history extremal
+HISTORY_T = 5.0
+
 
 def config_hash(doc: dict) -> str:
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -88,8 +91,7 @@ def write_csv(path: str, header, columns) -> None:
 def run_equilibrium(scn: Scenario) -> dict:
     model = scn.build_model()
     gap = model.equilibrium_identity_gap()
-    tol = scn.options.get("tolerance",
-                          1e-10 if model.source.kind == "constant" else 1e-6)
+    tol = scn.options["tolerance"]
     res = model.rho(model.equilibrium_profile())
     grid = np.geomspace(1e-2, 1e4, 200)
     resid = float(np.max(np.abs(model.equilibrium_residual(grid))))
@@ -107,7 +109,7 @@ def run_equilibrium(scn: Scenario) -> dict:
     }
 
 
-def _trajectory_report(scn: Scenario, traj, model) -> dict:
+def _trajectory_report(traj) -> dict:
     report = {
         "I_min": traj.monitors["I_min"],
         "I_max": traj.monitors["I_max"],
@@ -116,9 +118,8 @@ def _trajectory_report(scn: Scenario, traj, model) -> dict:
         "final_dist1inf": float(traj.dist1inf[-1]),
         "denom_min": float(np.min(traj.denomL1)),
     }
-    window = scn.options.get("rate_window", 0.5)
     try:
-        fit = fit_rate(traj.t, np.maximum(traj.dist1inf, 1e-300), window=window)
+        fit = fit_rate(traj.t, np.maximum(traj.dist1inf, 1e-300))
         report["dist_rate"] = fit.rate
         report["dist_rate_r2"] = fit.r_squared
     except DomainError as exc:
@@ -136,13 +137,9 @@ def run_simulate_pde(scn: Scenario) -> dict:
                    T=scn.run_cfg["T"], dt=scn.run_cfg["dt"])
     write_csv(os.path.join(scn.output_dir, "trajectory_pde.csv"), CSV_COLUMNS,
               [getattr(traj, name) for name in CSV_COLUMNS])
-    report = _trajectory_report(scn, traj, model)
-    min_rate = scn.options.get("min_dist_rate")
-    checks = [report["cumulative_rho_bound_slack"] >= -1e-6,
-              report["denom_min"] > 0.0]
-    if min_rate is not None and "dist_rate" in report:
-        checks.append(report["dist_rate"] >= min_rate)
-    report["pass"] = bool(all(checks))
+    report = _trajectory_report(traj)
+    report["pass"] = bool(report["cumulative_rho_bound_slack"] >= -1e-6
+                          and report["denom_min"] > 0.0)
     return report
 
 
@@ -156,21 +153,18 @@ def run_simulate_dde(scn: Scenario) -> dict:
     write_csv(os.path.join(scn.output_dir, "dde_series.csv"),
               ("t", "I", "dlogIdt", "f", "g"),
               (fg["t"], fg["I"], fg["dlogIdt"], fg["f"], fg["g"]))
-    report = _trajectory_report(scn, traj, model)
+    report = _trajectory_report(traj)
     report["dlogI_l1"] = traj.monitors["dlogI_l1"]
     tail = traj.I[traj.t >= 0.9 * traj.t[-1]]
     report["I_tail_oscillation"] = float(np.max(tail) - np.min(tail))
     checks = [report["denom_min"] > 0.0]
-    if scn.options.get("cross_check_pde", False):
+    if scn.options["cross_check_pde"]:
         # only I is compared, so the reference skips the profile norms
         ref = pde.run(model, xi0, stride=scn.run_cfg["stride"],
                       T=scn.run_cfg["T"], dt=scn.run_cfg["dt"], norms=False)
         rel = float(np.max(np.abs(ref.I / traj.I - 1.0)))
         report["pde_dde_rel_diff"] = rel
-        checks.append(rel < scn.options.get("equivalence_tol", 1e-6))
-    max_osc = scn.options.get("max_tail_oscillation")
-    if max_osc is not None:
-        checks.append(report["I_tail_oscillation"] < max_osc)
+        checks.append(rel < scn.options["equivalence_tol"])
     report["pass"] = bool(all(checks))
     return report
 
@@ -178,13 +172,13 @@ def run_simulate_dde(scn: Scenario) -> dict:
 def run_linear_stability(scn: Scenario) -> dict:
     model = scn.build_model()
     lin = Linearization(model)
-    cert = lin.monotonicity_certificate(n=scn.options.get("kernel_grid", 400))
+    cert = lin.monotonicity_certificate(n=scn.options["kernel_grid"])
     write_csv(os.path.join(scn.output_dir, "kernel.csv"),
               ("t", "K", "expK_monotone_margin"),
               (cert["t"], cert["K"],
                np.concatenate([-np.diff(cert["weighted"]), [np.nan]])))
-    h3 = lin.condition_H3(omega=scn.options.get("contour_omega", 50.0))
-    amp = scn.options.get("amplitude", 1e-3)
+    h3 = lin.condition_H3(omega=scn.options["contour_omega"])
+    amp = scn.options["amplitude"]
     xp = model.equilibrium_profile()
     evo = lin.linear_evolve(xp.scaled(amp), T=scn.run_cfg["T"],
                             dt=scn.run_cfg["dt"])
@@ -204,10 +198,9 @@ def run_linear_stability(scn: Scenario) -> dict:
 
 
 def run_volterra_demo(scn: Scenario) -> dict:
-    dt = scn.options.get("dt", 1e-3)
-    T = scn.options.get("T", 10.0)
+    opts = scn.options
     prob = VolterraProblem(kernel=lambda tau: np.exp(-np.maximum(tau, 0.0)),
-                           forcing=lambda t: np.ones_like(t), T=T, dt=dt,
+                           forcing=lambda t: np.ones_like(t), T=opts["T"], dt=opts["dt"],
                            convolution=True)
     t, u = solve(prob)
     err_u = float(np.max(np.abs(u - 0.5 * (1.0 + np.exp(-2.0 * t)))))
@@ -218,16 +211,14 @@ def run_volterra_demo(scn: Scenario) -> dict:
 
     gp = VolterraProblem(kernel=lambda a, b: 0.5 * np.exp(-(a - b)),
                          forcing=lambda s: np.ones_like(s),
-                         T=scn.options.get("gripenberg_T", 200.0),
-                         dt=scn.options.get("gripenberg_dt", 0.1))
+                         T=opts["gripenberg_T"], dt=opts["gripenberg_dt"])
     grip = gripenberg_check(gp)
 
     ddemo = LinearDDEProblem(
         a=lambda s: np.zeros_like(np.asarray(s, float)),
         k=lambda a, b: np.exp(-(a - np.asarray(b, float))),
         f=lambda s: np.zeros_like(np.asarray(s, float)), I0=1.0)
-    sol = linear_dde_solve(ddemo, T=scn.options.get("dde_T", 100.0),
-                           dt=scn.options.get("dde_dt", 0.02))
+    sol = linear_dde_solve(ddemo, T=opts["dde_T"], dt=opts["dde_dt"])
     write_csv(os.path.join(scn.output_dir, "linear_dde_I.csv"), ("t", "I"),
               (sol["t"], sol["I"]))
     report = {
@@ -249,10 +240,7 @@ def run_control_verify(scn: Scenario) -> dict:
     src = model.source
     p = model.p
     opts = scn.options
-    y = opts.get("y", 1.0)
-    T = opts.get("T", 3.0)
-    t = opts.get("t", 0.0)
-    n_samples = opts.get("n_samples", 500)
+    y, T, t = opts["y"], opts["T"], opts["t"]
     certs = {}
     ok = True
     for variant in control.VARIANTS:
@@ -262,23 +250,23 @@ def run_control_verify(scn: Scenario) -> dict:
             g = control.PayoffG.from_source_weighted(src, p)
         prob = control.ControlProblem(variant, g, p, y, T, t)
         prob.hypothesis_report()
-        cert = control.verification_certificate(prob, n_samples=n_samples,
+        cert = control.verification_certificate(prob, n_samples=opts["n_samples"],
                                                 seed=scn.seed)
         kernel = getattr(src.kernel, "name", "") if src.kernel else ""
         cert["model"] = f"{src.kind}({kernel})" if kernel else src.kind
         certs[variant] = cert
-        ok = ok and cert["worst_margin"] <= opts.get("margin_tol", 1e-6)
+        ok = ok and cert["worst_margin"] <= opts["margin_tol"]
         lo, hi = prob.reachable_bounds()
         xs = np.linspace(lo, hi if np.isfinite(hi) else 4 * lo, 41)[1:-1]
         vals = [control.value(prob, float(x))[0] for x in xs]
         write_csv(os.path.join(scn.output_dir, f"value_{variant}.csv"),
                   ("x", "t", "value"), (xs, np.full_like(xs, t), vals))
     below = control.extremal_history_certificate(
-        src, p, opts.get("history_t", 5.0), y, n_samples=opts.get("n_histories", 200),
-        seed=scn.seed, side="below")
+        src, p, HISTORY_T, y, n_samples=opts["n_histories"], seed=scn.seed,
+        side="below")
     above = control.extremal_history_certificate(
-        src, p, opts.get("history_t", 5.0), y, n_samples=opts.get("n_histories", 200),
-        seed=scn.seed + 1, side="above")
+        src, p, HISTORY_T, y, n_samples=opts["n_histories"], seed=scn.seed + 1,
+        side="above")
     ok = ok and below["passes"] and above["passes"]
     report = {"certificates": certs, "history_below": below,
               "history_above": above, "pass": bool(ok)}
@@ -305,7 +293,7 @@ def execute(scn: Scenario) -> dict:
         "tool_version": __version__,
     }
     if scn.experiment == "suite":
-        workers = min(int(scn.options.get("workers", 4)), max(len(scn.sub_scenarios), 1))
+        workers = min(scn.options["workers"], max(len(scn.sub_scenarios), 1))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(execute, scn.sub_scenarios))
         entry["scenarios"] = {f"{i}:{r['experiment']}": r
@@ -318,11 +306,10 @@ def execute(scn: Scenario) -> dict:
 
 
 def run_scenario(config_path: str, overrides: dict | None = None) -> int:
-    """Load, run and write the report; returns the process exit code."""
+    """Load (with the command-line ``overrides``, see ``config.load``), run and
+    write the report; returns the process exit code."""
     try:
-        scn = load(config_path)
-        if overrides:
-            scn = apply_overrides(scn, overrides)
+        scn = load(config_path, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}")
         return EXIT_SCHEMA
@@ -346,20 +333,3 @@ def run_scenario(config_path: str, overrides: dict | None = None) -> int:
         return EXIT_ASSERTION
     print("all checks passed")
     return EXIT_PASS
-
-
-def apply_overrides(scn: Scenario, overrides: dict) -> Scenario:
-    if "out" in overrides and overrides["out"]:
-        scn.output_dir = overrides["out"]
-        for sub in scn.sub_scenarios:
-            sub.output_dir = overrides["out"]
-    if "seed" in overrides and overrides["seed"] is not None:
-        scn.seed = int(overrides["seed"])
-    for key in ("dt", "T"):
-        if key in overrides and overrides[key] is not None:
-            scn.run_cfg[key] = float(overrides[key])
-            for sub in scn.sub_scenarios:
-                sub.run_cfg[key] = float(overrides[key])
-    if "experiment" in overrides and overrides["experiment"]:
-        scn.experiment = overrides["experiment"]
-    return scn

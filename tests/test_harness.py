@@ -1,13 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nltransport.cli import main as cli_main
-from nltransport.config import ConfigError, load, validate
+from nltransport.cli import SUBCOMMANDS, main as cli_main
+from nltransport.config import OPTIONS, ConfigError, Scenario, load, validate
 from nltransport import control, experiments
 from nltransport.experiments import (EXIT_ASSERTION, EXIT_NUMERIC, EXIT_PASS,
                                      EXIT_SCHEMA, config_hash, run_scenario)
@@ -100,6 +102,14 @@ def test_load_reports_json_position(tmp_path):
     with pytest.raises(ConfigError) as err:
         load(str(path))
     assert "line 1" in str(err.value)
+
+
+def test_load_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ConfigError) as err:
+        load(str(path))
+    assert "nested too deeply" in str(err.value)
 
 
 def test_config_hash_sensitivity():
@@ -266,6 +276,224 @@ def test_experiment_import_budget(tmp_path, experiment):
     linalg_alone = _scipy_modules_after(tmp_path, "import sys\nimport scipy.linalg")
     assert "scipy.linalg" in loaded
     assert set(loaded) <= set(linalg_alone)
+
+
+def _doc_for(tmp_path, experiment):
+    """A small valid scenario for the experiment, written to tmp_path/out."""
+    out = str(tmp_path / "out")
+    if experiment == "suite":
+        return {"experiment": "suite", "output": {"dir": out},
+                "scenarios": [_small_run_config(tmp_path, "linear-stability")]}
+    if experiment in ("control-verify", "linear-stability", "volterra-demo"):
+        return _small_run_config(tmp_path, experiment)
+    return base_config(out, experiment=experiment)
+
+
+# (experiment, where the options go, options, flags, what the one line names)
+SCHEMA_CASES = {
+    "n_samples-string": ("control-verify", (), {"n_samples": "4"}, [],
+                         "config.options.n_samples"),
+    "tolerance-string": ("equilibrium", (), {"tolerance": "1e-6"}, [],
+                         "config.options.tolerance"),
+    "dt-nan": ("simulate-dde", (), {}, ["--dt", "nan"], "config.run.dt"),
+    "T-inf": ("simulate-dde", (), {}, ["--T", "inf"], "config.run.T"),
+    "dt-negative": ("simulate-dde", (), {}, ["--dt", "-0.02"], "config.run.dt"),
+    "T-zero": ("simulate-dde", (), {}, ["--T", "0"], "config.run.T"),
+    "seed-negative": ("equilibrium", (), {}, ["--seed", "-1"], "config.seed"),
+    "suite-entry-dt": ("suite", (), {}, ["--dt", "-1"], "config.scenarios[0].run.dt"),
+    "workers-zero": ("suite", (), {"workers": 0}, [], "config.options.workers"),
+    "kernel_grid-one": ("linear-stability", (), {"kernel_grid": 1}, [],
+                        "config.options.kernel_grid"),
+    "amplitude-zero": ("linear-stability", (), {"amplitude": 0.0}, [],
+                       "config.options.amplitude"),
+    "contour_omega-negative": ("linear-stability", (), {"contour_omega": -5}, [],
+                               "config.options.contour_omega"),
+    "no-samples": ("control-verify", (), {"n_samples": 0, "n_histories": 0}, [],
+                   "config.options.n_samples"),
+    "t-after-T": ("control-verify", (), {"t": 2.0}, [], "config.options.t"),
+    "cross_check_pde-int": ("simulate-dde", (), {"cross_check_pde": 1}, [],
+                            "config.options.cross_check_pde"),
+    "unknown-option": ("equilibrium", (), {"typo_option": 1}, [],
+                       "config.options.typo_option"),
+    "suite-entry-option": ("suite", ("scenarios", 0), {"kernel_grid": 1}, [],
+                           "config.scenarios[0].options.kernel_grid"),
+    "control-verify-T-dt": ("control-verify", (), {}, ["--T", "50", "--dt", "7"],
+                            "--T"),
+    "volterra-demo-dt": ("volterra-demo", (), {}, ["--dt", "0.1"], "--dt"),
+}
+
+
+@pytest.mark.parametrize("case", SCHEMA_CASES.values(), ids=SCHEMA_CASES.keys())
+def test_bad_options_and_flags_exit_one(tmp_path, capsys, case):
+    experiment, where, options, flags, needle = case
+    doc = _doc_for(tmp_path, experiment)
+    target = doc
+    for key in where:
+        target = target[key]
+    target.setdefault("options", {}).update(options)
+    code = cli_main([experiment, "--config", write_config(tmp_path, doc), *flags])
+    out = capsys.readouterr()
+    assert code == EXIT_SCHEMA
+    assert len(out.out.splitlines()) == 1 and needle in out.out
+    assert "Traceback" not in out.out + out.err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_suite_seed_flag_reaches_subscenarios(tmp_path):
+    out = tmp_path / "out"
+    own_seed = base_config(str(out))
+    inherits = base_config(str(out))
+    del inherits["seed"]
+    doc = {"experiment": "suite", "seed": 1, "output": {"dir": str(out)},
+           "scenarios": [inherits, own_seed]}
+    assert cli_main(["suite", "--config", write_config(tmp_path, doc),
+                     "--seed", "9"]) == EXIT_PASS
+    entry = json.loads((out / "report.json").read_text())["suite"]
+    assert entry["seed"] == 9
+    assert entry["scenarios"]["0:equilibrium"]["seed"] == 9
+    assert entry["scenarios"]["1:equilibrium"]["seed"] == 0
+
+
+def test_out_flag_places_nested_suite_entries(tmp_path):
+    doc_out = str(tmp_path / "doc_out")
+    inner = {"experiment": "suite", "scenarios": [base_config(doc_out)]}
+    doc = {"experiment": "suite", "output": {"dir": doc_out}, "scenarios": [inner]}
+    out = tmp_path / "flag_out"
+    assert cli_main(["suite", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == EXIT_PASS
+    assert (out / "equilibrium_profile.csv").exists()
+    assert not (tmp_path / "doc_out").exists()
+
+
+def test_config_hash_follows_run_flags_not_out(tmp_path):
+    # --T edits each entry that reads run; --out places outputs and is hashed nowhere
+    unused = str(tmp_path / "unused")
+    doc = {"experiment": "suite", "output": {"dir": unused},
+           "scenarios": [base_config(unused),
+                         base_config(unused, experiment="simulate-pde")]}
+    cfg = write_config(tmp_path, doc)
+    hashes = {}
+    for name, flags in (("a", []), ("b", []), ("T", ["--T", "1.0"])):
+        out = tmp_path / name
+        code = cli_main(["suite", "--config", cfg, "--out", str(out), *flags])
+        assert code == EXIT_PASS
+        entry = json.loads((out / "report.json").read_text())["suite"]
+        hashes[name] = [entry["config_hash"]] + [
+            entry["scenarios"][key]["config_hash"]
+            for key in ("0:equilibrium", "1:simulate-pde")]
+    assert hashes["a"] == hashes["b"]
+    top, equilibrium, simulate = (x != y for x, y in zip(hashes["a"], hashes["T"]))
+    assert top and simulate and not equilibrium
+    # a suite in which no entry reads run has nothing for --T to change
+    doc["scenarios"].pop()
+    assert cli_main(["suite", "--config", write_config(tmp_path, doc),
+                     "--T", "1.0"]) == EXIT_SCHEMA
+
+
+# the defaults the runners applied before the options were declared in config
+RUNNER_DEFAULTS = {
+    "equilibrium": {"tolerance": 1e-6},
+    "simulate-pde": {},
+    "simulate-dde": {"cross_check_pde": False, "equivalence_tol": 1e-6},
+    "linear-stability": {"kernel_grid": 400, "contour_omega": 50.0,
+                         "amplitude": 1e-3},
+    "volterra-demo": {"T": 10.0, "dt": 1e-3, "gripenberg_T": 200.0,
+                      "gripenberg_dt": 0.1, "dde_T": 100.0, "dde_dt": 0.02},
+    "control-verify": {"y": 1.0, "T": 3.0, "t": 0.0, "n_samples": 500,
+                       "n_histories": 200, "margin_tol": 1e-6},
+    "suite": {"workers": 4},
+}
+
+
+@pytest.mark.parametrize("experiment", RUNNER_DEFAULTS)
+def test_declared_defaults_match_the_runners(experiment):
+    doc = {"experiment": experiment, "scenarios": [],
+           "model": {"p": 2.0, "source": {"kind": "kernel_inf", "kernel": "log"}}}
+    resolved = validate(doc).options
+    assert resolved == RUNNER_DEFAULTS[experiment]
+    assert [type(v) for v in resolved.values()] == \
+        [type(v) for v in RUNNER_DEFAULTS[experiment].values()]
+    if experiment == "equilibrium":
+        doc["model"]["source"] = {"kind": "constant"}
+        assert validate(doc).options == {"tolerance": 1e-10}
+
+
+def test_readme_option_table_matches_config():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    rows = {}
+    with open(readme) as fh:
+        for line in fh:
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) >= 5 and cells[0].startswith("`") and cells[1].startswith("`"):
+                rows[cells[0].strip("`"), cells[1].strip("`")] = cells[2:5]
+    declared = {(exp, name): opt for exp, table in OPTIONS.items()
+                for name, opt in table.items()}
+    assert sorted(rows) == sorted(declared)
+    for key, (typ, bound, default) in rows.items():
+        opt = declared[key]
+        assert typ == opt.typ.__name__ and bound == (opt.bound or "any")
+        if isinstance(opt.default, dict):
+            by_kind = {}
+            for value, kinds in re.findall(r"(\S+) \(([^)]*)\)", default):
+                by_kind.update({kind: json.loads(value) for kind in kinds.split(", ")})
+            assert by_kind == opt.default
+        else:
+            assert json.loads(default) == opt.default
+
+
+def _containers(inner):
+    return st.lists(inner, max_size=3) \
+        | st.dictionaries(st.text(max_size=5), inner, max_size=3)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10 ** 400)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=5),
+    _containers, max_leaves=8)
+_FLAG = st.sampled_from([None, None, None, 0.0, -0.02, 1e-300, 1e300, 0.5]) \
+    | st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _rarely(draw, value, other, one_in=4):
+    """``value``, replaced by a draw from ``other`` one time in ``one_in``."""
+    return draw(other) if draw(st.sampled_from([False] * (one_in - 1) + [True])) \
+        else value
+
+
+@st.composite
+def _scenario_documents(draw, depth=1):
+    """A small valid scenario with some options and fields replaced at random."""
+    experiment = draw(st.sampled_from(SUBCOMMANDS))
+    doc = base_config("out", experiment=experiment)
+    if experiment == "suite":
+        entries = _scenario_documents(depth - 1) | _JSON if depth else _JSON
+        doc["scenarios"] = draw(st.lists(entries, max_size=2))
+    table = OPTIONS[experiment]
+    names = draw(st.lists(st.sampled_from(sorted(table) + ["typo_option"]), max_size=2))
+    names = [_rarely(draw, name, st.text(max_size=5)) for name in names]
+    doc["options"] = {
+        name: _rarely(draw, draw(st.sampled_from([1, 2, 0.5, 2.5, -1.0, True])), _JSON)
+        for name in names}
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=2)):
+        doc[key] = _rarely(draw, doc[key], _JSON, one_in=2)
+    return _rarely(draw, doc, _JSON, one_in=8)
+
+
+_OVERRIDES = st.fixed_dictionaries({
+    "experiment": st.none() | st.sampled_from(SUBCOMMANDS), "out": st.none(),
+    "seed": st.none() | st.integers(-5, 5), "T": _FLAG, "dt": _FLAG})
+
+
+@settings(deadline=None, max_examples=400)
+@given(doc=_scenario_documents(), overrides=_OVERRIDES)
+def test_load_fuzz_gives_a_scenario_or_a_config_error(tmp_path_factory, doc, overrides):
+    # validation only: nothing runs, so any other exception is a defect
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(json.dumps(doc))
+    try:
+        assert isinstance(load(str(path), overrides), Scenario)
+    except ConfigError as exc:
+        assert str(exc)
 
 
 def test_assertion_failure_exit_two(tmp_path):
