@@ -319,8 +319,8 @@ def run_scenario(config_path: str, overrides: dict | None = None) -> int:
         print(f"config error: {exc}")
         return EXIT_SCHEMA
     except (NumericalError, ModelViolationError, ArithmeticError, ValueError) as exc:
-        # DomainError, LinAlgError and the argument checks of the scipy calls
-        # left (tabulated sources, the Volterra solve) are ValueErrors;
+        # DomainError and the argument checks of the one scipy call left
+        # (PCHIP in tabulated sources) are ValueErrors;
         # ArithmeticError covers ZeroDivisionError, FloatingPointError and
         # OverflowError
         print(f"numeric error: {type(exc).__name__}: {' '.join(str(exc).split())}")

@@ -14,7 +14,9 @@ O(dt^2) boundary-weight mismatch and is only second-order consistent.
 ``gripenberg_check`` reports the boundedness criterion for non-translation
 invariant kernels: monotonicity of t -> K(t,s), the limit of
 w(t) = int_0^t K(t,s) ds, the sliding-tail masses sup_t int_0^{t-T0} K ds,
-and the resolvent metric sup_t int_0^t |r(t,s)| ds.
+and the resolvent metric sup_t int_0^t |r(t,s)| ds.  It evaluates the kernel
+triangle block by block as it is needed and forms no n x n array, so its
+memory is O(n BLOCK) for n nodes; the module needs no scipy.
 
 ``linear_dde_solve`` integrates
 
@@ -39,6 +41,10 @@ from .errors import DomainError, NumericalError
 from .quadrature import cumtrapz, trapz_weights
 
 MAX_RESOLVENT_NODES = 4096
+# nodes per row block of the kernel triangle in ``gripenberg_check``: its
+# memory is O(n BLOCK) for n nodes.  The resolvent's column blocks are twice as
+# wide, which halves its kernel evaluations and matmul calls.
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,7 @@ def resolvent(prob: VolterraProblem) -> tuple[np.ndarray, np.ndarray]:
     """Resolvent kernel series r(t) solving r + K*r = K (translation-invariant)."""
     if not prob.convolution:
         raise DomainError("series resolvent is defined for convolution kernels; "
-                          "use resolvent_matrix for general kernels")
+                          "use resolvent_row_l1 for the metric of general kernels")
     t = prob.grid
     K = _kernel_values_conv(prob)
     r = _solve_from_values(prob, t, K)
@@ -130,51 +136,119 @@ def reconstruct(prob: VolterraProblem, g_values: np.ndarray | None = None) -> np
     return g - m
 
 
-def _kernel_matrix(prob: VolterraProblem, t: np.ndarray) -> np.ndarray:
-    """K(t_i, t_j) as an n x n (possibly broadcast, read-only) array.
+def _kernel_block(prob: VolterraProblem, ti: np.ndarray, tj: np.ndarray) -> np.ndarray:
+    """K(t_i, t_j) for the nodes ti x tj as a (possibly broadcast, read-only) array.
 
     A convolution kernel is evaluated at max(t_i - t_j, 0), so the entries
     right of the diagonal repeat K(0); only the lower triangle is used.
     """
     if prob.convolution:
-        K = prob.kernel(np.maximum(t[:, None] - t[None, :], 0.0))
+        K = prob.kernel(np.maximum(ti[:, None] - tj[None, :], 0.0))
     else:
-        K = prob.kernel(t[:, None], t[None, :])
-    return np.broadcast_to(np.asarray(K, dtype=float), (len(t), len(t)))
+        K = prob.kernel(ti[:, None], tj[None, :])
+    return np.broadcast_to(np.asarray(K, dtype=float), (len(ti), len(tj)))
 
 
-def _lower_operator(prob: VolterraProblem) -> np.ndarray:
-    """Dense lower-triangular quadrature operator L with (Lu)_i ~ int_0^{t_i} K u.
+def _blocks(n: int, size: int) -> list[tuple[int, int]]:
+    """Consecutive index ranges [lo, hi) of at most ``size`` nodes covering 0..n-1."""
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
-    L is Fortran-ordered, so that ``resolvent_matrix`` can solve in its storage.
+
+def _operator_block(prob: VolterraProblem, t: np.ndarray, rows: tuple[int, int],
+                    cols: tuple[int, int]) -> np.ndarray:
+    """Block L[r0:r1, c0:c1] of the lower-triangular quadrature operator L.
+
+    (Lu)_i ~ int_0^{t_i} K u by the trapezoid: weight dt, halved on the
+    diagonal and in column 0, and a zero row 0.
+    """
+    (r0, r1), (c0, c1) = rows, cols
+    K = _kernel_block(prob, t[r0:r1], t[c0:c1])
+    if c1 > r0 + 1:  # the block reaches right of the diagonal
+        K = np.tril(K, r0 - c0)
+    L = K * prob.dt
+    d = np.arange(max(r0, c0), min(r1, c1))
+    L[d - r0, d - c0] *= 0.5
+    if c0 == 0:
+        L[:, 0] *= 0.5
+    if r0 == 0:
+        L[0, :] = 0.0
+    return L
+
+
+def _lower_inverse(D: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix, by forward substitution row by row."""
+    if np.min(np.abs(np.diagonal(D))) < 1e-12:
+        raise NumericalError("singular discrete Volterra system")
+    Y = np.zeros_like(D)
+    for i in range(len(D)):
+        Y[i] = -(D[i, :i] @ Y[:i])
+        Y[i, i] += 1.0
+        Y[i] /= D[i, i]
+    return Y
+
+
+def resolvent_row_l1(prob: VolterraProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Row l1 norms of the discrete resolvent R = (I + L)^{-1} L, u = g - R g.
+
+    Returns (t, rows); rows approximate int_0^t |r(t,s)| ds.  R is never
+    formed: each column block of R (2 BLOCK wide) comes from a forward
+    substitution over row blocks (BLOCK high), with the diagonal blocks of
+    I + L inverted once and the blocks of L generated from the kernel as they
+    are needed, so memory is O(n BLOCK).
     """
     t = prob.grid
     n = len(t)
     if n > MAX_RESOLVENT_NODES:
         raise NumericalError(
-            f"resolvent matrix needs {n} nodes > cap {MAX_RESOLVENT_NODES}; "
-            f"increase dt")
-    L = np.asfortranarray(np.tril(_kernel_matrix(prob, t))) * prob.dt
-    idx = np.arange(n)
-    L[idx, idx] *= 0.5
-    L[:, 0] *= 0.5
-    L[0, :] = 0.0
-    return L
+            f"resolvent needs {n} nodes > cap {MAX_RESOLVENT_NODES}; increase dt")
+    blocks = _blocks(n, BLOCK)
+    inverses = [_lower_inverse(np.eye(hi - lo) + _operator_block(prob, t, (lo, hi), (lo, hi)))
+                for lo, hi in blocks]
+    rows = np.zeros(n)
+    for c0, c1 in _blocks(n, 2 * BLOCK):
+        X = np.empty((n - c0, c1 - c0))  # rows c0.. of R's columns c0..c1-1
+        for I in range(c0 // BLOCK, len(blocks)):
+            r0, r1 = blocks[I]
+            # S's first c1 - c0 columns are the right-hand side L[r0:r1, c0:c1];
+            # its first r0 - c0 multiply the rows of X found so far
+            S = _operator_block(prob, t, (r0, r1), (c0, max(c1, r0)))
+            rhs = S[:, :c1 - c0] - S[:, :r0 - c0] @ X[:r0 - c0]
+            X[r0 - c0:r1 - c0] = inverses[I] @ rhs
+            rows[r0:r1] += np.abs(X[r0 - c0:r1 - c0]).sum(axis=1)
+    return t, rows
 
 
-def resolvent_matrix(prob: VolterraProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete resolvent R with u = g - R g; entries are weighted r(t_i, s_j).
+def _triangle_scans(prob: VolterraProblem, t: np.ndarray, T0_scan) -> tuple:
+    """Scans of the kernel triangle K(t_i, t_j), j <= i, one row block at a time.
 
-    Returns (t, R).  Row sums of |R| approximate int_0^t |r(t,s)| ds.
+    Returns the minimum, the largest increase down the sampled columns, the
+    trapezoid row integrals w(t_i) and the sliding-tail masses per T0.
     """
-    from scipy.linalg import solve_triangular
-
-    t = prob.grid
-    L = _lower_operator(prob)
     n = len(t)
-    # (I + L) R = L, solved in the storage of L so that two n x n arrays are live
-    R = solve_triangular(np.eye(n) + L, L, lower=True, overwrite_b=True)
-    return t, R
+    dt = prob.dt
+    kmin = np.inf
+    # decrease of t -> K(t,s) down every (n // 64)-th column of the triangle
+    col_incr = 0.0
+    for j in range(0, n - 1, max(1, n // 64)):
+        col = _kernel_block(prob, t[j:], t[j:j + 1])[:, 0]
+        col_incr = max(col_incr, float(np.max(np.diff(col))))
+    w_vals = np.empty(n)
+    tail = {float(T0): 0.0 for T0 in T0_scan}
+    for r0, r1 in _blocks(n, BLOCK):
+        tri = np.tril(_kernel_block(prob, t[r0:r1], t), r0)  # zero right of the diagonal
+        kmin = float(np.min(tri, initial=kmin))
+        d = np.arange(r1 - r0)
+        # w(t) = int_0^t K(t,s) ds: trapezoid row sums
+        w_vals[r0:r1] = dt * (tri.sum(axis=1) - 0.5 * (tri[:, 0] + tri[d, d + r0]))
+        # sliding-tail masses int_0^{t-T0} K(t,s) ds: the cumulative trapezoid
+        # along row i, read at column i - m
+        cum = np.cumsum(tri, axis=1)
+        for T0 in T0_scan:
+            m = int(round(T0 / dt))
+            i = np.arange(max(r0, m + 1), r1)
+            masses = dt * (cum[i - r0, i - m] - 0.5 * (tri[i - r0, 0] + tri[i - r0, i - m]))
+            tail[float(T0)] = float(np.max(masses, initial=tail[float(T0)]))
+    return kmin, col_incr, w_vals, tail
 
 
 def gripenberg_check(prob: VolterraProblem, T0_scan=(1.0, 2.0, 5.0, 10.0)) -> dict:
@@ -183,46 +257,24 @@ def gripenberg_check(prob: VolterraProblem, T0_scan=(1.0, 2.0, 5.0, 10.0)) -> di
     Monitors (report-only): decrease of t -> K(t,s), convergence of
     w(t) = int_0^t K ds, the sliding-tail masses for each T0 in the scan, and
     the resolvent metric sup_t int |r(t,s)| ds with its stability over the
-    trailing half of the horizon.
+    trailing half of the horizon.  No n x n array is formed.
     """
-    t = prob.grid
+    t, row_l1 = resolvent_row_l1(prob)  # first: it enforces the node cap
     n = len(t)
-    dt = prob.dt
-    tri = np.tril(_kernel_matrix(prob, t))  # the kernel is read on the triangle only
+    kmin, col_incr, w_vals, tail = _triangle_scans(prob, t, T0_scan)
     report: dict = {"hypothesis_flags": []}
-    if np.min(tri) < 0:
+    if kmin < 0:
         report["hypothesis_flags"].append("kernel takes negative values")
-    # decrease of t -> K(t,s) along columns (within the triangle)
-    col_incr = 0.0
-    for j in range(0, n - 1, max(1, n // 64)):
-        col = tri[j:, j]
-        if len(col) > 1:
-            col_incr = max(col_incr, float(np.max(np.diff(col))))
     report["max_column_increase"] = col_incr
     if col_incr > 1e-10:
         report["hypothesis_flags"].append("t -> K(t,s) is not decreasing")
-    # w(t) = int_0^t K(t,s) ds: trapezoid row sums (tri vanishes right of the diagonal)
-    w_vals = dt * (tri.sum(axis=1) - 0.5 * (tri[:, 0] + np.diagonal(tri)))
     report["w_late"] = float(w_vals[-1])
     report["w_drift_last_decade"] = float(np.max(w_vals[int(0.9 * n):])
                                           - np.min(w_vals[int(0.9 * n):]))
-    # sliding-tail masses sup_t int_0^{max(t-T0,0)} K(t,s) ds: the cumulative
-    # trapezoid along row i, read at column i - m
-    cum = np.cumsum(tri, axis=1)
-    tail = {}
-    for T0 in T0_scan:
-        m = int(round(T0 / dt))
-        i = np.arange(m + 1, n)
-        masses = dt * (cum[i, i - m] - 0.5 * (tri[i, 0] + tri[i, i - m]))
-        tail[float(T0)] = float(np.max(masses, initial=0.0))
-    del cum, tri  # free both n x n arrays before the dense resolvent solve
     report["tail_mass"] = tail
     if tail and min(tail.values()) >= 1.0:
         report["hypothesis_flags"].append(
             "sliding-tail kernel mass does not drop below 1")
-    # resolvent metric
-    _, R = resolvent_matrix(prob)
-    row_l1 = np.abs(R).sum(axis=1)
     report["sup_resolvent_l1"] = float(np.max(row_l1))
     half = row_l1[n // 2:]
     report["resolvent_l1_late_relvar"] = float(

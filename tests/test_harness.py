@@ -261,21 +261,39 @@ def _scipy_modules_after(tmp_path, script, *args):
 @pytest.mark.parametrize("experiment", ["control-verify", "linear-stability",
                                         "volterra-demo"])
 def test_experiment_import_budget(tmp_path, experiment):
-    # control-verify and linear-stability load no scipy; volterra-demo loads
-    # scipy.linalg for its triangular solve and nothing beyond what that
-    # import brings along
+    # no experiment loads scipy: only tabulated sources (PCHIP) still use it
     cfg = write_config(tmp_path, _small_run_config(tmp_path, experiment))
     script = ("import sys\n"
               "import nltransport.cli\n"
               "code = nltransport.cli.main([sys.argv[1], '--config', sys.argv[2]])\n"
               "assert code == 0, code")
-    loaded = _scipy_modules_after(tmp_path, script, experiment, cfg)
-    if experiment != "volterra-demo":
-        assert loaded == []
-        return
-    linalg_alone = _scipy_modules_after(tmp_path, "import sys\nimport scipy.linalg")
-    assert "scipy.linalg" in loaded
-    assert set(loaded) <= set(linalg_alone)
+    assert _scipy_modules_after(tmp_path, script, experiment, cfg) == []
+
+
+def test_bench_tracer_targets_resolve(tmp_path):
+    # bench/tracing.py wraps its TARGETS by name; a renamed or deleted layer
+    # function must fail here, not only in a traced benchmark run
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+    script = (
+        "import importlib, json, sys\n"
+        "sys.path[:0] = sys.argv[1:3]\n"
+        "from tracing import TARGETS, Tracer, install\n"
+        "install(Tracer())\n"
+        "unwrapped = []\n"
+        "for module, attr, span in TARGETS:\n"
+        "    obj = importlib.import_module('nltransport.' + module)\n"
+        "    for part in attr.split('.'):\n"
+        "        obj = getattr(obj, part)\n"
+        "    if not hasattr(obj, '__wrapped__'):\n"
+        "        unwrapped.append(f'{module}.{attr}')\n"
+        "print(len(TARGETS), json.dumps(unwrapped))\n")
+    done = subprocess.run([sys.executable, "-c", script, os.path.join(root, "bench"),
+                           os.path.join(root, "src")], capture_output=True, text=True,
+                          cwd=tmp_path, timeout=300)
+    assert done.returncode == 0, done.stderr
+    count, unwrapped = done.stdout.splitlines()[-1].split(" ", 1)
+    assert int(count) > 0
+    assert json.loads(unwrapped) == []
 
 
 def _doc_for(tmp_path, experiment):

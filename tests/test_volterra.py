@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from dense_volterra import dense_resolvent, dense_triangle_scans
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nltransport import volterra
+from nltransport.config import OPTIONS
 from nltransport.errors import NumericalError
-from nltransport.volterra import (LinearDDEProblem, VolterraProblem,
+from nltransport.volterra import (BLOCK, LinearDDEProblem, VolterraProblem,
                                   gripenberg_check, linear_dde_solve,
-                                  reconstruct, resolvent, resolvent_matrix,
+                                  reconstruct, resolvent, resolvent_row_l1,
                                   solve)
 
 
@@ -93,9 +97,8 @@ def test_singular_discrete_system_raises():
 def test_resolvent_matrix_row_sums(exp_problem):
     small = VolterraProblem(kernel=exp_problem.kernel, forcing=exp_problem.forcing,
                             T=6.0, dt=0.01, convolution=True)
-    t, R = resolvent_matrix(small)
+    t, rows = resolvent_row_l1(small)
     # rows approximate int_0^t |r| ds = (1 - e^{-2t})/2
-    rows = np.abs(R).sum(axis=1)
     expect = 0.5 * (1.0 - np.exp(-2.0 * t))
     assert np.max(np.abs(rows - expect)) < 1e-3
 
@@ -105,7 +108,89 @@ def test_resolvent_matrix_node_cap():
                            forcing=lambda t: np.ones_like(t),
                            T=100.0, dt=0.001, convolution=True)
     with pytest.raises(NumericalError):
-        resolvent_matrix(prob)
+        resolvent_row_l1(prob)
+    with pytest.raises(NumericalError):
+        gripenberg_check(prob)
+
+
+def _exp_conv(T, dt):
+    return VolterraProblem(kernel=lambda tau: np.exp(-tau), forcing=np.ones_like,
+                           T=T, dt=dt, convolution=True)
+
+
+# (problem, node count); the counts pin where the grid falls on the blocks
+BLOCKED_CASES = {
+    "convolution": (_exp_conv(6.0, 0.01), 601),
+    "general": (VolterraProblem(
+        kernel=lambda t, s: (1.0 + np.sin(t)) * np.exp(-0.3 * (t - s)) / (1.0 + s),
+        forcing=np.ones_like, T=13.0, dt=0.05), 261),
+    "heavy-constant": (VolterraProblem(
+        kernel=lambda t, s: np.full_like(np.asarray(s, float), 0.4),
+        forcing=np.ones_like, T=30.0, dt=0.05), 601),
+    "whole-blocks": (_exp_conv(4 * BLOCK * 0.02 - 0.02, 0.02), 4 * BLOCK),
+    "one-short-block": (_exp_conv(1.0, 0.05), 21),
+    "two-nodes": (_exp_conv(0.1, 0.1), 2),
+}
+
+
+@pytest.mark.parametrize("case", BLOCKED_CASES)
+def test_blocked_resolvent_rows_match_dense_solve(case):
+    # the column-block forward substitution against (I + L)^{-1} L solved whole
+    prob, n = BLOCKED_CASES[case]
+    t, rows = resolvent_row_l1(prob)
+    assert len(t) == n
+    assert case != "one-short-block" or n < BLOCK
+    assert case not in ("convolution", "general") or n % BLOCK != 0
+    _, R = dense_resolvent(prob)
+    dense = np.abs(R).sum(axis=1)
+    assert np.all(np.abs(rows - dense) <= 1e-13 * np.abs(dense))
+
+
+# (problem, T0 scan, the flag its kernel trips)
+SCAN_CASES = {
+    "negative": (VolterraProblem(kernel=lambda t, s: np.cos(t - s) - 0.5,
+                                 forcing=np.ones_like, T=15.0, dt=0.05),
+                 (1.0, 2.0, 5.0, 10.0), "kernel takes negative values"),
+    "increasing-column": (VolterraProblem(
+        kernel=lambda t, s: 0.2 * (1.0 + t) / (1.0 + s) ** 2,
+        forcing=np.ones_like, T=12.0, dt=0.04), (1.0, 2.0),
+        "t -> K(t,s) is not decreasing"),
+    "heavy-tail": (VolterraProblem(
+        kernel=lambda tau: np.full_like(tau, 0.4), forcing=np.ones_like,
+        T=30.0, dt=0.05, convolution=True), (1.0, 2.0, 5.0),
+        "sliding-tail kernel mass does not drop below 1"),
+}
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_triangle_scans_match_dense_triangle(case):
+    # the row-block scans read the same entries in the same order as scans of
+    # the whole np.tril of the kernel matrix, so they agree exactly
+    prob, T0_scan, flag = SCAN_CASES[case]
+    t = prob.grid
+    assert len(t) > BLOCK and len(t) % BLOCK != 0
+    kmin, col_incr, w_vals, tail = volterra._triangle_scans(prob, t, T0_scan)
+    dmin, dcol_incr, dw_vals, dtail = dense_triangle_scans(prob, T0_scan)
+    assert (kmin, col_incr, tail) == (dmin, dcol_incr, dtail)
+    assert np.array_equal(w_vals, dw_vals)
+    assert flag in gripenberg_check(prob, T0_scan)["hypothesis_flags"]
+
+
+def test_gripenberg_memory_at_demo_size():
+    # volterra-demo's default grid, n = 2001: no n x n array (32 MB) is formed
+    opts = OPTIONS["volterra-demo"]
+    prob = VolterraProblem(kernel=lambda a, b: 0.5 * np.exp(-(a - b)),
+                           forcing=lambda s: np.ones_like(s),
+                           T=opts["gripenberg_T"].default,
+                           dt=opts["gripenberg_dt"].default)
+    assert len(prob.grid) == 2001
+    tracemalloc.start()
+    try:
+        gripenberg_check(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 def test_gripenberg_exponential_kernel():
