@@ -101,12 +101,12 @@ class IHistory(LagrangianState):
         y0 = E_t * y + self._C[k]
         xi0_val, xi0_d = self.xi0.pair_eval(y0)
         init_terms = xi0_val / (p * E_t) - (1.0 + y / p) * xi0_d
-        e_tp = np.exp(-t_k / p)
         y_p0 = np.expm1(t_k / p) * (y + p) + y
-        F1 = model.h_nodes - e_tp * model.source.eval(y_p0, 0)
+        flat_init = np.exp(-t_k / p) * model.source.eval(y_p0, 0)
+        F1 = model.h_nodes - flat_init
         Bxi = xi / p - (1.0 + y / p) * dxi
         Fv_minus_F1 = Bxi - init_terms - F1
-        G = init_terms - e_tp * model.source.eval(y_p0, 0)
+        G = init_terms - flat_init
         grad = spec.gradient_from_samples(xi)
         den = p * spec.value_from_samples(xi) + spec.pair_from_samples(grad, xi - y * dxi)
         f = spec.pair_from_samples(grad, Fv_minus_F1) / den
@@ -266,6 +266,7 @@ def run(model: Model, xi0: Profile, T: float, dt: float, stride: int = 1,
         np.sum(np.abs(hist.dlogI[:-1] + hist.dlogI[1:]) * 0.5 * dt))
     ks = [hist.node_index(t) for t in traj.t]
     f, g = np.array([hist.fg_at(k) for k in ks]).T
+    hist.workspace.release()
     fg = {"t": hist._t[ks], "I": hist._I[ks], "dlogIdt": hist._dlogI[ks], "f": f, "g": g}
     return traj, fg
 

@@ -25,7 +25,11 @@ characteristic evaluation stays second order without substepping.
 ``LagrangianState`` is the one stepping engine of both routes.  It owns the
 node buffers, e^R and C at each node (C grows one interval per step), node
 lookup by time, the reconstruction ``reconstruct_profile`` at a node, the one
-fixed-point loop ``step`` and the one run loop ``evolve``.  Each step solves
+fixed-point loop ``step`` and the one run loop ``evolve``.  It also owns the
+``Workspace`` in which each reconstruction forms its N_y x N_tau arrays (the
+characteristic feet and h, h', h'' there, from one ``SourceFn.eval_orders``
+pass), so with the log or the constant source a step allocates nothing of
+that size; ``evolve`` releases it when the run is done.  Each step solves
 the scalar self-consistency rho = rho(xi(.,t+dt; rho)) with secant steps on
 the residual rho(xi(.; g)) - g, falling back to a plain fixed-point step where
 the secant is undefined.  How a trial rho fills the new node is the route's
@@ -81,9 +85,33 @@ def exp_cumulative(t_nodes: np.ndarray, R_nodes: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
+class Workspace:
+    """Grow-only buffers for the N_y x N_tau arrays of ``reconstruct_profile``.
+
+    A stepping state owns one, so the feet and the source values of every
+    call reuse memory instead of mapping and faulting in fresh arrays (each
+    is above glibc's mmap threshold from small t on).  ``release`` frees the
+    buffers; the next call grows them again.
+    """
+
+    def __init__(self):
+        self._flat = np.empty(0)
+
+    def arrays(self, count: int, shape: tuple[int, int]) -> list[np.ndarray]:
+        """``count`` C-contiguous arrays of ``shape``, valid until the next call."""
+        size = shape[0] * shape[1]
+        if self._flat.size < count * size:
+            self._flat = np.empty(max(count * size, 2 * self._flat.size))
+        return [self._flat[i * size:(i + 1) * size].reshape(shape) for i in range(count)]
+
+    def release(self) -> None:
+        self._flat = np.empty(0)
+
+
 def reconstruct_profile(source, xi0: Profile, t_nodes: np.ndarray, R_nodes: np.ndarray,
                         yq: np.ndarray, p: float, need_second: bool = False,
-                        nodes_per_panel: int = 12, *, C_nodes: np.ndarray | None = None):
+                        nodes_per_panel: int = 12, *, C_nodes: np.ndarray | None = None,
+                        workspace: Workspace | None = None):
     """Interpolant-exact reconstruction of (xi, dxi[, d2xi]) at the final time.
 
     Treats R as piecewise linear between the committed nodes (so e^R is
@@ -96,6 +124,13 @@ def reconstruct_profile(source, xi0: Profile, t_nodes: np.ndarray, R_nodes: np.n
     stepping state carries.  Given it, a call costs O(N_y N_tau) source
     evaluations plus O(N_tau log k) to locate the N_tau panel nodes among the
     k intervals; without it the cumulative is rebuilt, O(k) more per call.
+
+    The N_y x N_tau arrays are the characteristic feet
+    ys = yq E_k/E_s + (C_k - C_s)/E_s and h, h' (and h'') there, evaluated in
+    one pass by ``SourceFn.eval_orders``.  They live in ``workspace`` (a
+    stepping state passes its own); without one they are allocated per call.
+    E_s and 1/E_s are folded into the tau weights, so the products h E_s and
+    h''/E_s are never formed.
     """
     yq = np.asarray(yq, dtype=float)
     k = len(t_nodes) - 1
@@ -125,17 +160,21 @@ def reconstruct_profile(source, xi0: Profile, t_nodes: np.ndarray, R_nodes: np.n
     E_k = np.exp(R_nodes[-1])
     C_k = C_nodes[-1]
 
-    ys = (E_k * yq[:, None] + (C_k - C_s[None, :])) / E_s[None, :]
-    y0 = (E_k * yq + (C_k - 0.0))  # s = 0: E = 1, C = 0
-    h = source.eval(ys, 0)
-    h1 = source.eval(ys, 1)
+    if workspace is None:
+        workspace = Workspace()
+    ys, *h = workspace.arrays(4 if need_second else 3, (len(yq), len(tau)))
+    # one rank-2 product, a single BLAS pass; multiply.outer plus a broadcast
+    # add costs ~5x more through numpy's per-row loop overhead
+    np.matmul(np.column_stack((yq, np.ones_like(yq))),
+              np.stack((E_k / E_s, (C_k - C_s) / E_s)), out=ys)
+    source.eval_orders(ys, h)
+    y0 = E_k * yq + C_k  # s = 0: E = 1, C = 0
     xi0_val, xi0_d = xi0.pair_eval(y0)
-    xi = (xi0_val + (h * E_s[None, :]) @ w_tau) / E_k
-    dxi = xi0_d + h1 @ w_tau
+    xi = (xi0_val + h[0] @ (w_tau * E_s)) / E_k
+    dxi = xi0_d + h[1] @ w_tau
     if not need_second:
         return xi, dxi
-    h2 = source.eval(ys, 2)
-    d2 = xi0.d2(y0) * E_k + (h2 / E_s[None, :]) @ w_tau * E_k
+    d2 = (xi0.d2(y0) + h[2] @ (w_tau / E_s)) * E_k
     return xi, dxi, d2
 
 
@@ -206,6 +245,7 @@ class LagrangianState:
         for name in self._BUFFERS:
             setattr(self, name, np.zeros(256))  # doubled by _grow
         self._E[0] = 1.0
+        self.workspace = Workspace()
         self.n = 1
         res = model.rho(xi0)
         self._rho[0] = res.rho
@@ -276,7 +316,8 @@ class LagrangianState:
         return reconstruct_profile(self.model.source, self.xi0,
                                    self._t[:k + 1], self._R[:k + 1],
                                    np.asarray(yq, dtype=float), self.model.p,
-                                   need_second=need_second, C_nodes=self._C[:k + 1])
+                                   need_second=need_second, C_nodes=self._C[:k + 1],
+                                   workspace=self.workspace)
 
     def xi_eval(self, y, t: float | None = None, scheme: str = "refined"):
         """(xi(y,t), d xi/d y (y,t)) at a committed node time (default: latest).
@@ -405,6 +446,8 @@ def evolve(state: LagrangianState, T: float, dt: float, stride: int = 1,
         state.step(dt)
         if k % stride == 0 or k == n_steps:
             sample(k)
+    # the trajectory keeps the state; a later run must not find its buffers held
+    state.workspace.release()
 
     traj = Trajectory(**{name: np.asarray(vals) for name, vals in rows.items()})
     traj.monitors = {

@@ -11,7 +11,9 @@ parametrizations are supported besides plain constants and tables:
 
 Derivatives of kernel-backed sources are always computed from k and k' in
 closed form, never by differencing.  Named kernels carry closed-form tail
-integrals so that evaluation in hot loops is pure vector arithmetic.
+integrals so that evaluation in hot loops is pure vector arithmetic, and
+``SourceFn.eval_orders`` evaluates h, h' and h'' together into the caller's
+buffers for the profile reconstruction's large arrays.
 
 The equilibrium of the model with parameter p is built on the tail
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -145,7 +147,9 @@ class Kernel:
     ``eq_tail_inf(y, p)`` and ``eq_tail_p(y, p, kp)`` are the equilibrium
     tails G(y) = int_y^inf p (h - h_inf)(u)/(p+u)^2 du of the kernel_inf and
     kernel_p sources (kernel parameter kp); without them the source
-    integrates J by quadrature.
+    integrates J by quadrature.  ``orders_inf(y, out)`` writes h - h_inf, h'
+    and, given a third buffer, h'' of the kernel_inf source into ``out`` in
+    place, with no temporaries (see ``SourceFn.eval_orders``).
     """
 
     name: str
@@ -156,6 +160,7 @@ class Kernel:
     tail_p: Callable[[np.ndarray, float], np.ndarray] | None = None
     eq_tail_inf: Callable[[np.ndarray, float], np.ndarray] | None = None
     eq_tail_p: Callable[[np.ndarray, float, float], np.ndarray] | None = None
+    orders_inf: Callable[[np.ndarray, Sequence[np.ndarray]], None] | None = None
 
     def tail_over_y(self, y):
         if self.tail_inf is not None:
@@ -179,6 +184,21 @@ def log_kernel() -> Kernel:
         return p / (p + y) * (rational_tail(sorted((1.0, p)), y)
                               - y * rational_tail(sorted((0.0, 1.0, p)), y))
 
+    def orders_inf(y, out):
+        # with r = 1/y: h - h_inf = log1p(r), h' = r/(-1-y) = -1/(y(1+y)) and
+        # h'' = 1/(y(1+y)^2) + 1/(y^2(1+y)) = (2y+1) h'^2
+        tail, d1 = out[0], out[1]
+        np.divide(1.0, y, out=tail)
+        np.subtract(-1.0, y, out=d1)
+        np.divide(tail, d1, out=d1)
+        np.log1p(tail, out=tail)
+        if len(out) > 2:
+            d2 = out[2]
+            np.multiply(y, 2.0, out=d2)
+            d2 += 1.0
+            d2 *= d1
+            d2 *= d1
+
     return Kernel(
         name="log",
         k=lambda y: 1.0 / (1.0 + y),
@@ -187,6 +207,7 @@ def log_kernel() -> Kernel:
         # int_y^inf du/(u(1+u)) = log(1 + 1/y)
         tail_inf=lambda y: np.log1p(1.0 / y),
         eq_tail_inf=eq_tail_inf,
+        orders_inf=orders_inf,
     )
 
 
@@ -365,6 +386,31 @@ class SourceFn:
         if np.any(y < lo) or np.any(y > hi):
             raise DomainError("tabulated source evaluated outside table range")
         return self._interp(y, nu=order)
+
+    def eval_orders(self, y: np.ndarray, out: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
+        """h, h' and, given a third buffer, h'' at the array y, written into ``out``.
+
+        The constant source and a ``kernel_inf`` source whose kernel has
+        ``orders_inf`` (the log kernel) write in place with no temporaries,
+        under one positivity check for all orders; every other source takes
+        ``eval`` once per order.  Few-point callers keep ``eval``, whose
+        per-call overhead is lower.
+        """
+        # fmin skips NaN, as eval's any(y <= 0) does, and allocates nothing
+        if y.size and np.fmin.reduce(y, axis=None) <= 0.0:
+            raise DomainError("source evaluated at y <= 0")
+        if self.kind == "constant":
+            out[0].fill(self.h_inf)
+            for buf in out[1:]:
+                buf.fill(0.0)
+            return out
+        if self.kind == "kernel_inf" and self.kernel.orders_inf is not None:
+            self.kernel.orders_inf(y, out)
+            np.add(out[0], self.h_inf, out=out[0])
+            return out
+        for order, buf in enumerate(out):
+            buf[...] = self.eval(y, order)
+        return out
 
     def equilibrium_tail(self, y, p: float):
         """J(y) = int_y^inf p h(u)/(p+u)^2 du, closed form for named kernels."""

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_reconstruct import reconstruct_profile_reference
 
-from nltransport import canonical_functional, constant_source
+from nltransport import canonical_functional, constant_source, inv_square_p_source
 from nltransport.errors import DomainError, StepError
-from nltransport.functionals import Profile
+from nltransport.functionals import DEFAULT_NORM_GRID, Profile
 from nltransport.model import Model
 from nltransport import dde, pde
 
@@ -262,3 +265,89 @@ def test_step_error_reports_iterations(log_model, log_model_p3):
     assert err.value.iterations == pde.MAX_FIXED_POINT_ITERS
     assert np.isfinite(err.value.residual)
     assert f"{pde.MAX_FIXED_POINT_ITERS} iterations" in str(err.value)
+
+
+# -- the reconstruction's workspace and fused source pass ------------------------------
+
+
+def _smooth_history(n=601, dt=0.01):
+    """Nodes of a smooth rho history with R and C as a stepping state carries them."""
+    t = dt * np.arange(n)
+    rho = 0.5 + 0.2 * np.sin(3.0 * t) * np.exp(-t / 4.0)
+    R = np.concatenate([[0.0], np.cumsum(0.5 * dt * (rho[1:] + rho[:-1]))])
+    return t, R, pde.exp_cumulative(t, R)
+
+
+@pytest.mark.parametrize("source", ["log", "inv_square_p"])
+@pytest.mark.parametrize("k", [1, 2, 150, 600])
+def test_reconstruction_matches_dense_reference(log_model, log_model_p3, source, k):
+    # the fused pass reorders roundings only: the feet, and E_s folded into the
+    # weights; one workspace serves 256, 602 and again 256 query points, so a
+    # stale or mis-shaped slice would show
+    src = log_model.source if source == "log" else inv_square_p_source(1.0, 2.0)
+    xi0 = log_model_p3.equilibrium_profile()
+    t, R, C = _smooth_history()
+    t, R, C = t[:k + 1], R[:k + 1], C[:k + 1]
+    nodes = log_model.functional.nodes
+    norm_query = np.concatenate([DEFAULT_NORM_GRID, [1.0, 1e6]])
+    work = pde.Workspace()
+    for yq in (nodes, norm_query, nodes):
+        ref = reconstruct_profile_reference(src, xi0, t, R, yq, 2.0, need_second=True)
+        for workspace in (None, work):
+            got = pde.reconstruct_profile(src, xi0, t, R, yq, 2.0, need_second=True,
+                                          C_nodes=C, workspace=workspace)
+            for name, g, r in zip(("xi", "dxi", "d2"), got, ref):
+                assert g.shape == r.shape
+                assert np.all(np.abs(g - r) <= 1e-14 * np.abs(r)), name
+            first = pde.reconstruct_profile(src, xi0, t, R, yq, 2.0, C_nodes=C,
+                                            workspace=workspace)
+            assert all(np.array_equal(a, b) for a, b in zip(first, got))
+
+
+@pytest.mark.parametrize("state_class", [pde.LagrangianState, dde.IHistory])
+def test_step_allocates_no_profile_sized_array(log_model, log_model_p3, state_class):
+    # after warm-up the three reconstructions of a step reuse the state's
+    # workspace, so the step's traced peak stays below one 256 x N_tau
+    # float64 array
+    dt = 0.02
+    state = state_class(log_model, log_model_p3.equilibrium_profile())
+    for _ in range(300):
+        state.step(dt)
+    nodes = log_model.functional.nodes
+    n_tau = 12 * (len(pde._tau_panel_edges(state.t[-1] + dt, float(np.min(nodes)),
+                                           dt, log_model.p)) - 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        state.step(dt)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert abs(state.t[-1] - 6.02) < 1e-9
+    assert peak < len(nodes) * n_tau * 8, (peak, n_tau)
+
+
+@pytest.mark.parametrize("state_class", [pde.LagrangianState, dde.IHistory])
+def test_step_calls_reconstruct_profile_as_traced(log_model, log_model_p3,
+                                                  state_class, monkeypatch):
+    # bench/tracing.py wraps the module attribute pde.reconstruct_profile and
+    # reads t_nodes, yq and p at positions 2, 4 and 5 (and nodes_per_panel by
+    # keyword or at 7) for its tau-node count
+    state = state_class(log_model, log_model_p3.equilibrium_profile())
+    state.step(0.01)
+    calls = []
+    original = pde.reconstruct_profile
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "reconstruct_profile", recorded)
+    state.step(0.01)
+    assert len(calls) == 3
+    for args, kwargs in calls:
+        assert len(args) == 6 and "nodes_per_panel" not in kwargs
+        assert np.array_equal(args[2], state.t)
+        assert np.array_equal(args[4], log_model.functional.nodes)
+        assert args[5] == log_model.p
+        assert kwargs["workspace"] is state.workspace

@@ -3,7 +3,8 @@ import pytest
 import scipy.integrate as si
 
 from nltransport.errors import DomainError
-from nltransport.sources import (SourceFn, compact_source, constant_source,
+from nltransport.sources import (Kernel, SourceFn, compact_kernel, compact_source,
+                                 constant_source, inv_square_kernel,
                                  inv_square_p_source, log_kernel, log_source)
 
 
@@ -99,6 +100,58 @@ def test_generic_kernel_falls_back_to_quadrature():
     named = log_source(1.0)
     probe = np.geomspace(0.05, 50.0, 20)
     assert np.max(np.abs(generic.eval(probe, 0) - named.eval(probe, 0))) < 1e-9
+
+
+def _kernel_without_closed_forms():
+    k = log_kernel()
+    return SourceFn(kind="kernel_inf", h_inf=1.0,
+                    kernel=Kernel(name="log-generic", k=k.k, kprime=k.kprime))
+
+
+def _tabulated_log():
+    ys = np.geomspace(1e-9, 1e9, 400)
+    return SourceFn(kind="tabulated", h_inf=1.0, table=(ys, log_source(1.0).eval(ys, 0)))
+
+
+FUSED_SOURCES = {
+    "constant": lambda: constant_source(1.0),
+    "log": lambda: log_source(1.0),
+    "log_h_inf_1e-3": lambda: log_source(1e-3),
+    "compact": lambda: compact_source(1.0, 1.0),
+    "compact_c40": lambda: compact_source(1.0, 40.0),
+    "inv_square": lambda: SourceFn(kind="kernel_inf", h_inf=1.0,
+                                   kernel=inv_square_kernel()),
+    "inv_square_p": lambda: inv_square_p_source(1.0, 2.0),
+    "compact_p": lambda: SourceFn(kind="kernel_p", h_inf=1.0,
+                                  kernel=compact_kernel(4.0), p=2.0),
+    "generic_kernel": _kernel_without_closed_forms,
+    "tabulated": _tabulated_log,
+}
+
+
+@pytest.mark.parametrize("name", list(FUSED_SOURCES))
+def test_eval_orders_matches_eval(name):
+    # the log kernel's in-place closed form moves only roundings (measured
+    # worst 6.6e-16, its h''); other sources take eval itself
+    src = FUSED_SOURCES[name]()
+    y = np.geomspace(1e-8, 1e8, 2001).reshape(3, 667)
+    if name == "generic_kernel":
+        y = np.geomspace(0.05, 50.0, 20).reshape(4, 5)  # its h is a quadrature
+    for count in (2, 3):
+        out = [np.full_like(y, np.nan) for _ in range(count)]
+        assert src.eval_orders(y, out) is out
+        for order, got in enumerate(out):
+            ref = src.eval(y, order)
+            assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), (order, count)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3])
+def test_eval_orders_rejects_nonpositive_points(bad):
+    y = np.geomspace(1e-3, 1e3, 12).reshape(3, 4)
+    y[2, 1] = bad
+    for name in ("constant", "log", "inv_square_p", "tabulated"):
+        with pytest.raises(DomainError):
+            FUSED_SOURCES[name]().eval_orders(y, [np.empty_like(y), np.empty_like(y)])
 
 
 def test_compact_kernel_m1():
