@@ -30,15 +30,16 @@ The module needs no scipy: the level map's tables are not-a-knot cubic
 splines solved by one tridiagonal sweep (``_Spline``), and ``_brent`` is a
 port of scipy's ``brentq``.
 
-``brute_force`` runs backward-induction dynamic programming in reversed time
-(so the pinned endpoint becomes an initial condition) as an independent
-oracle, and ``extremal_history_certificate`` checks the delay functional F
-against sampled histories on both sides of the flat history.
+``verification_certificate`` checks the closed forms against sampled
+controls, and ``extremal_history_certificate`` checks the delay functional F
+against sampled histories on both sides of the flat history.  The tests'
+independent oracle, backward-induction dynamic programming in reversed time,
+is ``brute_force`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -173,9 +174,6 @@ class ControlProblem:
             raise DomainError(
                 f"state x={x:.6g} outside the reachable set ({lo:.6g}, {hi:.6g}) "
                 f"for variant {self.variant}")
-
-    def with_x(self, x: float) -> "ControlProblem":
-        return replace(self, x=float(x))
 
     def hypothesis_report(self) -> dict:
         """Check of the shape condition required by the variant, to 1e-9, on
@@ -737,14 +735,6 @@ def value(prob: ControlProblem, x: float | None = None):
     return value_min1infw(prob, x)
 
 
-def value_x_derivative(prob: ControlProblem, x: float, rel_step: float = 1e-6):
-    """Centered finite difference of the closed-form value in x."""
-    h = rel_step * max(abs(x), 1.0)
-    v_hi, _ = value(prob, x + h)
-    v_lo, _ = value(prob, x - h)
-    return (v_hi - v_lo) / (2.0 * h)
-
-
 # -- sampled-control verification -----------------------------------------------
 
 
@@ -778,118 +768,6 @@ def verification_certificate(prob: ControlProblem, n_samples: int = 500,
     return {"variant": prob.variant, "payoff": prob.g.name,
             "n_samples": n_samples, "seed": seed,
             "worst_margin": float(worst)}
-
-
-# -- dynamic-programming oracle ----------------------------------------------------
-
-
-def brute_force(prob: ControlProblem, n_steps: int = 64, x_nodes: int = 512,
-                v_levels: int = 9) -> dict:
-    """Backward-induction oracle on the reversed-time state.
-
-    In reversed time sigma = T - s the pinned endpoint becomes the initial
-    state u(0) = y with du/dsigma = u/p + v, so accumulated payoff propagates
-    forward over a log-spaced state grid per stage with exact state updates.
-    Restricted controls bound the true value from the correct side, up to
-    linear-interpolation error (reported via refinement of the caller).
-    """
-    if n_steps > 256:
-        raise DomainError("oracle capped at 256 steps")
-    p = prob.p
-    S = prob.horizon
-    dsig = S / n_steps
-    if prob.is_max:
-        levels = np.concatenate([[0.0], np.linspace(1.0 / (v_levels - 1), 1.0,
-                                                    v_levels - 1)])
-    else:
-        levels = np.geomspace(1.0, MIN_CONTROL_CEILING, v_levels)
-    u_gl, w_gl = unit_gauss_nodes(4)
-
-    def stage_grid(k: int):
-        sig = k * dsig
-        lo = prob.y * np.exp(sig / p)
-        hi = (prob.y + p) * np.exp(sig / p) - p
-        if prob.is_max:
-            pad = 1e-9 * (hi - lo)
-            return np.geomspace(lo + pad, hi - pad, x_nodes)
-        hi_min = (prob.y + MIN_CONTROL_CEILING * p) * np.exp(sig / p) \
-            - MIN_CONTROL_CEILING * p
-        if hi_min <= hi:
-            return np.geomspace(hi * (1 + 1e-9), hi * 2.0, x_nodes)
-        pad = 1e-9 * (hi_min - hi)
-        return np.geomspace(hi + pad, hi_min - pad, x_nodes)
-
-    def segment_payoff(pred, v, sig0):
-        """Per-node payoff over [sig0, sig0 + dsig] with constant control v."""
-        sig_nodes = sig0 + dsig * u_gl
-        v_arr = np.broadcast_to(np.asarray(v, dtype=float), pred.shape)
-        useg = (pred[:, None] * np.exp((sig_nodes - sig0) / p)[None, :]
-                + v_arr[:, None] * p * np.expm1((sig_nodes - sig0) / p)[None, :])
-        flat = v_arr <= 0.0
-        ratio = useg / np.where(v_arr[:, None] > 0.0, v_arr[:, None], 1.0)
-        gv = np.where(flat[:, None], prob.g.g_inf, prob.g(ratio))
-        if prob.weighted:
-            gv = gv * np.exp(-sig_nodes / p)[None, :] * v_arr[:, None]
-        return dsig * (gv @ w_gl)
-
-    # the stage-0 tube is the single point y, so the first stage is exact:
-    # each node of stage 1 is reached by one continuous control value
-    grid = stage_grid(1)
-    e1 = np.exp(dsig / p)
-    v_first = (grid - e1 * prob.y) / (p * (e1 - 1.0))
-    J = segment_payoff(np.full(x_nodes, prob.y), v_first, 0.0)
-    clipped = False
-    policy_counts = np.zeros(len(levels), dtype=int)
-    for k in range(2, n_steps + 1):
-        new_grid = stage_grid(k)
-        sig0 = (k - 1) * dsig
-        best = np.full(x_nodes, -np.inf if prob.is_max else np.inf)
-        best_lvl = np.zeros(x_nodes, dtype=int)
-        span = grid[-1] - grid[0]
-        slack = 1e-7 * max(span, 1e-12)
-        for li, v in enumerate(levels):
-            # predecessor state: u' = e^{dsig/p} u + v p (e^{dsig/p} - 1)
-            pred = np.exp(-dsig / p) * new_grid - v * p * (1.0 - np.exp(-dsig / p))
-            # predecessors outside the previous reachable tube are infeasible;
-            # clipping them would fabricate better-than-optimal paths
-            feasible = (pred >= grid[0] - slack) & (pred <= grid[-1] + slack)
-            if np.any((pred < grid[0]) | (pred > grid[-1])):
-                clipped = True
-            pred_c = np.clip(pred, grid[0], grid[-1])
-            Jv = np.interp(pred_c, grid, J)
-            if v == 0.0 and prob.weighted:
-                seg = np.zeros(x_nodes)
-            else:
-                seg = segment_payoff(pred_c, v, sig0)
-            cand = Jv + seg
-            cand = np.where(feasible, cand, -np.inf if prob.is_max else np.inf)
-            if prob.is_max:
-                take = cand > best
-            else:
-                take = cand < best
-            best = np.where(take, cand, best)
-            best_lvl = np.where(take, li, best_lvl)
-        # the switching curve rides the upper tube boundary; count the policy
-        # away from it (lower 3/4 of the tube in log position)
-        pos = (np.log(new_grid) - np.log(new_grid[0])) \
-            / (np.log(new_grid[-1]) - np.log(new_grid[0]))
-        away = pos <= 0.75
-        counts = np.bincount(best_lvl[away], minlength=len(levels))
-        policy_counts += counts
-        grid, J = new_grid, best
-    x_query = prob.x
-    if x_query is None:
-        raise DomainError("oracle needs the problem's state x")
-    est = float(np.interp(x_query, grid, J))
-    bang = (policy_counts[0] + policy_counts[-1]) / max(policy_counts.sum(), 1)
-    return {
-        "estimate": est,
-        "clipped": clipped,
-        "policy_counts": policy_counts.tolist(),
-        "bang_bang_fraction": float(bang if prob.is_max else np.nan),
-        "ceiling_fraction": float(policy_counts[-1] / max(policy_counts.sum(), 1)),
-        "levels": levels.tolist(),
-    }
 
 
 # -- stationarity at the flat control ----------------------------------------------

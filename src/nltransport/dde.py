@@ -30,9 +30,9 @@ evolved variable and is interpolated piecewise linearly, so a trial rho sets
 d log I/dt = p rho - 1, log I by the trapezoid and R(s) = s/p + [log I(s) -
 log I(0)]/p at the new node; this keeps e^R piecewise exponential, exactly
 the structure the shared reconstruction assumes, and I at a committed node is
-exp(log I), not the functional's value.  Second, it evaluates the history
-functionals: f and g (``fg_at``), the log I interpolant and the history
-ratio v.
+exp(log I), not the functional's value.  Second, it evaluates f and g at a
+node (``fg_at``) from the committed reconstruction, through the pointwise
+identity F(v) - F(1) + G = B xi - h.
 
 The module also carries the constant-source reduction: when h is constant the
 pair I1 = (I/I(0))^{1/p}, I2 = (1/p) int_0^t e^{-(t-s)/p} I1(s) ds closes into
@@ -73,16 +73,6 @@ class IHistory(LagrangianState):
     @property
     def dlogI(self):
         return self._dlogI[:self.n]
-
-    # -- history interpolation ------------------------------------------------
-
-    def logI_at(self, s):
-        """Piecewise-linear interpolant of log I."""
-        return np.interp(s, self.t, self.logI)
-
-    def v(self, t: float, s):
-        """History ratio v_t(s) = (I(s)/I(t))^{1/p}."""
-        return np.exp((self.logI_at(s) - self.logI_at(t)) / self.model.p)
 
     def fg_at(self, k: int) -> tuple[float, float]:
         """(f, g) at node k from the committed reconstruction.
@@ -135,25 +125,6 @@ class IHistory(LagrangianState):
     step = LagrangianState.step
 
 
-def v_and_z(hist: IHistory, p: float, t: float, s, y: float):
-    """(v_t(s), z(s)) for the history; z solves the ratio-weighted drift ODE."""
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s_arr > t + 1e-12):
-        raise DomainError("need s <= t")
-    if y <= 0:
-        raise DomainError("need y > 0")
-    v = hist.v(t, s_arr)
-    # z(s) = e^{(t-s)/p} y + int_s^t e^{(s'-s)/p} v_t(s') ds'  via fine trapezoid
-    z = np.empty_like(s_arr)
-    for i, si in enumerate(s_arr):
-        sg = np.linspace(si, t, 4001)
-        integrand = np.exp((sg - si) / p) * hist.v(t, sg)
-        z[i] = np.exp((t - si) / p) * y + np.trapezoid(integrand, sg)
-    if np.ndim(s) == 0:
-        return float(v[0]), float(z[0])
-    return v, z
-
-
 # -- the history functional F and its gradient ---------------------------------
 
 
@@ -177,37 +148,6 @@ def F_of_path(source, p: float, t: float, y, s_grid: np.ndarray, v_vals: np.ndar
     part2 = source.eval(arg, 1) @ w
     out = part1 - (1.0 + y_arr / p) * part2
     return float(out[0]) if np.ndim(y) == 0 else out
-
-
-def F_flat_closed(source, p: float, t: float, y):
-    """F(t, y, 1) = h(y) - e^{-t/p} h(y_p(0)) in closed form."""
-    y = np.asarray(y, dtype=float)
-    y_p0 = np.expm1(t / p) * (y + p) + y
-    return source.eval(y, 0) - np.exp(-t / p) * source.eval(y_p0, 0)
-
-
-def F_eval(model: Model, hist: IHistory, t: float, y, n_points: int | None = None):
-    """F(t, y, v_t(.)) with the history taken from ``hist`` (direct quadrature)."""
-    k = hist.node_index(t)
-    n = max(2 * k, 2) + 1 if n_points is None else int(n_points)
-    s_grid = np.linspace(0.0, t, n)
-    v_vals = hist.v(t, s_grid)
-    return F_of_path(model.source, model.p, t, y, s_grid, v_vals)
-
-
-def G_eval(model: Model, hist: IHistory, t: float, y, xi0: Profile | None = None):
-    """Initial-data remainder G(t, y, v_t(.))."""
-    xi0 = hist.xi0 if xi0 is None else xi0
-    p = model.p
-    y = np.asarray(y, dtype=float)
-    v0 = float(hist.v(t, 0.0))
-    s_grid = np.linspace(0.0, t, 4001)
-    P = cumtrapz(np.exp(s_grid / p) * hist.v(t, s_grid), x=s_grid)
-    z0 = np.exp(t / p) * y + P[-1]
-    y_p0 = np.expm1(t / p) * (y + p) + y
-    return (v0 * xi0(z0 / v0) / p * np.exp(-t / p)
-            - (1.0 + y / p) * xi0.d(z0 / v0)
-            - np.exp(-t / p) * model.source.eval(y_p0, 0))
 
 
 def dF_gradient(source, p: float, t: float, y: float, s_grid: np.ndarray,

@@ -76,17 +76,6 @@ class Profile:
             pair=pair,
         )
 
-    def plus(self, other: "Profile", descriptor: str | None = None) -> "Profile":
-        sec = None
-        if self.second is not None and other.second is not None:
-            sec = lambda y: self.second(y) + other.second(y)
-        return Profile(
-            value=lambda y: self.value(y) + other.value(y),
-            deriv=lambda y: self.deriv(y) + other.deriv(y),
-            second=sec,
-            descriptor=descriptor or f"{self.descriptor}+{other.descriptor}",
-        )
-
 
 class FunctionalSpec:
     """Exponent q, cutoff eps0 and weights a(.), b(.) of the functional family.

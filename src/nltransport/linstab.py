@@ -64,15 +64,6 @@ FIT_WINDOW = 0.5  # trailing fraction of the samples its decay fit uses
 TABLE_SLACK = 1e-9  # reach past a table's grid, relative to its span, taken as rounding
 
 
-def semigroup(prof: Profile, p: float, t: float, y):
-    """(e^{-Bt} prof)(y)."""
-    if t < 0:
-        raise DomainError("semigroup defined for t >= 0")
-    y = np.asarray(y, dtype=float)
-    Y = np.exp(t / p) * y + p * np.expm1(t / p)
-    return np.exp(-t / p) * prof(Y)
-
-
 class Linearization:
     """Kernel, forcing and delay coefficients of the linearized flow."""
 
@@ -104,13 +95,6 @@ class Linearization:
         y = np.asarray(y, dtype=float)
         A = self.model.equilibrium_A(y)
         return A / self.p - y * self.model.source.eval(y, 1)
-
-    def B2A_xi_p(self, y):
-        """(B^2 A xi_p)(y) = (1/p) BA xi_p + h' + (1 + y/p) y h''."""
-        y = np.asarray(y, dtype=float)
-        src = self.model.source
-        return (self.BA_xi_p(y) / self.p + src.eval(y, 1)
-                + (1.0 + y / self.p) * y * src.eval(y, 2))
 
     # -- the convolution kernel ------------------------------------------------
 
@@ -309,32 +293,6 @@ class Linearization:
         yq = np.asarray(yq, dtype=float)
         tabs = self._reconstruction_tables(tgrid[:idx + 1], yq)
         return self._perturbation_from_tab(xi0_tilde, tgrid, u, idx, yq, *tabs)
-
-    # -- perturbation functionals ------------------------------------------------
-
-    def perturbation_deltas(self, zeta_tilde: Profile) -> tuple[float, float]:
-        """The two closure functionals of the perturbed flow; both vanish at 0.
-
-        delta1 is the rho shift itself; delta2 collects the quadratic
-        remainder of the gradient pairing against the linearized one.
-        """
-        spec = self.model.functional
-        y = self.nodes
-        xi = self.model.xi_p_nodes + zeta_tilde(y)
-        dxi = self.model.dxi_p_nodes + zeta_tilde.d(y)
-        if np.any(xi < 0):
-            raise ModelViolationError("perturbed profile lost nonnegativity")
-        grad = spec.gradient_from_samples(xi)
-        Bz = zeta_tilde(y) / self.p - (1.0 + y / self.p) * zeta_tilde.d(y)
-        den = self.p * spec.value_from_samples(xi) + spec.pair_from_samples(
-            grad, xi - y * dxi)
-        if den <= 0:
-            raise ModelViolationError("perturbed admissibility denominator <= 0")
-        pair_pert = spec.pair_from_samples(grad, Bz)
-        pair_lin = spec.pair_from_samples(self.dI_p, Bz)
-        delta1 = -pair_pert / den
-        delta2 = pair_pert * self.denom / den - pair_lin
-        return float(delta1), float(delta2)
 
     # -- delay forms ----------------------------------------------------------------
 

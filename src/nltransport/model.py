@@ -163,24 +163,3 @@ class Model:
         xi = self.equilibrium_values(y, 0)
         dxi = self.equilibrium_values(y, 1)
         return (-self.source.eval(y, 0) - dxi + (xi - y * dxi) / self.p)
-
-    def gradient_floor_report(self, profiles) -> dict:
-        """Sampled infimum of I(zeta) + <dI(zeta), h> over a profile family.
-
-        The model requires this combination to stay positive; no closed-form
-        constant is available, so the report flags any nonpositive sample.
-        """
-        vals = []
-        for prof in profiles:
-            spec = self.functional
-            zeta = np.asarray(prof(spec.nodes), dtype=float)
-            I_val = spec.value_from_samples(zeta)
-            pairing = spec.pair_from_samples(spec.gradient_from_samples(zeta),
-                                             self.h_nodes)
-            vals.append(I_val + pairing)
-        vals = np.asarray(vals)
-        return {
-            "sampled_infimum": float(vals.min()),
-            "n_profiles": len(vals),
-            "nonpositive": bool(np.any(vals <= 0.0)),
-        }

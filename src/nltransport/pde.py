@@ -40,8 +40,6 @@ to interpolate log I instead, with I = exp(log I).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, NumericalError, StepError
@@ -52,6 +50,7 @@ from .trajectory import Trajectory
 
 MAX_FIXED_POINT_ITERS = 50
 DEFAULT_TOL = 1e-12
+TAU_PANEL_NODES = 12  # Gauss nodes per backward-time panel of reconstruct_profile
 
 
 def _tau_panel_edges(t_total: float, y_min: float, dt: float, p: float) -> np.ndarray:
@@ -78,13 +77,6 @@ def _exp_segment(E0, rate, width):
                     E0 * width)
 
 
-def exp_cumulative(t_nodes: np.ndarray, R_nodes: np.ndarray) -> np.ndarray:
-    """C(t_k) = int_0^{t_k} e^R at every node, R linear between nodes."""
-    widths = np.diff(t_nodes)
-    seg = _exp_segment(np.exp(R_nodes[:-1]), np.diff(R_nodes) / widths, widths)
-    return np.concatenate([[0.0], np.cumsum(seg)])
-
-
 class Workspace:
     """Grow-only buffers for the N_y x N_tau arrays of ``reconstruct_profile``.
 
@@ -109,9 +101,8 @@ class Workspace:
 
 
 def reconstruct_profile(source, xi0: Profile, t_nodes: np.ndarray, R_nodes: np.ndarray,
-                        yq: np.ndarray, p: float, need_second: bool = False,
-                        nodes_per_panel: int = 12, *, C_nodes: np.ndarray | None = None,
-                        workspace: Workspace | None = None):
+                        yq: np.ndarray, p: float, need_second: bool = False, *,
+                        C_nodes: np.ndarray, workspace: Workspace):
     """Interpolant-exact reconstruction of (xi, dxi[, d2xi]) at the final time.
 
     Treats R as piecewise linear between the committed nodes (so e^R is
@@ -120,17 +111,15 @@ def reconstruct_profile(source, xi0: Profile, t_nodes: np.ndarray, R_nodes: np.n
     origin where the source is unbounded.  Both stepping routes and their
     diagnostics reconstruct through it.
 
-    ``C_nodes`` is the cumulative ``exp_cumulative(t_nodes, R_nodes)`` that a
-    stepping state carries.  Given it, a call costs O(N_y N_tau) source
-    evaluations plus O(N_tau log k) to locate the N_tau panel nodes among the
-    k intervals; without it the cumulative is rebuilt, O(k) more per call.
+    ``C_nodes`` is the cumulative C(t_j) = int_0^{t_j} e^R at the nodes that a
+    stepping state carries, so a call costs O(N_y N_tau) source evaluations
+    plus O(N_tau log k) to locate the N_tau panel nodes among the k intervals.
 
     The N_y x N_tau arrays are the characteristic feet
     ys = yq E_k/E_s + (C_k - C_s)/E_s and h, h' (and h'') there, evaluated in
-    one pass by ``SourceFn.eval_orders``.  They live in ``workspace`` (a
-    stepping state passes its own); without one they are allocated per call.
-    E_s and 1/E_s are folded into the tau weights, so the products h E_s and
-    h''/E_s are never formed.
+    one pass by ``SourceFn.eval_orders``.  They live in ``workspace``, which a
+    stepping state owns.  E_s and 1/E_s are folded into the tau weights, so
+    the products h E_s and h''/E_s are never formed.
     """
     yq = np.asarray(yq, dtype=float)
     k = len(t_nodes) - 1
@@ -139,13 +128,11 @@ def reconstruct_profile(source, xi0: Profile, t_nodes: np.ndarray, R_nodes: np.n
         if need_second:
             out.append(xi0.d2(yq))
         return tuple(out)
-    if C_nodes is None:
-        C_nodes = exp_cumulative(t_nodes, R_nodes)
     t_k = t_nodes[-1]
     dt = t_nodes[1] - t_nodes[0]
 
     edges = _tau_panel_edges(t_k, float(np.min(yq)), dt, p)
-    u, gw = unit_gauss_nodes(nodes_per_panel)
+    u, gw = unit_gauss_nodes(TAU_PANEL_NODES)
     widths = np.diff(edges)
     tau = (edges[:-1, None] + widths[:, None] * u).ravel()
     w_tau = (widths[:, None] * gw).ravel()
@@ -160,8 +147,6 @@ def reconstruct_profile(source, xi0: Profile, t_nodes: np.ndarray, R_nodes: np.n
     E_k = np.exp(R_nodes[-1])
     C_k = C_nodes[-1]
 
-    if workspace is None:
-        workspace = Workspace()
     ys, *h = workspace.arrays(4 if need_second else 3, (len(yq), len(tau)))
     # one rank-2 product, a single BLAS pass; multiply.outer plus a broadcast
     # add costs ~5x more through numpy's per-row loop overhead
@@ -176,55 +161,6 @@ def reconstruct_profile(source, xi0: Profile, t_nodes: np.ndarray, R_nodes: np.n
         return xi, dxi
     d2 = (xi0.d2(y0) + h[2] @ (w_tau / E_s)) * E_k
     return xi, dxi, d2
-
-
-@dataclass
-class RhoHistory:
-    """Committed times, rho samples and their exact cumulative integrals."""
-
-    t: np.ndarray
-    rho: np.ndarray
-    R: np.ndarray  # int_0^t rho, exact for the piecewise-linear interpolant
-
-    def _locate(self, s: float) -> tuple[int, float]:
-        if s < self.t[0] - 1e-12 or s > self.t[-1] + 1e-12:
-            raise DomainError(f"time {s} outside committed history")
-        s = min(max(s, self.t[0]), self.t[-1])
-        j = int(np.searchsorted(self.t, s, side="right") - 1)
-        j = min(j, len(self.t) - 2) if len(self.t) > 1 else 0
-        return j, s
-
-    def rho_at(self, s: float) -> float:
-        j, s = self._locate(s)
-        if len(self.t) == 1:
-            return float(self.rho[0])
-        t0, t1 = self.t[j], self.t[j + 1]
-        lam = (s - t0) / (t1 - t0)
-        return float((1 - lam) * self.rho[j] + lam * self.rho[j + 1])
-
-    def R_at(self, s: float) -> float:
-        j, s = self._locate(s)
-        if len(self.t) == 1:
-            return float(self.R[0])
-        dt = s - self.t[j]
-        return float(self.R[j] + 0.5 * dt * (self.rho[j] + self.rho_at(s)))
-
-
-def characteristic(hist: RhoHistory, t: float, y, s: float):
-    """Backward characteristic position y(s) for the curve ending at (y, t)."""
-    if s > t + 1e-12:
-        raise DomainError("need s <= t on a backward characteristic")
-    s = min(s, t)
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
-        raise DomainError("characteristic requires y > 0")
-    R_t = hist.R_at(t)
-    R_s = hist.R_at(s)
-    inner = [s] + [float(u) for u in hist.t if s < u < t] + [t]
-    nodes = np.array(inner)
-    E = np.exp([hist.R_at(u) for u in nodes])
-    drift = np.trapezoid(E, nodes) / np.exp(R_s)
-    return np.exp(R_t - R_s) * y + drift
 
 
 class LagrangianState:
@@ -266,10 +202,6 @@ class LagrangianState:
     def I(self):
         return self._I[:self.n]
 
-    def history(self) -> RhoHistory:
-        return RhoHistory(t=self.t.copy(), rho=self.rho_values.copy(),
-                          R=self._R[:self.n].copy())
-
     def _grow(self):
         if self.n >= len(self._t):
             for name in self._BUFFERS:
@@ -287,30 +219,6 @@ class LagrangianState:
 
     # -- reconstruction -------------------------------------------------------
 
-    def _samples_at_index(self, k: int, yq: np.ndarray, need_second: bool = False):
-        """(xi, dxi[, d2xi]) at query points for the committed node k."""
-        E = self._E[:k + 1]
-        C = self._C[:k + 1]
-        t = self._t[:k + 1]
-        yq = np.asarray(yq, dtype=float)
-        ys = (E[k] * yq[:, None] + (C[k] - C[None, :])) / E[None, :]
-        src = self.model.source
-        h = src.eval(ys, 0)
-        h1 = src.eval(ys, 1)
-        if k == 0:
-            w = np.zeros(1)
-        else:
-            w = np.full(k + 1, t[1] - t[0])
-            w[0] = w[-1] = 0.5 * (t[1] - t[0])
-        xi0_val, xi0_d = self.xi0.pair_eval(ys[:, 0])
-        xi = (xi0_val + (h * E[None, :]) @ w) / E[k]
-        dxi = xi0_d + h1 @ w
-        if not need_second:
-            return xi, dxi
-        h2 = src.eval(ys, 2)
-        d2 = self.xi0.d2(ys[:, 0]) * E[k] + (h2 / E[None, :]) @ w * E[k]
-        return xi, dxi, d2
-
     def refined_samples(self, k: int, yq: np.ndarray, need_second: bool = False):
         """Diagnostic-quality reconstruction at node k (graded panels)."""
         return reconstruct_profile(self.model.source, self.xi0,
@@ -318,24 +226,6 @@ class LagrangianState:
                                    np.asarray(yq, dtype=float), self.model.p,
                                    need_second=need_second, C_nodes=self._C[:k + 1],
                                    workspace=self.workspace)
-
-    def xi_eval(self, y, t: float | None = None, scheme: str = "refined"):
-        """(xi(y,t), d xi/d y (y,t)) at a committed node time (default: latest).
-
-        ``scheme="grid"`` evaluates the plain history-grid trapezoid instead of
-        the graded-panel reconstruction used by the evolution.
-        """
-        k = self.n - 1 if t is None else self.node_index(t)
-        scalar = np.ndim(y) == 0
-        if scheme == "grid":
-            xi, dxi = self._samples_at_index(k, np.atleast_1d(y))
-        else:
-            xi, dxi = self.refined_samples(k, np.atleast_1d(y))
-        if np.min(xi) < -1e-12:
-            raise NumericalError("reconstructed profile lost nonnegativity")
-        if scalar:
-            return float(xi[0]), float(dxi[0])
-        return xi, dxi
 
     # -- stepping ---------------------------------------------------------------
 
@@ -480,17 +370,9 @@ def consistency_residual(traj: Trajectory) -> float:
         raise DomainError("consistency residual needs uniform sampling")
     logI = np.log(traj.I)
     dlog = (logI[2:] - logI[:-2]) / (2.0 * dt)
-    denom = traj.monitors.get("p")
-    p = denom if denom else _infer_p(traj)
+    p = traj.monitors["state"].model.p
     resid = np.abs(dlog - (p * traj.rho[1:-1] - 1.0)) / p
     return float(np.max(resid))
-
-
-def _infer_p(traj: Trajectory) -> float:
-    state = traj.monitors.get("state")
-    if state is None:
-        raise DomainError("trajectory lacks the model reference needed for p")
-    return state.model.p
 
 
 def cumulative_rho_bound_gap(traj: Trajectory) -> float:
@@ -511,16 +393,3 @@ def cumulative_rho_bound_gap(traj: Trajectory) -> float:
     bound = float(np.log(np.max(I) / np.min(I)) / p)
     return bound - spread
 
-
-def admissible_scale_range(model: Model, scales) -> dict:
-    """Empirical admissibility of c * xi_p initial data (no closed-form range)."""
-    xi_p = model.equilibrium_profile()
-    admissible, rejected = [], []
-    for c in scales:
-        prof = xi_p.scaled(float(c))
-        try:
-            model.check_admissible(prof)
-            admissible.append(float(c))
-        except Exception:
-            rejected.append(float(c))
-    return {"admissible": admissible, "rejected": rejected}

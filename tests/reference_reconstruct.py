@@ -10,7 +10,8 @@ agree to rounding.
 
 import numpy as np
 
-from nltransport.pde import _exp_segment, _tau_panel_edges, exp_cumulative
+from nltransport.pde import _exp_segment, _tau_panel_edges
+from oracles import exp_cumulative
 from nltransport.quadrature import unit_gauss_nodes
 
 

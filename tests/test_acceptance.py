@@ -4,9 +4,11 @@ Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see them
 on success; failures always show the line).
 """
 
+import dataclasses
 import time
 
 import numpy as np
+import oracles
 import pytest
 
 from nltransport import (canonical_functional, constant_source,
@@ -243,10 +245,10 @@ def test_criterion_09_control_certificates(log_model):
         for frac in fracs:
             lo, hi = base.reachable_bounds()
             x = lo + frac * (hi - lo) if np.isfinite(hi) else lo * (1 + frac)
-            prob = base.with_x(x)
+            prob = dataclasses.replace(base, x=float(x))
             vcl, _ = cc.value(prob)
-            g_coarse = cc.brute_force(prob, 64, 512, 9)["estimate"]
-            g_fine = cc.brute_force(prob, 128, 1024, 9)["estimate"]
+            g_coarse = oracles.brute_force(prob, 64, 512, 9)["estimate"]
+            g_fine = oracles.brute_force(prob, 128, 1024, 9)["estimate"]
             gap_c = (vcl - g_coarse) if prob.is_max else (g_coarse - vcl)
             gap_f = (vcl - g_fine) if prob.is_max else (g_fine - vcl)
             scen += 1
@@ -316,14 +318,14 @@ def test_criterion_10_gradients(log_model):
         lo, hi = prob.reachable_bounds()
         for frac in (0.3, 0.6):
             x = lo + frac * (hi - lo) if np.isfinite(hi) else lo * (1 + frac)
-            min_slope = min(min_slope, cc.value_x_derivative(prob, x))
+            min_slope = min(min_slope, oracles.value_x_derivative(prob, x))
 
     # the discounted-min value patches C1 across its region boundary
     prob = cc.ControlProblem("min1infw", g2, P, y, T, t0)
     bound = cc.value_min1infw(prob, 2.0 * prob.x_p(t0))[1]["boundary_ratio_region"]
     eps_b = 1e-6 * bound
-    d_lo = cc.value_x_derivative(prob, bound - 3 * eps_b, rel_step=1e-7)
-    d_hi = cc.value_x_derivative(prob, bound + 3 * eps_b, rel_step=1e-7)
+    d_lo = oracles.value_x_derivative(prob, bound - 3 * eps_b, rel_step=1e-7)
+    d_hi = oracles.value_x_derivative(prob, bound + 3 * eps_b, rel_step=1e-7)
     patch = abs(d_hi - d_lo)
 
     ok = (rel_dI < 1e-5 and worst_dF < 1e-4 and min_slope >= -1e-8

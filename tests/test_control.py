@@ -1,4 +1,7 @@
+import dataclasses
+
 import numpy as np
+import oracles
 import pytest
 
 from nltransport import compact_source, constant_source, log_source
@@ -398,7 +401,7 @@ def test_value_monotone_in_x(g_unweighted, g_weighted):
         prob = cc.ControlProblem(variant, g, P, Y, T, T0)
         for frac in (0.25, 0.5, 0.75):
             x = _mid_state(prob, frac)
-            assert cc.value_x_derivative(prob, x) >= -1e-8
+            assert oracles.value_x_derivative(prob, x) >= -1e-8
 
 
 def test_c1_patching_min_weighted(g_weighted):
@@ -409,8 +412,8 @@ def test_c1_patching_min_weighted(g_weighted):
     v_lo, i_lo = cc.value_min1infw(prob, bound - eps)
     v_hi, i_hi = cc.value_min1infw(prob, bound + eps)
     assert i_lo["region"] == "merge" and i_hi["region"] == "ratio"
-    d_lo = cc.value_x_derivative(prob, bound - 3 * eps, rel_step=1e-7)
-    d_hi = cc.value_x_derivative(prob, bound + 3 * eps, rel_step=1e-7)
+    d_lo = oracles.value_x_derivative(prob, bound - 3 * eps, rel_step=1e-7)
+    d_hi = oracles.value_x_derivative(prob, bound + 3 * eps, rel_step=1e-7)
     assert abs(v_hi - v_lo - (2 * eps) * 0.5 * (d_lo + d_hi)) < 1e-6
     assert abs(d_hi - d_lo) < 1e-6
 
@@ -426,8 +429,8 @@ def test_c1_patching_compact_flat_boundary():
     v_lo, i_lo = cc.value_min1infw(prob, bound - eps)
     v_hi, i_hi = cc.value_min1infw(prob, bound + eps)
     assert {i_lo["region"], i_hi["region"]} == {"flat", "ratio"}
-    d_lo = cc.value_x_derivative(prob, bound - 3 * eps, rel_step=1e-7)
-    d_hi = cc.value_x_derivative(prob, bound + 3 * eps, rel_step=1e-7)
+    d_lo = oracles.value_x_derivative(prob, bound - 3 * eps, rel_step=1e-7)
+    d_hi = oracles.value_x_derivative(prob, bound + 3 * eps, rel_step=1e-7)
     assert abs(d_hi - d_lo) < 1e-6
 
 
@@ -458,8 +461,8 @@ def test_three_region_classification():
     _, info = cc.value_min1infw(prob, _mid_state(prob, 1.5))
     bound = info["boundary_flat_region"]
     eps = 1e-6 * bound
-    d_lo = cc.value_x_derivative(prob, bound - 3 * eps, rel_step=1e-7)
-    d_hi = cc.value_x_derivative(prob, bound + 3 * eps, rel_step=1e-7)
+    d_lo = oracles.value_x_derivative(prob, bound - 3 * eps, rel_step=1e-7)
+    d_hi = oracles.value_x_derivative(prob, bound + 3 * eps, rel_step=1e-7)
     assert abs(d_hi - d_lo) < 1e-6
 
 
@@ -472,10 +475,10 @@ def test_dp_oracle_bounds_and_refinement(g_unweighted, g_weighted):
         prob0 = cc.ControlProblem(variant, g, P, Y, T, T0)
         fracs = (0.3, 0.6) if not prob0.is_max else (0.3, 0.5, 0.7)
         for frac in fracs:
-            prob = prob0.with_x(_mid_state(prob0, frac))
+            prob = dataclasses.replace(prob0, x=float(_mid_state(prob0, frac)))
             vcl, _ = cc.value(prob)
-            c1 = cc.brute_force(prob, 64, 512, 9)
-            c2 = cc.brute_force(prob, 128, 1024, 9)
+            c1 = oracles.brute_force(prob, 64, 512, 9)
+            c2 = oracles.brute_force(prob, 128, 1024, 9)
             g1 = (vcl - c1["estimate"]) if prob.is_max else (c1["estimate"] - vcl)
             g2 = (vcl - c2["estimate"]) if prob.is_max else (c2["estimate"] - vcl)
             assert g1 >= -1e-9  # bound on the correct side
@@ -487,15 +490,15 @@ def test_dp_oracle_bounds_and_refinement(g_unweighted, g_weighted):
 
 def test_dp_oracle_bang_bang(g_unweighted):
     prob = cc.ControlProblem("max01", g_unweighted, P, Y, T, T0)
-    prob = prob.with_x(_mid_state(prob))
-    rep = cc.brute_force(prob, 64, 512, 9)
+    prob = dataclasses.replace(prob, x=float(_mid_state(prob)))
+    rep = oracles.brute_force(prob, 64, 512, 9)
     assert rep["bang_bang_fraction"] >= 0.95
 
 
 def test_dp_ceiling_monitor(g_weighted):
     prob = cc.ControlProblem("min1infw", g_weighted, P, Y, T, T0)
-    prob = prob.with_x(_mid_state(prob, 0.4))
-    rep = cc.brute_force(prob, 64, 256, 9)
+    prob = dataclasses.replace(prob, x=float(_mid_state(prob, 0.4)))
+    rep = oracles.brute_force(prob, 64, 256, 9)
     assert rep["ceiling_fraction"] < 0.9
 
 

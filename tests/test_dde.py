@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 
 from nltransport import canonical_functional
@@ -24,11 +25,11 @@ def test_v_and_z_flat_history(eq_history):
     # constant I: v = 1 and z equals the frozen characteristic
     p, t, y = 2.0, 1.0, 1.3
     s = 0.4
-    v, z = dde.v_and_z(eq_history, p, t, s, y)
+    v, z = oracles.v_and_z(eq_history, p, t, s, y)
     assert abs(v - 1.0) < 1e-12
     y_p = np.exp((t - s) / p) * y + p * (np.exp((t - s) / p) - 1.0)
     assert abs(z - y_p) < 1e-7
-    v_end, z_end = dde.v_and_z(eq_history, p, t, t, y)
+    v_end, z_end = oracles.v_and_z(eq_history, p, t, t, y)
     assert abs(v_end - 1.0) < 1e-14 and abs(z_end - y) < 1e-12
 
 
@@ -42,8 +43,8 @@ def test_v_and_z_relates_to_characteristic(log_model, log_model_p3):
         state.step(0.02)
     t, y = 1.0, 1.7
     for s in (0.0, 0.35, 0.8):
-        v, z = dde.v_and_z(hist, 2.0, t, s, y)
-        y_char = pde.characteristic(state.history(), t, y, s)
+        v, z = oracles.v_and_z(hist, 2.0, t, s, y)
+        y_char = oracles.characteristic(oracles.rho_history(state), t, y, s)
         # the two routes interpolate their histories differently (log I vs
         # rho piecewise linear), so agreement is O(dt^2)
         assert abs(z / v - y_char) < 5e-5
@@ -52,13 +53,13 @@ def test_v_and_z_relates_to_characteristic(log_model, log_model_p3):
 def test_F_flat_closed_form(log_model, eq_history):
     # F at the flat history collapses to h(y) - e^{-t/p} h(y_p(0))
     for y in (0.5, 1.0, 3.0):
-        direct = dde.F_eval(log_model, eq_history, 1.0, y, n_points=20001)
-        closed = float(dde.F_flat_closed(log_model.source, 2.0, 1.0, y))
+        direct = oracles.F_eval(log_model, eq_history, 1.0, y, n_points=20001)
+        closed = float(oracles.F_flat_closed(log_model.source, 2.0, 1.0, y))
         assert abs(direct - closed) < 1e-7
 
 
 def test_F_zero_horizon(log_model, eq_history):
-    assert abs(dde.F_eval(log_model, eq_history, 0.0, 1.0)) < 1e-14
+    assert abs(oracles.F_eval(log_model, eq_history, 0.0, 1.0)) < 1e-14
 
 
 def test_AA4_identity_against_pde(log_model, log_model_p3):
@@ -72,13 +73,14 @@ def test_AA4_identity_against_pde(log_model, log_model_p3):
     t = 1.0
     p = 2.0
     for y in (1.0, 2.5):
-        xi, dxi = state.xi_eval(np.array([y]), t)
+        xi, dxi = state.refined_samples(state.node_index(t), np.array([y]))
         Bxi = xi[0] / p - (1.0 + y / p) * dxi[0]
-        F = dde.F_eval(log_model, hist, t, y, n_points=40001)
-        v0 = float(hist.v(t, 0.0))
+        F = oracles.F_eval(log_model, hist, t, y, n_points=40001)
+        v0 = float(oracles.history_ratio(hist, t, 0.0))
         s_grid = np.linspace(0.0, t, 40001)
         from nltransport.quadrature import cumtrapz
-        P = cumtrapz(np.exp(s_grid / p) * hist.v(t, s_grid), x=s_grid)
+        P = cumtrapz(np.exp(s_grid / p) * oracles.history_ratio(hist, t, s_grid),
+                     x=s_grid)
         z0 = np.exp(t / p) * y + P[-1]
         init = (v0 * xi0(z0 / v0) / p * np.exp(-t / p)
                 - (1.0 + y / p) * xi0.d(z0 / v0))
@@ -92,7 +94,7 @@ def test_carried_cumulative_matches_batch(log_model, log_model_p3, route):
     for _ in range(200):
         state.step(0.01)
     carried = state._C[:state.n]
-    batch = pde.exp_cumulative(state.t, state._R[:state.n])
+    batch = oracles.exp_cumulative(state.t, state._R[:state.n])
     assert np.max(np.abs(carried - batch) / np.maximum(batch, 1e-300)) <= 1e-15
 
 
@@ -106,15 +108,15 @@ def test_off_node_times_are_rejected(log_model, log_model_p3, route):
     for _ in range(10):
         state.step(0.02)
     assert [state.node_index(t) for t in (0.0, 0.1, 0.2)] == [0, 5, 10]
-    assert state.xi_eval(1.3, 0.2) == state.xi_eval(1.3)
+    at_node = state.refined_samples(state.node_index(0.2), np.array([1.3]))
+    latest = state.refined_samples(state.n - 1, np.array([1.3]))
+    assert all(np.array_equal(a, b) for a, b in zip(at_node, latest))
     for t in (0.05, 0.19, 0.22, -0.02):
         with pytest.raises(DomainError):
             state.node_index(t)
-        with pytest.raises(DomainError):
-            state.xi_eval(1.3, t)
         if route is dde.IHistory:
             with pytest.raises(DomainError):
-                dde.F_eval(log_model, state, t, 1.3)
+                oracles.F_eval(log_model, state, t, 1.3)
 
 
 @pytest.mark.parametrize("module", [pde, dde], ids=["pde", "dde"])
@@ -147,7 +149,7 @@ def test_G_decays_exponentially(log_model, log_model_p3):
     hist = dde.IHistory(log_model, xi0)
     for _ in range(300):
         hist.step(0.02)
-    vals = [abs(float(dde.G_eval(log_model, hist, t, 1.0))) for t in (2.0, 4.0, 6.0)]
+    vals = [abs(float(oracles.G_eval(log_model, hist, t, 1.0))) for t in (2.0, 4.0, 6.0)]
     # bounded by C e^{-t/p} when the history stays near flat
     assert vals[1] <= np.exp(-1.0) * vals[0] * 3.0
     assert vals[2] <= np.exp(-2.0) * vals[0] * 3.0
@@ -201,7 +203,7 @@ def test_dF_flat_equals_delay_coefficient(log_model, linearization):
         # pointwise delay coefficient before pairing: e^{-B(t-tau)} B^2 A xi_p (y)
         # minus the foot-point correction
         Y = lin.shift(t - tau, np.array([y]))[0]
-        term1 = np.exp(-(t - tau) / p) * lin.B2A_xi_p(np.array([Y]))[0]
+        term1 = np.exp(-(t - tau) / p) * oracles.B2A_xi_p(lin, np.array([Y]))[0]
         y_p0 = np.exp(t / p) * y + p * np.expm1(t / p)
         corr = (src.eval(y_p0, 1) - src.eval(y_p0, 0) / (p + y_p0)
                 + log_model._tail(np.array([y_p0]))[0] / p)

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nltransport
 from nltransport.cli import SUBCOMMANDS, main as cli_main
 from nltransport.config import OPTIONS, ConfigError, Scenario, load, validate
 from nltransport import control, experiments
@@ -294,6 +297,64 @@ def test_bench_tracer_targets_resolve(tmp_path):
     count, unwrapped = done.stdout.splitlines()[-1].split(" ", 1)
     assert int(count) > 0
     assert json.loads(unwrapped) == []
+
+
+# Public names that nothing in src/ or bench/ calls, kept in src/ for a reason.
+KEPT = {
+    "dde.const_h_ode": "crit 08's separate route for constant sources, and a "
+                       "documented library feature",
+    "dde.dF_gradient": "the history gradient that ROADMAP item 2's adversarial "
+                       "search in control-verify is to climb",
+    "control.stationarity_check": "ROADMAP item 2 wires it into the "
+                                  "control-verify report",
+    "linstab.Linearization.perturbation_at": "the tests' entry into "
+                                             "linear_evolve's own reconstruction",
+    "linstab.Linearization.delay_problem": "the linearization's delay form",
+    "linstab.Linearization.convolution_delay_problem":
+        "the linearization's convolution delay form",
+}
+
+
+def _public_definitions(tree, module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+            yield f"{module}.{node.name}", node.name
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def test_src_has_no_test_only_public_names():
+    # a public function, class or method that only tests reach belongs in
+    # tests/ (oracles.py beside the tests that use it), or nowhere
+    root = pathlib.Path(__file__).resolve().parent.parent
+    src = sorted((root / "src" / "nltransport").glob("*.py"))
+    tracing = root / "bench" / "tracing.py"
+    trees = {path: ast.parse(path.read_text())
+             for path in src + sorted((root / "bench").glob("*.py"))}
+    used = set(nltransport.__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    traced = {f"{node.elts[0].value}.{node.elts[1].value}"
+              for node in ast.walk(trees[tracing])
+              if isinstance(node, ast.Tuple) and len(node.elts) == 3
+              and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                      for e in node.elts)}
+    unreferenced = sorted(
+        qualified for path in src
+        for qualified, name in _public_definitions(trees[path], path.stem)
+        if name not in used and qualified not in traced)
+    if unreferenced != sorted(KEPT):
+        lines = [f"{name} (kept: {KEPT[name]})" if name in KEPT else name
+                 for name in unreferenced]
+        lines += [f"{name} (in KEPT, but referenced or gone)"
+                  for name in sorted(set(KEPT) - set(unreferenced))]
+        pytest.fail(f"{len(unreferenced)} public names that nothing in src/ or "
+                    "bench/ references:\n" + "\n".join(lines))
 
 
 def _doc_for(tmp_path, experiment):

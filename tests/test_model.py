@@ -1,6 +1,7 @@
 import dataclasses
 
 import numpy as np
+import oracles
 import pytest
 import scipy.integrate as si
 from hypothesis import given, settings
@@ -125,7 +126,7 @@ def test_gradient_floor_report(log_model):
                 log_model.equilibrium_profile().scaled(0.5),
                 log_model.equilibrium_profile().scaled(2.0),
                 Profile.constant(0.0), Profile.constant(4.0)]
-    rep = log_model.gradient_floor_report(profiles)
+    rep = oracles.gradient_floor_report(log_model, profiles)
     assert rep["n_profiles"] == 5
     assert not rep["nonpositive"]
     print(f"sampled infimum of I + <dI, h>: {rep['sampled_infimum']:.6f}")

@@ -1,6 +1,7 @@
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,30 +17,30 @@ from nltransport import dde, pde
 def make_history(rho_const, T=4.0, n=401):
     t = np.linspace(0.0, T, n)
     rho = np.full(n, rho_const)
-    return pde.RhoHistory(t=t, rho=rho, R=rho_const * t)
+    return oracles.RhoHistory(t=t, rho=rho, R=rho_const * t)
 
 
 def test_characteristic_constant_rho():
     # rho = 1/p: y(s) = e^{(t-s)/p} y + p (e^{(t-s)/p} - 1); at t-s = 2 log 2: 4
     hist = make_history(0.5)
-    val = pde.characteristic(hist, t=2.0 * np.log(2.0), y=1.0, s=0.0)
+    val = oracles.characteristic(hist, t=2.0 * np.log(2.0), y=1.0, s=0.0)
     assert abs(val - 4.0) < 2e-5
 
 
 def test_characteristic_zero_rho_drift():
     hist = make_history(0.0)
-    assert abs(pde.characteristic(hist, 3.0, 1.0, 1.0) - 3.0) < 1e-12
+    assert abs(oracles.characteristic(hist, 3.0, 1.0, 1.0) - 3.0) < 1e-12
 
 
 def test_characteristic_endpoint_identity():
     hist = make_history(0.5)
-    assert abs(pde.characteristic(hist, 2.0, 1.5, 2.0) - 1.5) < 1e-14
+    assert abs(oracles.characteristic(hist, 2.0, 1.5, 2.0) - 1.5) < 1e-14
 
 
 def test_characteristic_rejects_reversed_times():
     hist = make_history(0.5)
     with pytest.raises(DomainError):
-        pde.characteristic(hist, 1.0, 1.0, 2.0)
+        oracles.characteristic(hist, 1.0, 1.0, 2.0)
 
 
 @settings(max_examples=15, deadline=None)
@@ -50,7 +51,7 @@ def test_characteristic_random_constant_rho(rho0, y, gap):
     hist = make_history(rho0, T=4.0, n=2001)
     e = np.exp(rho0 * gap)
     expect = e * y + (e - 1.0) / rho0
-    got = pde.characteristic(hist, t=gap, y=y, s=0.0)
+    got = oracles.characteristic(hist, t=gap, y=y, s=0.0)
     assert abs(got - expect) < 5e-6 * max(1.0, expect)
 
 
@@ -176,24 +177,6 @@ def test_positivity_all_runs(equiv_runs):
         assert np.min(xi) >= 0.0
 
 
-def test_admissible_scale_range(log_model):
-    rep = pde.admissible_scale_range(log_model, [0.25, 0.5, 1.0, 2.0, 4.0])
-    assert 1.0 in rep["admissible"]
-    print(f"admissible equilibrium scalings: {rep}")
-
-
-def test_xi_eval_grid_vs_refined_close(log_model, log_model_p3):
-    state = pde.LagrangianState(log_model,
-                                log_model_p3.equilibrium_profile())
-    for _ in range(50):
-        state.step(0.02)
-    y = np.geomspace(1.0, 50.0, 20)
-    xi_g, dxi_g = state.xi_eval(y, scheme="grid")
-    xi_r, dxi_r = state.xi_eval(y)
-    assert np.max(np.abs(xi_g - xi_r)) < 5e-4
-    assert np.max(np.abs(dxi_g - dxi_r)) < 5e-4
-
-
 # -- the step's fixed point and its cost -------------------------------------------
 
 
@@ -247,8 +230,10 @@ def test_secant_matches_picard_iteration(log_model, log_model_p3):
         guess = rho[-1]
         for _ in range(pde.MAX_FIXED_POINT_ITERS):
             R_nodes = np.array(R + [R[-1] + 0.5 * dt * (rho[-1] + guess)])
-            xi, dxi = pde.reconstruct_profile(log_model.source, xi0, np.array(t),
-                                              R_nodes, nodes, log_model.p)
+            xi, dxi = pde.reconstruct_profile(
+                log_model.source, xi0, np.array(t), R_nodes, nodes, log_model.p,
+                C_nodes=oracles.exp_cumulative(np.array(t), R_nodes),
+                workspace=pde.Workspace())
             new = log_model.rho_from_samples(xi, dxi).rho
             if abs(new - guess) < tol:
                 break
@@ -275,7 +260,7 @@ def _smooth_history(n=601, dt=0.01):
     t = dt * np.arange(n)
     rho = 0.5 + 0.2 * np.sin(3.0 * t) * np.exp(-t / 4.0)
     R = np.concatenate([[0.0], np.cumsum(0.5 * dt * (rho[1:] + rho[:-1]))])
-    return t, R, pde.exp_cumulative(t, R)
+    return t, R, oracles.exp_cumulative(t, R)
 
 
 @pytest.mark.parametrize("source", ["log", "inv_square_p"])
@@ -293,7 +278,7 @@ def test_reconstruction_matches_dense_reference(log_model, log_model_p3, source,
     work = pde.Workspace()
     for yq in (nodes, norm_query, nodes):
         ref = reconstruct_profile_reference(src, xi0, t, R, yq, 2.0, need_second=True)
-        for workspace in (None, work):
+        for workspace in (pde.Workspace(), work):
             got = pde.reconstruct_profile(src, xi0, t, R, yq, 2.0, need_second=True,
                                           C_nodes=C, workspace=workspace)
             for name, g, r in zip(("xi", "dxi", "d2"), got, ref):
@@ -314,8 +299,8 @@ def test_step_allocates_no_profile_sized_array(log_model, log_model_p3, state_cl
     for _ in range(300):
         state.step(dt)
     nodes = log_model.functional.nodes
-    n_tau = 12 * (len(pde._tau_panel_edges(state.t[-1] + dt, float(np.min(nodes)),
-                                           dt, log_model.p)) - 1)
+    edges = pde._tau_panel_edges(state.t[-1] + dt, float(np.min(nodes)), dt, log_model.p)
+    n_tau = pde.TAU_PANEL_NODES * (len(edges) - 1)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -331,8 +316,8 @@ def test_step_allocates_no_profile_sized_array(log_model, log_model_p3, state_cl
 def test_step_calls_reconstruct_profile_as_traced(log_model, log_model_p3,
                                                   state_class, monkeypatch):
     # bench/tracing.py wraps the module attribute pde.reconstruct_profile and
-    # reads t_nodes, yq and p at positions 2, 4 and 5 (and nodes_per_panel by
-    # keyword or at 7) for its tau-node count
+    # reads t_nodes, yq and p at positions 2, 4 and 5 for its tau-node count,
+    # which assumes pde.TAU_PANEL_NODES (12) nodes per panel
     state = state_class(log_model, log_model_p3.equilibrium_profile())
     state.step(0.01)
     calls = []
@@ -344,9 +329,9 @@ def test_step_calls_reconstruct_profile_as_traced(log_model, log_model_p3,
 
     monkeypatch.setattr(pde, "reconstruct_profile", recorded)
     state.step(0.01)
-    assert len(calls) == 3
+    assert len(calls) == 3 and pde.TAU_PANEL_NODES == 12
     for args, kwargs in calls:
-        assert len(args) == 6 and "nodes_per_panel" not in kwargs
+        assert len(args) == 6
         assert np.array_equal(args[2], state.t)
         assert np.array_equal(args[4], log_model.functional.nodes)
         assert args[5] == log_model.p
