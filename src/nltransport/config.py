@@ -21,7 +21,6 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DomainError
 from .functionals import FunctionalSpec, Profile
 from .model import Model
 from .sources import (NAMED_KERNELS, SourceFn, compact_kernel, compact_source,
@@ -187,13 +186,10 @@ class Scenario:
             b0 = q * float(source.eval(eps0, 0)) * cfg.get("b_scale", 1.0)
         else:
             b0 = float(b_cfg)
-        a_cfg = cfg.get("a", "inverse_square")
-        if a_cfg == "inverse_square":
+        if cfg.get("a", "inverse_square") == "inverse_square":
             a_fn = lambda y: y ** -2.0
-        elif a_cfg == "exponential":
-            a_fn = lambda y: np.exp(-y)
         else:
-            raise ConfigError(f"model.functional.a: unknown weight {a_cfg!r}")
+            a_fn = lambda y: np.exp(-y)
         spec = FunctionalSpec(q=q, eps0=eps0, a=a_fn,
                               b=lambda y: np.full_like(np.asarray(y, float), b0))
         spec.check_dominates(source)
@@ -259,9 +255,6 @@ def validate(doc: Any, path: str = "config") -> Scenario:
     _expect(p > 0, f"{path}.model.p", "must be positive")
     source = _get(model_cfg, "source", f"{path}.model", dict)
     kind = _get(source, "kind", f"{path}.model.source", str)
-    _expect(kind != "tabulated", f"{path}.model.source.kind",
-            "tabulated sources cannot build a model: the equilibrium needs h "
-            "beyond the end of the table")
     _expect(kind in ("constant", "kernel_inf", "kernel_p"),
             f"{path}.model.source.kind", f"unknown source kind {kind!r}")
     if kind in ("kernel_inf", "kernel_p"):
@@ -278,10 +271,19 @@ def validate(doc: Any, path: str = "config") -> Scenario:
     h_inf = _get(source, "h_inf", f"{path}.model.source", float, 1.0)
     _expect(h_inf > 0, f"{path}.model.source.h_inf", "must be positive")
     func = _get(model_cfg, "functional", f"{path}.model", dict, {})
-    q = _get(func, "q", f"{path}.model.functional", float, 1.0)
-    _expect(q > 0, f"{path}.model.functional.q", "must be positive")
-    eps0 = _get(func, "eps0", f"{path}.model.functional", float, 1.0)
-    _expect(eps0 > 0, f"{path}.model.functional.eps0", "must be positive")
+    fpath = f"{path}.model.functional"
+    q = _get(func, "q", fpath, float, 1.0)
+    _expect(q > 0, f"{fpath}.q", "must be positive")
+    eps0 = _get(func, "eps0", fpath, float, 1.0)
+    _expect(eps0 > 0, f"{fpath}.eps0", "must be positive")
+    a = _get(func, "a", fpath, str, "inverse_square")
+    _expect(a in ("inverse_square", "exponential"), f"{fpath}.a",
+            f"must be inverse_square or exponential, got {a!r}")
+    if func.get("b", "h_at_eps0") != "h_at_eps0":
+        _expect(not isinstance(func["b"], str), f"{fpath}.b",
+                f"must be a number or 'h_at_eps0', got {func['b']!r}")
+        _get(func, "b", fpath, float)
+    _get(func, "b_scale", fpath, float, 1.0)
 
     initial_cfg = _get(doc, "initial", path, dict, {"family": "equilibrium"})
     family = _get(initial_cfg, "family", f"{path}.initial", str, "equilibrium")
@@ -294,6 +296,9 @@ def validate(doc: Any, path: str = "config") -> Scenario:
     if family == "scaled_equilibrium":
         factor = _get(initial_cfg, "factor", f"{path}.initial", float)
         _expect(factor > 0, f"{path}.initial.factor", "must be positive")
+    if family == "perturbed_equilibrium":
+        for key, default in (("amplitude", 1e-3), ("decay", 1.0)):
+            _get(initial_cfg, key, f"{path}.initial", float, default)
 
     run_cfg = _get(doc, "run", path, dict, {})
     T = _get(run_cfg, "T", f"{path}.run", float, 10.0)

@@ -135,7 +135,6 @@ class ControlProblem:
     y: float
     T: float
     t: float
-    x: float | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -312,9 +311,8 @@ def _gauss_integral(f, a: float, b: float) -> float:
     return float(np.dot(ws, f(s)))
 
 
-def value_max01(prob: ControlProblem, x: float | None = None) -> tuple[float, float]:
+def value_max01(prob: ControlProblem, x: float) -> tuple[float, float]:
     """Closed-form value and switching time for the unweighted max problem."""
-    x = prob.x if x is None else x
     prob.check_state(x)
     tau = _switch_time(prob, x)
     val = (tau - prob.t) * prob.g.g_inf + _gauss_integral(
@@ -322,9 +320,8 @@ def value_max01(prob: ControlProblem, x: float | None = None) -> tuple[float, fl
     return val, tau
 
 
-def value_max01w(prob: ControlProblem, x: float | None = None) -> tuple[float, float]:
+def value_max01w(prob: ControlProblem, x: float) -> tuple[float, float]:
     """Closed-form value and switching time for the discounted max problem."""
-    x = prob.x if x is None else x
     prob.check_state(x)
     tau = _switch_time(prob, x)
     val = _gauss_integral(
@@ -333,14 +330,13 @@ def value_max01w(prob: ControlProblem, x: float | None = None) -> tuple[float, f
     return val, tau
 
 
-def value_min1inf(prob: ControlProblem, x: float | None = None) -> tuple[float, dict]:
+def value_min1inf(prob: ControlProblem, x: float) -> tuple[float, dict]:
     """Closed-form value for the unweighted min problem.
 
     Below the frozen-ratio boundary x_p(t, T) = y e^{(1/p + 1/y)(T-t)} the
     optimal characteristic merges with x_p at a time found by bisection;
     above it the ratio lambda solves the single exponential relation.
     """
-    x = prob.x if x is None else x
     prob.check_state(x)
     p, y, T, t = prob.p, prob.y, prob.T, prob.t
     boundary = y * np.exp((1.0 / p + 1.0 / y) * (T - t))
@@ -601,7 +597,7 @@ def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
                          f"evaluations; last iterate {xcur!r}")
 
 
-def value_min1infw(prob: ControlProblem, x: float | None = None) -> tuple[float, dict]:
+def value_min1infw(prob: ControlProblem, x: float) -> tuple[float, dict]:
     """Closed-form value for the discounted min problem (three regions).
 
     Region "ratio": characteristics y_p(s, lambda) built from the level map;
@@ -611,7 +607,6 @@ def value_min1infw(prob: ControlProblem, x: float | None = None) -> tuple[float,
     whose end values are known limits.  The value integrals use cumulative
     Simpson on a uniform s grid.
     """
-    x = prob.x if x is None else x
     prob.check_state(x)
     g = prob.g
     p, y, T, t = prob.p, prob.y, prob.T, prob.t
@@ -711,9 +706,8 @@ def _merge_state(prob: ControlProblem, cm: CharMap, tq: float, tau: float) -> fl
     return xp_tau * np.exp(integ)
 
 
-def value(prob: ControlProblem, x: float | None = None):
+def value(prob: ControlProblem, x: float):
     """Dispatch to the closed form for the problem's variant."""
-    x = prob.x if x is None else x
     if prob.variant == "max01":
         if prob.g.degenerate:
             prob.check_state(x)

@@ -67,10 +67,6 @@ class IHistory(LagrangianState):
         self._I[0] = np.exp(self._logI[0])
 
     @property
-    def logI(self):
-        return self._logI[:self.n]
-
-    @property
     def dlogI(self):
         return self._dlogI[:self.n]
 

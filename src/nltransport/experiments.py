@@ -319,10 +319,8 @@ def run_scenario(config_path: str, overrides: dict | None = None) -> int:
         print(f"config error: {exc}")
         return EXIT_SCHEMA
     except (NumericalError, ModelViolationError, ArithmeticError, ValueError) as exc:
-        # DomainError and the argument checks of the one scipy call left
-        # (PCHIP in tabulated sources) are ValueErrors;
-        # ArithmeticError covers ZeroDivisionError, FloatingPointError and
-        # OverflowError
+        # DomainError is a ValueError; ArithmeticError covers
+        # ZeroDivisionError, FloatingPointError and OverflowError
         print(f"numeric error: {type(exc).__name__}: {' '.join(str(exc).split())}")
         return EXIT_NUMERIC
     report_path = os.path.join(scn.output_dir, "report.json")

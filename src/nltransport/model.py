@@ -18,9 +18,8 @@ whose derivatives close analytically:
     xi_p''(y) = -p h'(y)/(p+y)
     A xi_p(y) = p [J(y) + y h(y)/(p+y)].
 
-Every one of these reads the same J from ``SourceFn.equilibrium_tail``: a
-closed form for the named sources, mapped quadrature for a kernel built
-without one.
+Every one of these reads the same J from ``SourceFn.equilibrium_tail``, a
+closed form for every source.
 """
 
 from __future__ import annotations

@@ -2,9 +2,11 @@
 
 The substitution y = a + u/(1-u) maps [0,1) onto [a, inf); integrands with
 algebraic tails become smooth on the unit interval, so a fixed Gauss-Legendre
-rule converges fast.  ``tail_integral_refined`` doubles the node count until
-the relative change falls below ``rtol`` (cap ``nmax``), the policy used for
-every semi-infinite integral in the package.
+rule converges fast.  ``HalfLineRule`` is the functionals' fixed rule.
+``tail_integral_refined`` doubles the node count until the relative change
+falls below ``rtol`` (cap ``nmax``).  No source needs it, since every
+equilibrium tail in ``sources`` has a closed form; it is the independent
+quadrature that the tests check those closed forms against.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 A source is positive, nonincreasing, tends to a positive limit ``h_inf`` at
 infinity and may blow up (integrably) at the origin.  Two kernel
-parametrizations are supported besides plain constants and tables:
+parametrizations are supported besides plain constants:
 
 * ``kernel_p``:   h(y) = h_inf + int_y^inf (1 + p/y') k(y') dy',
                   so h'(y) = -(1 + p/y) k(y);
@@ -10,8 +10,8 @@ parametrizations are supported besides plain constants and tables:
                   so h'(y) = -k(y)/y  (the p -> inf limit of kernel_p).
 
 Derivatives of kernel-backed sources are always computed from k and k' in
-closed form, never by differencing.  Named kernels carry closed-form tail
-integrals so that evaluation in hot loops is pure vector arithmetic, and
+closed form, never by differencing.  Every kernel carries closed-form tail
+integrals, so that evaluation in hot loops is pure vector arithmetic, and
 ``SourceFn.eval_orders`` evaluates h, h' and h'' together into the caller's
 buffers for the profile reconstruction's large arrays.
 
@@ -24,13 +24,12 @@ which follows from h - h_inf = int_u^inf phi by exchanging the order of
 integration.  For every named kernel phi is rational, so G reduces to the
 positive integrals ``rational_tail`` and, for the compact kernel, to
 finite-interval analogues; ``SourceFn.equilibrium_tail`` uses these closed
-forms and falls back to mapped quadrature for a kernel built without them
-and for tabulated sources.
+forms and no quadrature.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Callable, Sequence
@@ -38,7 +37,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import tail_integral_refined
 
 # Below this relative spread of the poles a divided difference of logarithms
 # cancels; its positive power series then converges by at least this ratio.
@@ -140,39 +138,26 @@ def _log_tail_remainder(z, w):
 
 @dataclass(frozen=True)
 class Kernel:
-    """C^1 nonnegative decreasing kernel k with optional closed forms.
+    """C^1 nonnegative decreasing kernel k with its closed-form tails.
 
-    ``tail_inf(y)`` is int_y^inf k(u)/u du and ``tail_p(y, p)`` is
-    int_y^inf (1 + p/u) k(u) du; both fall back to mapped quadrature.
-    ``eq_tail_inf(y, p)`` and ``eq_tail_p(y, p, kp)`` are the equilibrium
-    tails G(y) = int_y^inf p (h - h_inf)(u)/(p+u)^2 du of the kernel_inf and
-    kernel_p sources (kernel parameter kp); without them the source
-    integrates J by quadrature.  ``orders_inf(y, out)`` writes h - h_inf, h'
-    and, given a third buffer, h'' of the kernel_inf source into ``out`` in
-    place, with no temporaries (see ``SourceFn.eval_orders``).
+    ``tail_inf(y)`` is int_y^inf k(u)/u du and ``eq_tail_inf(y, p)`` the
+    equilibrium tail G(y) = int_y^inf p (h - h_inf)(u)/(p+u)^2 du of the
+    kernel_inf source.  A kernel integrable at infinity may also give
+    ``tail_p(y, p)`` = int_y^inf (1 + p/u) k(u) du and ``eq_tail_p(y, p, kp)``,
+    the same tails of the kernel_p source (kernel parameter kp); without them
+    it cannot build one.  ``orders_inf(y, out)`` writes h - h_inf, h' and,
+    given a third buffer, h'' of the kernel_inf source into ``out`` in place,
+    with no temporaries (see ``SourceFn.eval_orders``).
     """
 
     name: str
     k: Callable[[np.ndarray], np.ndarray]
     kprime: Callable[[np.ndarray], np.ndarray]
-    convex: bool = False
-    tail_inf: Callable[[np.ndarray], np.ndarray] | None = None
+    tail_inf: Callable[[np.ndarray], np.ndarray]
+    eq_tail_inf: Callable[[np.ndarray, float], np.ndarray]
     tail_p: Callable[[np.ndarray, float], np.ndarray] | None = None
-    eq_tail_inf: Callable[[np.ndarray, float], np.ndarray] | None = None
     eq_tail_p: Callable[[np.ndarray, float, float], np.ndarray] | None = None
     orders_inf: Callable[[np.ndarray, Sequence[np.ndarray]], None] | None = None
-
-    def tail_over_y(self, y):
-        if self.tail_inf is not None:
-            return self.tail_inf(y)
-        return tail_integral_refined(lambda u: self.k(u) / u, y,
-                                     scale=1.0 + np.asarray(y, dtype=float))
-
-    def tail_with_p(self, y, p):
-        if self.tail_p is not None:
-            return self.tail_p(y, p)
-        return tail_integral_refined(lambda u: (1.0 + p / u) * self.k(u), y,
-                                     scale=1.0 + np.asarray(y, dtype=float))
 
 
 def log_kernel() -> Kernel:
@@ -203,7 +188,6 @@ def log_kernel() -> Kernel:
         name="log",
         k=lambda y: 1.0 / (1.0 + y),
         kprime=lambda y: -1.0 / (1.0 + y) ** 2,
-        convex=True,
         # int_y^inf du/(u(1+u)) = log(1 + 1/y)
         tail_inf=lambda y: np.log1p(1.0 / y),
         eq_tail_inf=eq_tail_inf,
@@ -280,7 +264,7 @@ def compact_kernel(cutoff: float = 1.0) -> Kernel:
         scale, Q, K = q_and_k(y, p)
         return scale * (c * K + kp * Q)
 
-    return Kernel(name=f"compact({c:g})", k=k, kprime=kprime, convex=True,
+    return Kernel(name=f"compact({c:g})", k=k, kprime=kprime,
                   tail_inf=tail_inf, tail_p=tail_p, eq_tail_inf=eq_tail_inf,
                   eq_tail_p=eq_tail_p)
 
@@ -309,7 +293,6 @@ def inv_square_kernel() -> Kernel:
         name="inv_square",
         k=lambda y: 1.0 / (1.0 + y) ** 2,
         kprime=lambda y: -2.0 / (1.0 + y) ** 3,
-        convex=True,
         tail_inf=lambda y: np.log1p(1.0 / y) - 1.0 / (1.0 + y),
         tail_p=tail_p,
         eq_tail_inf=eq_tail_inf,
@@ -328,31 +311,27 @@ NAMED_KERNELS = {
 class SourceFn:
     """The source h(.) with analytic first and second derivatives.
 
-    kind is one of ``constant``, ``kernel_p``, ``kernel_inf``, ``tabulated``.
+    kind is one of ``constant``, ``kernel_p``, ``kernel_inf``.
     """
 
     kind: str
     h_inf: float
     kernel: Kernel | None = None
     p: float | None = None
-    table: tuple[np.ndarray, np.ndarray] | None = None
-    _interp: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.h_inf <= 0:
             raise DomainError("h_inf must be positive")
-        if self.kind in ("kernel_p", "kernel_inf") and self.kernel is None:
-            raise DomainError(f"kind={self.kind} requires a kernel")
-        if self.kind == "kernel_p" and (self.p is None or self.p <= 0):
-            raise DomainError("kind=kernel_p requires p > 0")
-        if self.kind == "tabulated":
-            if self.table is None:
-                raise DomainError("kind=tabulated requires a table")
-            from scipy.interpolate import PchipInterpolator
-            ys, hs = self.table
-            object.__setattr__(self, "_interp", PchipInterpolator(ys, hs))
-        elif self.kind not in ("constant", "kernel_p", "kernel_inf"):
+        if self.kind not in ("constant", "kernel_p", "kernel_inf"):
             raise DomainError(f"unknown source kind {self.kind!r}")
+        if self.kind != "constant" and self.kernel is None:
+            raise DomainError(f"kind={self.kind} requires a kernel")
+        if self.kind == "kernel_p":
+            if self.p is None or self.p <= 0:
+                raise DomainError("kind=kernel_p requires p > 0")
+            if self.kernel.tail_p is None or self.kernel.eq_tail_p is None:
+                raise DomainError(f"kernel {self.kernel.name} has no kernel_p "
+                                  "tails (tail_p, eq_tail_p)")
 
     def __call__(self, y, order: int = 0):
         return self.eval(y, order)
@@ -370,31 +349,25 @@ class SourceFn:
             return np.zeros_like(y) if y.ndim else 0.0
         if self.kind == "kernel_inf":
             if order == 0:
-                return self.h_inf + self.kernel.tail_over_y(y)
+                return self.h_inf + self.kernel.tail_inf(y)
             if order == 1:
                 return -self.kernel.k(y) / y
             return -self.kernel.kprime(y) / y + self.kernel.k(y) / y ** 2
-        if self.kind == "kernel_p":
-            p = self.p
-            if order == 0:
-                return self.h_inf + self.kernel.tail_with_p(y, p)
-            if order == 1:
-                return -(1.0 + p / y) * self.kernel.k(y)
-            return -(1.0 + p / y) * self.kernel.kprime(y) + p / y ** 2 * self.kernel.k(y)
-        # tabulated
-        lo, hi = self.table[0][0], self.table[0][-1]
-        if np.any(y < lo) or np.any(y > hi):
-            raise DomainError("tabulated source evaluated outside table range")
-        return self._interp(y, nu=order)
+        p = self.p
+        if order == 0:
+            return self.h_inf + self.kernel.tail_p(y, p)
+        if order == 1:
+            return -(1.0 + p / y) * self.kernel.k(y)
+        return -(1.0 + p / y) * self.kernel.kprime(y) + p / y ** 2 * self.kernel.k(y)
 
     def eval_orders(self, y: np.ndarray, out: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
         """h, h' and, given a third buffer, h'' at the array y, written into ``out``.
 
         The constant source and a ``kernel_inf`` source whose kernel has
         ``orders_inf`` (the log kernel) write in place with no temporaries,
-        under one positivity check for all orders; every other source takes
-        ``eval`` once per order.  Few-point callers keep ``eval``, whose
-        per-call overhead is lower.
+        under one positivity check for all orders; the compact and
+        inv_square sources take ``eval`` once per order.  Few-point callers
+        keep ``eval``, whose per-call overhead is lower.
         """
         # fmin skips NaN, as eval's any(y <= 0) does, and allocates nothing
         if y.size and np.fmin.reduce(y, axis=None) <= 0.0:
@@ -413,68 +386,16 @@ class SourceFn:
         return out
 
     def equilibrium_tail(self, y, p: float):
-        """J(y) = int_y^inf p h(u)/(p+u)^2 du, closed form for named kernels."""
+        """J(y) = int_y^inf p h(u)/(p+u)^2 du, in closed form."""
         y = np.asarray(y, dtype=float)
         if y.ndim == 0:
             return self.equilibrium_tail(y.reshape(1), p)[0]
         base = p * self.h_inf / (p + y)
         if self.kind == "constant":
             return base
-        if self.kind == "kernel_inf" and self.kernel.eq_tail_inf is not None:
+        if self.kind == "kernel_inf":
             return base + self.kernel.eq_tail_inf(y, p)
-        if self.kind == "kernel_p" and self.kernel.eq_tail_p is not None:
-            return base + self.kernel.eq_tail_p(y, p, self.p)
-        return tail_integral_refined(lambda u: p * self.eval(u, 0) / (p + u) ** 2,
-                                     y, scale=y + p)
-
-    def validate(self, grid: np.ndarray | None = None, tol: float = 1e-9,
-                 derivative_cap: float = 1e6, check_m1: bool | None = None) -> dict:
-        """Check structural invariants on a grid; raises DomainError on failure.
-
-        Returns a report with the observed bounds (sup y|h'|, sup y^2|h''|,
-        the limit mismatch at large y, and the convexity-condition margins).
-        """
-        if grid is None:
-            grid = np.geomspace(1e-6, 1e6, 2000)
-        h = self.eval(grid, 0)
-        h1 = self.eval(grid, 1)
-        h2 = self.eval(grid, 2)
-        if np.any(h <= 0.0):
-            raise DomainError("source must be positive")
-        if np.any(np.diff(h) > tol * np.maximum(1.0, np.abs(h[:-1]))):
-            raise DomainError("source must be nonincreasing")
-        limit_gap = abs(float(self.eval(1e6, 0)) - self.h_inf)
-        if limit_gap >= 1e-4 * max(1.0, self.h_inf):
-            raise DomainError("source does not approach h_inf at large y")
-        sup_yh1 = float(np.max(grid * np.abs(h1)))
-        sup_y2h2 = float(np.max(grid ** 2 * np.abs(h2)))
-        if sup_yh1 > derivative_cap or sup_y2h2 > derivative_cap:
-            raise DomainError("weighted derivative bounds exceed the cap")
-        report = {
-            "limit_gap_at_1e6": limit_gap,
-            "sup_y_h1": sup_yh1,
-            "sup_y2_h2": sup_y2h2,
-        }
-        # y*h(y) -> 0 along the small-y end of a log grid
-        small = np.geomspace(1e-12, 1e-4, 9)
-        try:
-            yh = small * self.eval(small, 0)
-            report["yh_smallest"] = float(yh[0])
-            report["yh_to_zero"] = bool(yh[0] < 1e-3)
-        except DomainError:
-            report["yh_to_zero"] = None
-        if check_m1 is None:
-            check_m1 = self.kind == "kernel_inf" and self.kernel.convex
-        if check_m1:
-            m1a = grid * h2 + h1
-            y2h2 = grid ** 2 * h2
-            report["m1_min_yh2_plus_h1"] = float(np.min(m1a))
-            report["m1_max_increase_y2h2"] = float(np.max(np.diff(y2h2)))
-            if np.min(m1a) < -tol:
-                raise DomainError("convexity condition y h'' + h' >= 0 violated")
-            if np.max(np.diff(y2h2)) > tol:
-                raise DomainError("monotonicity of y^2 h'' violated")
-        return report
+        return base + self.kernel.eq_tail_p(y, p, self.p)
 
 
 def constant_source(h_inf: float = 1.0) -> SourceFn:

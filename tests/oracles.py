@@ -14,7 +14,9 @@ that a test compares two derivations rather than one algebra twice:
   (``value_x_derivative``);
 - the linearization's semigroup, B^2 A xi_p and its two closure functionals
   (``semigroup``, ``B2A_xi_p``, ``perturbation_deltas``), and the sampled
-  floor of I + <dI, h> over a profile family (``gradient_floor_report``).
+  floor of I + <dI, h> over a profile family (``gradient_floor_report``);
+- the structural conditions on a source, sampled on a grid
+  (``validate_source``).
 
 Methods of package classes are written here as functions of the instance.
 """
@@ -31,6 +33,7 @@ from nltransport.linstab import Linearization
 from nltransport.model import Model
 from nltransport.pde import LagrangianState, _exp_segment
 from nltransport.quadrature import cumtrapz, unit_gauss_nodes
+from nltransport.sources import SourceFn
 
 
 # -- the transport route's characteristics -----------------------------------------
@@ -103,7 +106,7 @@ def rho_history(state: LagrangianState) -> RhoHistory:
 
 def logI_at(hist: IHistory, s):
     """Piecewise-linear interpolant of log I."""
-    return np.interp(s, hist.t, hist.logI)
+    return np.interp(s, hist.t, hist._logI[:hist.n])
 
 
 def history_ratio(hist: IHistory, t: float, s):
@@ -172,9 +175,9 @@ def value_x_derivative(prob: ControlProblem, x: float, rel_step: float = 1e-6):
     return (v_hi - v_lo) / (2.0 * h)
 
 
-def brute_force(prob: ControlProblem, n_steps: int = 64, x_nodes: int = 512,
-                v_levels: int = 9) -> dict:
-    """Backward-induction oracle on the reversed-time state.
+def brute_force(prob: ControlProblem, x: float, n_steps: int = 64,
+                x_nodes: int = 512, v_levels: int = 9) -> dict:
+    """Backward-induction oracle for the value at state x.
 
     In reversed time sigma = T - s the pinned endpoint becomes the initial
     state u(0) = y with du/dsigma = u/p + v, so accumulated payoff propagates
@@ -266,10 +269,7 @@ def brute_force(prob: ControlProblem, n_steps: int = 64, x_nodes: int = 512,
         counts = np.bincount(best_lvl[away], minlength=len(levels))
         policy_counts += counts
         grid, J = new_grid, best
-    x_query = prob.x
-    if x_query is None:
-        raise DomainError("oracle needs the problem's state x")
-    est = float(np.interp(x_query, grid, J))
+    est = float(np.interp(x, grid, J))
     bang = (policy_counts[0] + policy_counts[-1]) / max(policy_counts.sum(), 1)
     return {
         "estimate": est,
@@ -346,3 +346,55 @@ def gradient_floor_report(model: Model, profiles) -> dict:
         "n_profiles": len(vals),
         "nonpositive": bool(np.any(vals <= 0.0)),
     }
+
+
+# -- the source conditions -------------------------------------------------------------
+
+
+def validate_source(source: SourceFn, grid: np.ndarray | None = None, tol: float = 1e-9,
+                    derivative_cap: float = 1e6, convex: bool = False) -> dict:
+    """Check a source's structural invariants on a grid; raises DomainError on failure.
+
+    Returns a report with the observed bounds (sup y|h'|, sup y^2|h''|, the
+    limit mismatch at large y and, for a kernel_inf source whose kernel the
+    caller declares ``convex``, the convexity-condition margins).
+    """
+    if grid is None:
+        grid = np.geomspace(1e-6, 1e6, 2000)
+    h = source.eval(grid, 0)
+    h1 = source.eval(grid, 1)
+    h2 = source.eval(grid, 2)
+    if np.any(h <= 0.0):
+        raise DomainError("source must be positive")
+    if np.any(np.diff(h) > tol * np.maximum(1.0, np.abs(h[:-1]))):
+        raise DomainError("source must be nonincreasing")
+    limit_gap = abs(float(source.eval(1e6, 0)) - source.h_inf)
+    if limit_gap >= 1e-4 * max(1.0, source.h_inf):
+        raise DomainError("source does not approach h_inf at large y")
+    sup_yh1 = float(np.max(grid * np.abs(h1)))
+    sup_y2h2 = float(np.max(grid ** 2 * np.abs(h2)))
+    if sup_yh1 > derivative_cap or sup_y2h2 > derivative_cap:
+        raise DomainError("weighted derivative bounds exceed the cap")
+    report = {
+        "limit_gap_at_1e6": limit_gap,
+        "sup_y_h1": sup_yh1,
+        "sup_y2_h2": sup_y2h2,
+    }
+    # y*h(y) -> 0 along the small-y end of a log grid
+    small = np.geomspace(1e-12, 1e-4, 9)
+    try:
+        yh = small * source.eval(small, 0)
+        report["yh_smallest"] = float(yh[0])
+        report["yh_to_zero"] = bool(yh[0] < 1e-3)
+    except DomainError:
+        report["yh_to_zero"] = None
+    if convex and source.kind == "kernel_inf":
+        m1a = grid * h2 + h1
+        y2h2 = grid ** 2 * h2
+        report["m1_min_yh2_plus_h1"] = float(np.min(m1a))
+        report["m1_max_increase_y2h2"] = float(np.max(np.diff(y2h2)))
+        if np.min(m1a) < -tol:
+            raise DomainError("convexity condition y h'' + h' >= 0 violated")
+        if np.max(np.diff(y2h2)) > tol:
+            raise DomainError("monotonicity of y^2 h'' violated")
+    return report

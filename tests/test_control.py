@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import oracles
 import pytest
@@ -472,13 +470,13 @@ def test_dp_oracle_bounds_and_refinement(g_unweighted, g_weighted):
     rng = np.random.default_rng(5)
     for variant, g in [("max01", g_unweighted), ("min1inf", g_unweighted),
                        ("max01w", g_weighted), ("min1infw", g_weighted)]:
-        prob0 = cc.ControlProblem(variant, g, P, Y, T, T0)
-        fracs = (0.3, 0.6) if not prob0.is_max else (0.3, 0.5, 0.7)
+        prob = cc.ControlProblem(variant, g, P, Y, T, T0)
+        fracs = (0.3, 0.6) if not prob.is_max else (0.3, 0.5, 0.7)
         for frac in fracs:
-            prob = dataclasses.replace(prob0, x=float(_mid_state(prob0, frac)))
-            vcl, _ = cc.value(prob)
-            c1 = oracles.brute_force(prob, 64, 512, 9)
-            c2 = oracles.brute_force(prob, 128, 1024, 9)
+            x = float(_mid_state(prob, frac))
+            vcl, _ = cc.value(prob, x)
+            c1 = oracles.brute_force(prob, x, 64, 512, 9)
+            c2 = oracles.brute_force(prob, x, 128, 1024, 9)
             g1 = (vcl - c1["estimate"]) if prob.is_max else (c1["estimate"] - vcl)
             g2 = (vcl - c2["estimate"]) if prob.is_max else (c2["estimate"] - vcl)
             assert g1 >= -1e-9  # bound on the correct side
@@ -490,15 +488,13 @@ def test_dp_oracle_bounds_and_refinement(g_unweighted, g_weighted):
 
 def test_dp_oracle_bang_bang(g_unweighted):
     prob = cc.ControlProblem("max01", g_unweighted, P, Y, T, T0)
-    prob = dataclasses.replace(prob, x=float(_mid_state(prob)))
-    rep = oracles.brute_force(prob, 64, 512, 9)
+    rep = oracles.brute_force(prob, float(_mid_state(prob)), 64, 512, 9)
     assert rep["bang_bang_fraction"] >= 0.95
 
 
 def test_dp_ceiling_monitor(g_weighted):
     prob = cc.ControlProblem("min1infw", g_weighted, P, Y, T, T0)
-    prob = dataclasses.replace(prob, x=float(_mid_state(prob, 0.4)))
-    rep = oracles.brute_force(prob, 64, 256, 9)
+    rep = oracles.brute_force(prob, float(_mid_state(prob, 0.4)), 64, 256, 9)
     assert rep["ceiling_fraction"] < 0.9
 
 
@@ -519,8 +515,10 @@ def test_extremal_hypotheses_reject_nonconvex_kernel():
     # a non-convex kernel makes y^2 h'' increase near the origin:
     # y^2 h'' = k - y k' and d/dy (k - y k') = -y k'' > 0 where k'' < 0
     from nltransport.sources import Kernel, SourceFn
+    # int_y^inf du/(u(1+u^2)) = log(1 + 1/y^2)/2; the equilibrium is never built
     k = Kernel(name="hump", k=lambda y: 1.0 / (1.0 + y ** 2),
-               kprime=lambda y: -2.0 * y / (1.0 + y ** 2) ** 2)
+               kprime=lambda y: -2.0 * y / (1.0 + y ** 2) ** 2,
+               tail_inf=lambda y: 0.5 * np.log1p(y ** -2.0), eq_tail_inf=None)
     src = SourceFn(kind="kernel_inf", h_inf=1.0, kernel=k)
     with pytest.raises(ModelViolationError):
         cc.check_extremal_hypotheses(src)

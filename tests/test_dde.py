@@ -242,7 +242,7 @@ def test_delay_route_I_is_its_log_I(equiv_runs):
     # of d log I/dt = p rho - 1; crit 02 compares this I with the transport's
     traj = equiv_runs["dde"]
     state = traj.monitors["state"]
-    logI, dlogI = state.logI, state.dlogI
+    logI, dlogI = state._logI[:state.n], state.dlogI
     assert np.array_equal(traj.I, np.exp(logI))
     assert np.array_equal(dlogI, state.model.p * traj.rho - 1.0)
     dt = state.t[1] - state.t[0]

@@ -166,8 +166,8 @@ def test_schema_violation_exit_one(tmp_path):
       "table": {"y": [0.1, 1.0, 10.0], "h": [3.0, 2.0, 1.0]}}, "model.source.kind"),
 ], ids=["kernel_p_log", "tabulated"])
 def test_sources_without_an_equilibrium_exit_one(tmp_path, capsys, source, field):
-    # kernel_p/log diverges and a table ends where J does not: neither can
-    # give a right answer, so both are schema errors before any run
+    # kernel_p/log diverges, and there is no tabulated kind (a table ends
+    # where J does not): both are schema errors before any run
     doc = base_config(str(tmp_path / "out"))
     doc["model"]["source"] = source
     assert run_scenario(write_config(tmp_path, doc)) == EXIT_SCHEMA
@@ -176,20 +176,36 @@ def test_sources_without_an_equilibrium_exit_one(tmp_path, capsys, source, field
     assert not (tmp_path / "out" / "report.json").exists()
 
 
-@pytest.mark.parametrize("section, key, value", [
-    (("model",), "p", float("inf")),
-    (("model", "functional"), "eps0", float("inf")),
-    (("model", "functional"), "q", float("nan")),
-    (("model", "source"), "h_inf", 10 ** 400),
-    (("model", "functional"), "q", True),
-    ((), "seed", True),
-], ids=["p-infinity", "eps0-infinity", "q-nan", "h_inf-huge-int", "q-true", "seed-true"])
-def test_non_finite_and_boolean_numbers_exit_one(tmp_path, capsys, section, key, value):
-    # json reads Infinity, NaN and true as numbers; the schema does not
+PERTURBED = {"family": "perturbed_equilibrium"}
+
+
+@pytest.mark.parametrize("section, key, value, given", [
+    (("model",), "p", float("inf"), {}),
+    (("model", "functional"), "eps0", float("inf"), {}),
+    (("model", "functional"), "q", float("nan"), {}),
+    (("model", "source"), "h_inf", 10 ** 400, {}),
+    (("model", "functional"), "q", True, {}),
+    ((), "seed", True, {}),
+    (("model", "functional"), "b_scale", "2", {}),
+    (("model", "functional"), "b", "abc", {}),
+    (("model", "functional"), "b", True, {}),
+    (("model", "functional"), "a", "cubic", {}),
+    (("initial",), "amplitude", "x", PERTURBED),
+    (("initial",), "decay", float("inf"), PERTURBED),
+], ids=["p-infinity", "eps0-infinity", "q-nan", "h_inf-huge-int", "q-true", "seed-true",
+        "b_scale-string", "b-string", "b-true", "a-unknown", "amplitude-string",
+        "decay-infinity"])
+def test_non_finite_and_boolean_numbers_exit_one(tmp_path, capsys, section, key, value,
+                                                 given):
+    # json reads Infinity, NaN and true as numbers, and a field may hold a
+    # string where a number belongs; the schema takes none of them.  The
+    # section holds ``given`` besides the bad field (the initial family whose
+    # builder reads it).
     doc = base_config(str(tmp_path / "out"))
     target = doc
     for name in section:
         target = target[name]
+    target.update(given)
     target[key] = value
     assert run_scenario(write_config(tmp_path, doc)) == EXIT_SCHEMA
     out = capsys.readouterr().out
@@ -262,10 +278,15 @@ def _scipy_modules_after(tmp_path, script, *args):
 
 
 @pytest.mark.parametrize("experiment", ["control-verify", "linear-stability",
-                                        "volterra-demo"])
+                                        "volterra-demo", "equilibrium",
+                                        "simulate-pde"])
 def test_experiment_import_budget(tmp_path, experiment):
-    # no experiment loads scipy: only tabulated sources (PCHIP) still use it
-    cfg = write_config(tmp_path, _small_run_config(tmp_path, experiment))
+    # no experiment loads scipy (simulate-dde is checked above): it is a test
+    # dependency only
+    doc = _doc_for(tmp_path, experiment)
+    if experiment in ("equilibrium", "simulate-pde"):
+        doc["model"]["source"] = {"kind": "kernel_inf", "kernel": "log", "h_inf": 1.0}
+    cfg = write_config(tmp_path, doc)
     script = ("import sys\n"
               "import nltransport.cli\n"
               "code = nltransport.cli.main([sys.argv[1], '--config', sys.argv[2]])\n"
@@ -316,29 +337,32 @@ KEPT = {
 
 
 def _public_definitions(tree, module):
+    """(qualified name, name, is a method) of each public def and class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", node.name, False
             for item in node.body if isinstance(node, ast.ClassDef) else ():
                 if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
-                    yield f"{module}.{node.name}.{item.name}", item.name
+                    yield f"{module}.{node.name}.{item.name}", item.name, True
 
 
 def test_src_has_no_test_only_public_names():
     # a public function, class or method that only tests reach belongs in
-    # tests/ (oracles.py beside the tests that use it), or nowhere
+    # tests/ (oracles.py beside the tests that use it), or nowhere.  A method
+    # counts as used only through attribute access: a bare name spelled alike
+    # (config.validate for SourceFn.validate) does not reach it.
     root = pathlib.Path(__file__).resolve().parent.parent
     src = sorted((root / "src" / "nltransport").glob("*.py"))
     tracing = root / "bench" / "tracing.py"
     trees = {path: ast.parse(path.read_text())
              for path in src + sorted((root / "bench").glob("*.py"))}
-    used = set(nltransport.__all__)
+    names, attributes = set(nltransport.__all__), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
     traced = {f"{node.elts[0].value}.{node.elts[1].value}"
               for node in ast.walk(trees[tracing])
               if isinstance(node, ast.Tuple) and len(node.elts) == 3
@@ -346,8 +370,9 @@ def test_src_has_no_test_only_public_names():
                       for e in node.elts)}
     unreferenced = sorted(
         qualified for path in src
-        for qualified, name in _public_definitions(trees[path], path.stem)
-        if name not in used and qualified not in traced)
+        for qualified, name, method in _public_definitions(trees[path], path.stem)
+        if name not in attributes and (method or name not in names)
+        and qualified not in traced)
     if unreferenced != sorted(KEPT):
         lines = [f"{name} (kept: {KEPT[name]})" if name in KEPT else name
                  for name in unreferenced]

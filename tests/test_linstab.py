@@ -7,7 +7,7 @@ from nltransport.functionals import Profile, weighted_norm_from_samples
 from nltransport.linstab import Linearization
 from oracles import perturbation_deltas, semigroup
 from nltransport.model import Model
-from nltransport import dde, pde
+from nltransport import pde
 from nltransport.ratefit import fit_rate
 from nltransport.volterra import linear_dde_solve
 
@@ -41,12 +41,11 @@ def test_semigroup_composition():
 
 def test_log_kernel_builds_without_tail_quadrature(monkeypatch):
     # J comes from the closed form: the model, the equilibrium and the exact
-    # kernel K on 400 points never reach the quadrature fallback
+    # kernel K on 400 points never reach the mapped quadrature
     def forbidden(*args, **kwargs):
         raise AssertionError("tail_integral_refined called")
 
     monkeypatch.setattr(quadrature, "tail_integral_refined", forbidden)
-    monkeypatch.setattr(sources, "tail_integral_refined", forbidden)
     src = sources.log_source()
     model = Model(src, canonical_functional(src), 2.0)
     K = Linearization(model).kernel_K(np.linspace(0.0, 20.0, 400))

@@ -11,6 +11,7 @@ from nltransport import apply_AB, canonical_functional
 from nltransport.errors import ModelViolationError
 from nltransport.functionals import Profile
 from nltransport.model import Model
+from nltransport.quadrature import tail_integral_refined
 from nltransport.sources import (SourceFn, compact_kernel, compact_source,
                                  inv_square_kernel, inv_square_p_source,
                                  log_kernel, log_source)
@@ -133,8 +134,12 @@ def test_gradient_floor_report(log_model):
 
 
 def test_closed_form_profile_matches_quadrature(log_model):
-    # the same log kernel without its closed form integrates J by quadrature
-    kernel = dataclasses.replace(log_kernel(), eq_tail_inf=None)
+    # the same log kernel with J's excess G integrated by mapped quadrature
+    def eq_tail_quadrature(y, p):
+        return tail_integral_refined(lambda u: p * np.log1p(1.0 / u) / (p + u) ** 2,
+                                     y, scale=y + p)
+
+    kernel = dataclasses.replace(log_kernel(), eq_tail_inf=eq_tail_quadrature)
     src = SourceFn(kind="kernel_inf", h_inf=1.0, kernel=kernel)
     quad = Model(src, log_model.functional, log_model.p)
     y = np.geomspace(1e-3, 1e8, 60)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -7,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nltransport.errors import NumericalError
-from nltransport.sources import SourceFn, compact_kernel, log_kernel
+from nltransport.sources import compact_kernel
 from nltransport.quadrature import (HalfLineRule, cumtrapz, gauss_panels,
                                     simpson_integrate, tail_integral_refined,
                                     tail_integral_values, trapz_weights)
@@ -34,19 +32,17 @@ def test_tail_integral_refined_rejects_divergence():
     # (1 + 2/u)/(1 + u) ~ 1/u: the kernel_p tail of the log kernel diverges
     with pytest.raises(NumericalError, match="did not stabilize"):
         tail_integral_refined(lambda u: (1.0 + 2.0 / u) / (1.0 + u), np.array([1.0]))
-    src = SourceFn(kind="kernel_p", h_inf=1.0, kernel=log_kernel(), p=2.0)
-    with pytest.raises(NumericalError):
-        src.eval(1.0, 0)
 
 
 def test_tail_integral_refined_resolves_compact_kernel_p():
-    # the quadrature fallback of the compact kernel_p tail converges from 1e-4
+    # the mapped quadrature of the compact kernel_p tail converges from 1e-4
     # up and agrees with the closed form (c - y)^3/(3c^2) + p tail_inf(y); the
     # kink of k at c limits it to 1.1e-8 (below 1e-6 it raises)
     kernel = compact_kernel(1.0)
-    quad = dataclasses.replace(kernel, tail_p=None)
     y = np.geomspace(1e-4, 0.99, 30)
-    assert np.max(np.abs(quad.tail_with_p(y, 2.0) - kernel.tail_with_p(y, 2.0))) < 1e-7
+    quad = tail_integral_refined(lambda u: (1.0 + 2.0 / u) * kernel.k(u), y,
+                                 scale=1.0 + y)
+    assert np.max(np.abs(quad - kernel.tail_p(y, 2.0))) < 1e-7
 
 
 def test_tail_integral_vectorized_scaling():

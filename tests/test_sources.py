@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
+import oracles
 import pytest
 import scipy.integrate as si
 
 from nltransport.errors import DomainError
+from nltransport.quadrature import tail_integral_refined
 from nltransport.sources import (Kernel, SourceFn, compact_kernel, compact_source,
                                  constant_source, inv_square_kernel,
                                  inv_square_p_source, log_kernel, log_source)
@@ -55,7 +59,7 @@ def test_limit_at_infinity():
 def test_validate_log_source_m1_conditions():
     # closed forms: y h'' + h' = 1/(1+y)^2 and y^2 h'' = (2y+1)/(1+y)^2
     src = log_source(1.0)
-    rep = src.validate(tol=1e-12)
+    rep = oracles.validate_source(src, tol=1e-12, convex=True)
     grid = np.geomspace(0.01, 100.0, 50)
     m1 = grid * src.eval(grid, 2) + src.eval(grid, 1)
     assert np.max(np.abs(m1 - 1.0 / (1.0 + grid) ** 2)) < 1e-12
@@ -65,21 +69,15 @@ def test_validate_log_source_m1_conditions():
     assert rep["yh_to_zero"]
 
 
-def test_validate_rejects_increasing_table():
-    ys = np.linspace(1.0, 10.0, 20)
-    src = SourceFn(kind="tabulated", h_inf=2.0, table=(ys, 1.0 + ys / 10.0))
-    with pytest.raises(DomainError):
-        src.validate(grid=np.linspace(1.0, 10.0, 50))
-
-
-def test_tabulated_source_roundtrip():
-    base = log_source(1.0)
-    ys = np.geomspace(1e-3, 1e7, 4000)
-    tab = SourceFn(kind="tabulated", h_inf=1.0, table=(ys, base.eval(ys, 0)))
-    probe = np.geomspace(0.01, 100.0, 30)
-    assert np.max(np.abs(tab.eval(probe, 0) - base.eval(probe, 0))) < 1e-8
-    with pytest.raises(DomainError):
-        tab.eval(1e8, 0)
+def test_validate_rejects_increasing_source():
+    # the negated log kernel k < 0 makes h = 20 - log(1 + 1/y) increase
+    k = log_kernel()
+    rising = Kernel(name="negated-log", k=lambda y: -k.k(y),
+                    kprime=lambda y: -k.kprime(y), tail_inf=lambda y: -k.tail_inf(y),
+                    eq_tail_inf=lambda y, p: -k.eq_tail_inf(y, p))
+    src = SourceFn(kind="kernel_inf", h_inf=20.0, kernel=rising)
+    with pytest.raises(DomainError, match="nonincreasing"):
+        oracles.validate_source(src, grid=np.linspace(1.0, 10.0, 50))
 
 
 def test_kernel_p_closed_form():
@@ -92,25 +90,21 @@ def test_kernel_p_closed_form():
     assert abs(src.eval(y, 1) - (-(1 + 2.0 / 1.5) / 2.5 ** 2)) < 1e-14
 
 
-def test_generic_kernel_falls_back_to_quadrature():
+def test_log_kernel_tail_matches_quadrature():
+    # the closed form log(1 + 1/y) against the mapped quadrature of k(u)/u
     k = log_kernel()
-    generic = SourceFn(kind="kernel_inf", h_inf=1.0,
-                       kernel=type(k)(name="log-generic", k=k.k, kprime=k.kprime,
-                                      convex=True))
-    named = log_source(1.0)
     probe = np.geomspace(0.05, 50.0, 20)
-    assert np.max(np.abs(generic.eval(probe, 0) - named.eval(probe, 0))) < 1e-9
+    quad = tail_integral_refined(lambda u: k.k(u) / u, probe, scale=1.0 + probe)
+    assert np.max(np.abs(k.tail_inf(probe) - quad)) < 1e-9
 
 
-def _kernel_without_closed_forms():
-    k = log_kernel()
-    return SourceFn(kind="kernel_inf", h_inf=1.0,
-                    kernel=Kernel(name="log-generic", k=k.k, kprime=k.kprime))
-
-
-def _tabulated_log():
-    ys = np.geomspace(1e-9, 1e9, 400)
-    return SourceFn(kind="tabulated", h_inf=1.0, table=(ys, log_source(1.0).eval(ys, 0)))
+def test_kernel_p_needs_the_kernel_p_tails():
+    # the log kernel has none: (1 + p/u)/(1 + u) is not integrable at infinity
+    with pytest.raises(DomainError, match="tail_p"):
+        SourceFn(kind="kernel_p", h_inf=1.0, kernel=log_kernel(), p=2.0)
+    no_eq_tail = dataclasses.replace(compact_kernel(4.0), eq_tail_p=None)
+    with pytest.raises(DomainError, match="eq_tail_p"):
+        SourceFn(kind="kernel_p", h_inf=1.0, kernel=no_eq_tail, p=2.0)
 
 
 FUSED_SOURCES = {
@@ -124,8 +118,6 @@ FUSED_SOURCES = {
     "inv_square_p": lambda: inv_square_p_source(1.0, 2.0),
     "compact_p": lambda: SourceFn(kind="kernel_p", h_inf=1.0,
                                   kernel=compact_kernel(4.0), p=2.0),
-    "generic_kernel": _kernel_without_closed_forms,
-    "tabulated": _tabulated_log,
 }
 
 
@@ -135,8 +127,6 @@ def test_eval_orders_matches_eval(name):
     # worst 6.6e-16, its h''); other sources take eval itself
     src = FUSED_SOURCES[name]()
     y = np.geomspace(1e-8, 1e8, 2001).reshape(3, 667)
-    if name == "generic_kernel":
-        y = np.geomspace(0.05, 50.0, 20).reshape(4, 5)  # its h is a quadrature
     for count in (2, 3):
         out = [np.full_like(y, np.nan) for _ in range(count)]
         assert src.eval_orders(y, out) is out
@@ -149,7 +139,7 @@ def test_eval_orders_matches_eval(name):
 def test_eval_orders_rejects_nonpositive_points(bad):
     y = np.geomspace(1e-3, 1e3, 12).reshape(3, 4)
     y[2, 1] = bad
-    for name in ("constant", "log", "inv_square_p", "tabulated"):
+    for name in ("constant", "log", "inv_square_p"):
         with pytest.raises(DomainError):
             FUSED_SOURCES[name]().eval_orders(y, [np.empty_like(y), np.empty_like(y)])
 
