@@ -23,8 +23,9 @@ initial-data remainder
 
 ``IHistory`` runs this route on the stepping engine ``pde.LagrangianState``,
 which owns the node buffers, e^R and the cumulative C = int e^R at the nodes,
-node lookup, the reconstruction, the per-step fixed-point loop (secant steps
-on rho, one tolerance, one ``StepError``) and the run loop ``pde.evolve``.
+node lookup, the reconstruction, the per-step fixed-point loop (a predicted
+start, Newton and secant steps on rho, one tolerance, one ``StepError``) and
+the run loop ``pde.evolve``.
 Only two things are its own.  First, the bookkeeping of a node: log I is the
 evolved variable and is interpolated piecewise linearly, so a trial rho sets
 d log I/dt = p rho - 1, log I by the trapezoid and R(s) = s/p + [log I(s) -

@@ -19,6 +19,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -117,6 +118,9 @@ def _trajectory_report(traj) -> dict:
         "sup_inf_ratio_max": traj.monitors["sup_inf_ratio_max"],
         "final_dist1inf": float(traj.dist1inf[-1]),
         "denom_min": float(np.min(traj.denomL1)),
+        "fixed_point_evals_mean": traj.monitors["fixed_point_evals_mean"],
+        "fixed_point_evals_max": traj.monitors["fixed_point_evals_max"],
+        "fixed_point_residual_max": traj.monitors["fixed_point_residual_max"],
     }
     try:
         fit = fit_rate(traj.t, np.maximum(traj.dist1inf, 1e-300))
@@ -124,8 +128,15 @@ def _trajectory_report(traj) -> dict:
         report["dist_rate_r2"] = fit.r_squared
     except DomainError as exc:
         report["dist_rate_error"] = str(exc)
-    if len(traj) >= 3:
-        report["consistency_residual"] = pde.consistency_residual(traj)
+    # evolve also samples the last step when the stride does not divide the
+    # step count; the residual's centered differences need uniform samples
+    t = traj.t
+    m = len(t)
+    if m >= 3 and abs((t[-1] - t[-2]) - (t[1] - t[0])) > 1e-9 * (t[1] - t[0]):
+        m -= 1
+    if m >= 3:
+        uniform = replace(traj, **{name: getattr(traj, name)[:m] for name in CSV_COLUMNS})
+        report["consistency_residual"] = pde.consistency_residual(uniform)
     report["cumulative_rho_bound_slack"] = pde.cumulative_rho_bound_gap(traj)
     return report
 

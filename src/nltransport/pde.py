@@ -30,9 +30,14 @@ fixed-point loop ``step`` and the one run loop ``evolve``.  It also owns the
 characteristic feet and h, h', h'' there, from one ``SourceFn.eval_orders``
 pass), so with the log or the constant source a step allocates nothing of
 that size; ``evolve`` releases it when the run is done.  Each step solves
-the scalar self-consistency rho = rho(xi(.,t+dt; rho)) with secant steps on
-the residual rho(xi(.; g)) - g, falling back to a plain fixed-point step where
-the secant is undefined.  How a trial rho fills the new node is the route's
+the scalar self-consistency rho = rho(xi(.,t+dt; rho)) on the residual
+r(g) = rho(xi(.; g)) - g.  It starts from the linear extrapolation of the
+last two committed rho and takes a Newton step with the secant slope carried
+over from the previous step (r's slope, about -1, barely moves between
+steps), then secant steps on its own evaluations; the first step of a run,
+with no slope yet, starts at rho(0) with a plain fixed-point step.  A step
+records its evaluation count and accepted |r|, which ``evolve`` reduces to
+the run's solver telemetry.  How a trial rho fills the new node is the route's
 own: here rho is interpolated piecewise linearly, with R its exact trapezoid,
 and I at the node is the functional's value.  ``dde.IHistory`` subclasses it
 to interpolate log I instead, with I = exp(log I).
@@ -61,7 +66,8 @@ def _tau_panel_edges(t_total: float, y_min: float, dt: float, p: float) -> np.nd
     so panels double away from zero and are capped at p/2 where the
     exponential weight sets the scale.
     """
-    tau1 = min(dt, max(y_min, 1e-8))
+    t_total, p = float(t_total), float(p)  # Python floats keep the loop cheap
+    tau1 = min(float(dt), max(y_min, 1e-8))
     edges = [0.0, min(tau1, t_total)]
     width = tau1
     while edges[-1] < t_total:
@@ -71,10 +77,10 @@ def _tau_panel_edges(t_total: float, y_min: float, dt: float, p: float) -> np.nd
 
 
 def _exp_segment(E0, rate, width):
-    """int_0^width E0 e^{rate s} ds, the cumulative of e^R over one interval."""
-    big = np.abs(rate) > 1e-12
-    return np.where(big, E0 * np.expm1(rate * width) / np.where(big, rate, 1.0),
-                    E0 * width)
+    """int_0^width E0 e^{rate s} ds, the cumulative of e^R over one interval, for arrays."""
+    seg = np.multiply(E0, width)  # the rate -> 0 limit
+    return np.divide(E0 * np.expm1(rate * width), rate, out=seg,
+                     where=np.abs(rate) > 1e-12)
 
 
 class Workspace:
@@ -138,12 +144,15 @@ def reconstruct_profile(source, xi0: Profile, t_nodes: np.ndarray, R_nodes: np.n
     w_tau = (widths[:, None] * gw).ravel()
 
     s = t_k - tau
-    j = np.clip(np.searchsorted(t_nodes, s, side="right") - 1, 0, k - 1)
-    ds = s - t_nodes[j]
-    rates = (R_nodes[j + 1] - R_nodes[j]) / (t_nodes[j + 1] - t_nodes[j])
-    E_j = np.exp(R_nodes[j])
-    E_s = np.exp(R_nodes[j] + rates * ds)
-    C_s = C_nodes[j] + _exp_segment(E_j, rates, ds)
+    # tau <= t_k keeps j >= 0; s rounds up to t_k only where tau is below its ulp
+    j = np.searchsorted(t_nodes, s, side="right") - 1
+    np.minimum(j, k - 1, out=j)
+    t_j, R_j, C_j = t_nodes[j], R_nodes[j], C_nodes[j]
+    j += 1
+    rates = (R_nodes[j] - R_j) / (t_nodes[j] - t_j)
+    ds = s - t_j
+    E_s = np.exp(R_j + rates * ds)
+    C_s = C_j + _exp_segment(np.exp(R_j), rates, ds)
     E_k = np.exp(R_nodes[-1])
     C_k = C_nodes[-1]
 
@@ -171,7 +180,7 @@ class LagrangianState:
     (I at a committed node).
     """
 
-    _BUFFERS = ("_t", "_rho", "_R", "_E", "_C", "_I", "_den")
+    _BUFFERS = ("_t", "_rho", "_R", "_E", "_C", "_I", "_den", "_evals", "_resid")
 
     def __init__(self, model: Model, xi0: Profile, check_admissible: bool = True):
         self.model = model
@@ -182,6 +191,8 @@ class LagrangianState:
             setattr(self, name, np.zeros(256))  # doubled by _grow
         self._E[0] = 1.0
         self.workspace = Workspace()
+        # dr/dg of the last secant, the first update's slope in the next step
+        self.secant_slope = None
         self.n = 1
         res = model.rho(xi0)
         self._rho[0] = res.rho
@@ -244,7 +255,9 @@ class LagrangianState:
         self._E[k] = np.exp(self._R[k])
         width = self._t[k] - self._t[km]
         rate = (self._R[k] - self._R[km]) / width
-        self._C[k] = self._C[km] + _exp_segment(self._E[km], rate, width)
+        E = self._E[km]
+        self._C[k] = self._C[km] + (E * np.expm1(rate * width) / rate
+                                    if abs(rate) > 1e-12 else E * width)
 
     def _set_node(self, k: int, dt: float, rho: float) -> None:
         """Fill node k from a trial rho."""
@@ -259,27 +272,34 @@ class LagrangianState:
     def step(self, dt: float, tol: float = DEFAULT_TOL) -> "LagrangianState":
         """Append t+dt with the self-consistent rho; returns self.
 
-        Solves r(g) = rho(xi(.; g)) - g = 0 by secant steps from the first
-        fixed-point step, and accepts the first evaluation with |r| < tol.
+        Solves r(g) = rho(xi(.; g)) - g = 0 and accepts the first evaluation
+        with |r| < tol.  The first evaluation is at the linear extrapolation of
+        the last two committed rho, and the first update is a Newton step with
+        the secant slope carried over from the previous step; later updates
+        are secant steps on the step's own evaluations, keeping the last slope
+        where a secant is undefined.  The first step of a run starts at rho(0)
+        with a plain fixed-point step.
         """
         k = self._open_node(dt)
         nodes = self.model.functional.nodes
         guess = self._rho[k - 1]
+        if k > 1:
+            guess += (guess - self._rho[k - 2]) * dt / (self._t[k - 1] - self._t[k - 2])
+        slope = self.secant_slope  # None on the first step of a run
         prev = None
-        for _ in range(MAX_FIXED_POINT_ITERS):
+        for evals in range(1, MAX_FIXED_POINT_ITERS + 1):
             self._set_node(k, dt, guess)
             xi, dxi = self.refined_samples(k, nodes)
             res = self.model.rho_from_samples(xi, dxi)
             r = res.rho - guess
+            if prev is not None and guess != prev[0]:
+                secant = (r - prev[1]) / (guess - prev[0])
+                if secant != 0.0 and np.isfinite(secant):
+                    slope = self.secant_slope = secant
             if abs(r) < tol:
                 break
-            new = res.rho
-            if prev is not None:
-                slope = r - prev[1]
-                if slope != 0.0 and np.isfinite(slope):
-                    new = guess - r * (guess - prev[0]) / slope
             prev = (guess, r)
-            guess = new
+            guess = res.rho if slope is None else guess - r / slope
         else:
             raise StepError(
                 f"rho fixed point did not converge at t={self._t[k]:.6g}; "
@@ -287,17 +307,21 @@ class LagrangianState:
         self._set_node(k, dt, res.rho)
         self._commit_I(k, res)
         self._den[k] = res.denominator
+        self._evals[k] = evals
+        self._resid[k] = abs(r)
         self.n = k + 1
         return self
 
 
 def evolve(state: LagrangianState, T: float, dt: float, stride: int = 1,
            norms: bool = True) -> Trajectory:
-    """Step ``state`` to time T and sample it every ``stride`` steps.
+    """Step ``state`` to time T and sample it every ``stride`` steps and at T.
 
     The one run loop of both routes.  ``norms=False`` skips the profile-norm
     diagnostics (the dist1inf and norm2inf columns are zero-filled), which
-    makes stride-1 sampling cheap.
+    makes stride-1 sampling cheap.  The monitors include the step solver's
+    telemetry over every step: the mean and largest number of evaluations and
+    the largest accepted residual.
     """
     if T <= 0 or dt <= 0:
         raise DomainError("T and dt must be positive")
@@ -340,8 +364,12 @@ def evolve(state: LagrangianState, T: float, dt: float, stride: int = 1,
     state.workspace.release()
 
     traj = Trajectory(**{name: np.asarray(vals) for name, vals in rows.items()})
+    evals = state._evals[1:state.n]
     traj.monitors = {
         "sup_inf_ratio_max": float(np.max(sup_inf_ratio)) if sup_inf_ratio else np.nan,
+        "fixed_point_evals_mean": float(np.sum(evals) / max(len(evals), 1)),
+        "fixed_point_evals_max": int(np.max(evals, initial=0)),
+        "fixed_point_residual_max": float(np.max(state._resid[1:state.n], initial=0.0)),
         "I_min": float(np.min(traj.I)),
         "I_max": float(np.max(traj.I)),
         "I_zero_profile": float(model.functional.value(Profile.constant(0.0))),

@@ -600,6 +600,22 @@ def test_load_fuzz_gives_a_scenario_or_a_config_error(tmp_path_factory, doc, ove
         assert str(exc)
 
 
+@settings(deadline=None, max_examples=30)
+@given(experiment=st.sampled_from(["simulate-pde", "simulate-dde"]),
+       T=st.floats(0.02, 1.0), dt=st.floats(0.02, 0.25), stride=st.integers(1, 20))
+def test_valid_runs_never_exit_numeric(tmp_path_factory, experiment, T, dt, stride):
+    # pde.evolve also samples the last step when the stride does not divide the
+    # step count; that off-stride sample must not turn a valid run into exit 3
+    out = tmp_path_factory.mktemp("run")
+    doc = {"experiment": experiment, "seed": 0,
+           "model": {"p": 2.0, "source": {"kind": "kernel_inf", "kernel": "log",
+                                          "h_inf": 1.0}},
+           "initial": {"family": "wrong_equilibrium", "p_prime": 3.0},
+           "run": {"T": T, "dt": dt, "stride": stride},
+           "output": {"dir": str(out / "out")}}
+    assert run_scenario(write_config(out, doc)) in (EXIT_PASS, EXIT_ASSERTION)
+
+
 def test_assertion_failure_exit_two(tmp_path):
     doc = base_config(str(tmp_path / "out"))
     doc["options"] = {"tolerance": -1.0}  # unsatisfiable tolerance
@@ -657,8 +673,12 @@ def test_reports_are_strict_json(tmp_path):
         cfg = write_config(tmp_path, doc, name=f"{experiment}.json")
         assert run_scenario(cfg) == EXIT_PASS
         text = (tmp_path / experiment / "report.json").read_text()
-        ratios[experiment] = json.loads(text, parse_constant=reject)[experiment][
-            "sup_inf_ratio_max"]
+        entry = json.loads(text, parse_constant=reject)[experiment]
+        ratios[experiment] = entry["sup_inf_ratio_max"]
+        # the step telemetry: 20 steps, each accepted below the tolerance
+        assert 1.0 <= entry["fixed_point_evals_mean"] <= entry["fixed_point_evals_max"]
+        assert isinstance(entry["fixed_point_evals_max"], int)
+        assert 0.0 <= entry["fixed_point_residual_max"] < 1e-12
     dde_ratio, pde_ratio = ratios["simulate-dde"], ratios["simulate-pde"]
     assert isinstance(dde_ratio, float) and np.isfinite(dde_ratio)
     assert abs(dde_ratio / pde_ratio - 1.0) < 1e-6  # the default equivalence_tol

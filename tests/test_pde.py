@@ -185,9 +185,11 @@ def _wrong_equilibrium_state(log_model, log_model_p3):
                                log_model_p3.equilibrium_profile())
 
 
-def test_secant_step_work_count(log_model, log_model_p3, monkeypatch):
-    # damped fixed-point iteration took 4.91 evaluations per step (5 at most)
-    # here; both routes step with the one secant loop
+def test_secant_step_work_count(log_model, monkeypatch):
+    # the transport scenario: from the p' = 2.634 equilibrium, 600 steps of
+    # 0.01.  Started at rho_{k-1} with a first fixed-point step, every step took
+    # 3 evaluations; from the linear predictor with the carried secant slope
+    # both routes take at most 2.2 on average
     calls = []
     rho_from_samples = Model.rho_from_samples
 
@@ -195,14 +197,19 @@ def test_secant_step_work_count(log_model, log_model_p3, monkeypatch):
         calls[-1] += 1
         return rho_from_samples(self, xi, dxi)
 
+    src = log_model.source
+    xi0 = Model(src, canonical_functional(src), 2.634).equilibrium_profile()
     for state_class in (pde.LagrangianState, dde.IHistory):
-        state = state_class(log_model, log_model_p3.equilibrium_profile())
+        state = state_class(log_model, xi0)
+        calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(Model, "rho_from_samples", counted)
-            for _ in range(200):
+            for _ in range(600):
                 calls.append(0)
                 state.step(0.01)
-    assert len(calls) == 400 and max(calls) <= 3
+        assert np.array_equal(state._evals[1:state.n], calls)
+        assert np.mean(calls) <= 2.2 and max(calls) <= 3, state_class
+        assert np.max(state._resid[1:state.n]) < pde.DEFAULT_TOL
 
 
 def test_steps_reuse_the_cached_panel_rule(log_model, log_model_p3, monkeypatch):
@@ -218,29 +225,49 @@ def test_steps_reuse_the_cached_panel_rule(log_model, log_model_p3, monkeypatch)
     assert state.n == 22
 
 
-def test_secant_matches_picard_iteration(log_model, log_model_p3):
-    xi0 = log_model_p3.equilibrium_profile()
-    state = pde.LagrangianState(log_model, xi0)
-    dt, tol = 0.01, pde.DEFAULT_TOL
-    nodes = log_model.functional.nodes
-    t, rho, R = [0.0], [state.rho_values[0]], [0.0]
-    for _ in range(100):
-        state.step(dt)
+def _picard_rho(model, xi0, dts):
+    """rho at the nodes of a run with steps ``dts``, by plain fixed-point iteration."""
+    tol = pde.DEFAULT_TOL
+    nodes = model.functional.nodes
+    t, rho, R = [0.0], [model.rho(xi0).rho], [0.0]
+    for dt in dts:
         t.append(t[-1] + dt)
         guess = rho[-1]
         for _ in range(pde.MAX_FIXED_POINT_ITERS):
             R_nodes = np.array(R + [R[-1] + 0.5 * dt * (rho[-1] + guess)])
             xi, dxi = pde.reconstruct_profile(
-                log_model.source, xi0, np.array(t), R_nodes, nodes, log_model.p,
+                model.source, xi0, np.array(t), R_nodes, nodes, model.p,
                 C_nodes=oracles.exp_cumulative(np.array(t), R_nodes),
                 workspace=pde.Workspace())
-            new = log_model.rho_from_samples(xi, dxi).rho
+            new = model.rho_from_samples(xi, dxi).rho
             if abs(new - guess) < tol:
                 break
             guess = new
         rho.append(new)
         R.append(R[-1] + 0.5 * dt * (rho[-2] + new))
-    assert np.max(np.abs(state.rho_values - np.array(rho))) < 1e-13
+    return np.array(rho)
+
+
+def test_secant_matches_picard_iteration(log_model, log_model_p3):
+    xi0 = log_model_p3.equilibrium_profile()
+    state = pde.LagrangianState(log_model, xi0)
+    for _ in range(100):
+        state.step(0.01)
+    rho = _picard_rho(log_model, xi0, [0.01] * 100)
+    assert np.max(np.abs(state.rho_values - rho)) < 1e-13
+
+
+def test_step_converges_when_dt_changes(log_model, log_model_p3):
+    # the predictor scales the last rho increment by dt/(t_{k-1} - t_{k-2}), so
+    # a run whose dt doubles keeps its cost and its fixed points
+    xi0 = log_model_p3.equilibrium_profile()
+    dts = [0.01] * 50 + [0.02] * 50
+    state = pde.LagrangianState(log_model, xi0)
+    for dt in dts:
+        state.step(dt)
+    assert abs(state.t[-1] - 1.5) < 1e-12
+    assert np.max(np.abs(state.rho_values - _picard_rho(log_model, xi0, dts))) < 1e-13
+    assert np.max(state._evals[1:state.n]) <= 3
 
 
 def test_step_error_reports_iterations(log_model, log_model_p3):
@@ -250,6 +277,19 @@ def test_step_error_reports_iterations(log_model, log_model_p3):
     assert err.value.iterations == pde.MAX_FIXED_POINT_ITERS
     assert np.isfinite(err.value.residual)
     assert f"{pde.MAX_FIXED_POINT_ITERS} iterations" in str(err.value)
+
+
+def test_step_error_after_the_first_step(log_model, log_model_p3):
+    # from the second step on the loop starts at the predictor and takes the
+    # carried secant slope; with tol = 0 it still stops after the cap
+    state = _wrong_equilibrium_state(log_model, log_model_p3)
+    for _ in range(5):
+        state.step(0.01)
+    assert state.secant_slope is not None
+    with pytest.raises(StepError) as err:
+        state.step(0.01, tol=0.0)
+    assert err.value.iterations == pde.MAX_FIXED_POINT_ITERS
+    assert np.isfinite(err.value.residual)
 
 
 # -- the reconstruction's workspace and fused source pass ------------------------------
@@ -291,7 +331,7 @@ def test_reconstruction_matches_dense_reference(log_model, log_model_p3, source,
 
 @pytest.mark.parametrize("state_class", [pde.LagrangianState, dde.IHistory])
 def test_step_allocates_no_profile_sized_array(log_model, log_model_p3, state_class):
-    # after warm-up the three reconstructions of a step reuse the state's
+    # after warm-up the reconstructions of a step reuse the state's
     # workspace, so the step's traced peak stays below one 256 x N_tau
     # float64 array
     dt = 0.02
@@ -319,7 +359,8 @@ def test_step_calls_reconstruct_profile_as_traced(log_model, log_model_p3,
     # reads t_nodes, yq and p at positions 2, 4 and 5 for its tau-node count,
     # which assumes pde.TAU_PANEL_NODES (12) nodes per panel
     state = state_class(log_model, log_model_p3.equilibrium_profile())
-    state.step(0.01)
+    for _ in range(40):
+        state.step(0.01)
     calls = []
     original = pde.reconstruct_profile
 
@@ -329,7 +370,8 @@ def test_step_calls_reconstruct_profile_as_traced(log_model, log_model_p3,
 
     monkeypatch.setattr(pde, "reconstruct_profile", recorded)
     state.step(0.01)
-    assert len(calls) == 3 and pde.TAU_PANEL_NODES == 12
+    # the predictor and the carried slope's Newton step land within tol
+    assert len(calls) == 2 and pde.TAU_PANEL_NODES == 12
     for args, kwargs in calls:
         assert len(args) == 6
         assert np.array_equal(args[2], state.t)
