@@ -264,17 +264,23 @@ def _small_run_config(tmp_path, experiment):
                         "gripenberg_dt": 0.1, "dde_T": 30.0, "dde_dt": 0.02}}
 
 
-def _scipy_modules_after(tmp_path, script, *args):
-    """The sorted scipy modules a fresh interpreter holds after the script."""
-    script += ("\nimport json\nprint(json.dumps(sorted(m for m in sys.modules "
-               "if m.split('.')[0] == 'scipy')))\n")
+def _fresh_json(tmp_path, script, *args, env=None):
+    """The JSON last line a fresh interpreter prints, with src/ on its path,
+    in ``env`` (default: this process's environment)."""
     src_dir = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = [os.path.abspath(src_dir)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = dict(os.environ if env is None else env, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
                           text=True, env=env, cwd=tmp_path, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def _scipy_modules_after(tmp_path, script, *args):
+    """The sorted scipy modules a fresh interpreter holds after the script."""
+    script += ("\nimport json\nprint(json.dumps(sorted(m for m in sys.modules "
+               "if m.split('.')[0] == 'scipy')))\n")
+    return _fresh_json(tmp_path, script, *args)
 
 
 @pytest.mark.parametrize("experiment", ["control-verify", "linear-stability",
@@ -292,6 +298,40 @@ def test_experiment_import_budget(tmp_path, experiment):
               "code = nltransport.cli.main([sys.argv[1], '--config', sys.argv[2]])\n"
               "assert code == 0, code")
     assert _scipy_modules_after(tmp_path, script, experiment, cfg) == []
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def _threads_after_run(tmp_path, **preset):
+    """OS threads and OPENBLAS_NUM_THREADS of a fresh interpreter after a
+    volterra-demo run, with only the given BLAS thread variables set."""
+    cfg = write_config(tmp_path, _small_run_config(tmp_path, "volterra-demo"))
+    script = ("import json, os, sys\n"
+              "import nltransport.cli\n"
+              "code = nltransport.cli.main(['volterra-demo', '--config', sys.argv[1]])\n"
+              "assert code == 0, code\n"
+              "with open('/proc/self/status') as f:\n"
+              "    threads = [int(line.split()[1]) for line in f if line.startswith('Threads:')]\n"
+              "print(json.dumps([threads[0], os.environ.get('OPENBLAS_NUM_THREADS')]))\n")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return _fresh_json(tmp_path, script, cfg, env={**env, **preset})
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status to count threads")
+def test_runs_use_one_blas_thread(tmp_path):
+    # every run is serial: importing the package pins numpy's BLAS to the
+    # calling thread, unless the caller chose a thread count itself
+    assert _threads_after_run(tmp_path) == [1, "1"]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < 2:
+        pytest.skip("a preset thread count shows only with two or more CPUs")
+    threads, openblas = _threads_after_run(tmp_path, OMP_NUM_THREADS="2")
+    assert openblas is None
+    assert threads >= 2
 
 
 def test_bench_tracer_targets_resolve(tmp_path):
