@@ -94,8 +94,7 @@ class IHistory(LagrangianState):
         Bxi = xi / p - (1.0 + y / p) * dxi
         Fv_minus_F1 = Bxi - init_terms - F1
         G = init_terms - flat_init
-        grad = spec.gradient_from_samples(xi)
-        den = p * spec.value_from_samples(xi) + spec.pair_from_samples(grad, xi - y * dxi)
+        _, grad, den = model.pairing(xi, dxi)
         f = spec.pair_from_samples(grad, Fv_minus_F1) / den
         g = -spec.pair_from_samples(grad, G) / den
         return f, g
@@ -230,11 +229,7 @@ def const_h_ode(model: Model, xi0: Profile, T: float, dt: float):
         xi0_val, xi0_d = xi0.pair_eval(Z)
         xi = np.exp(-t / p) * xi0_val / I1 + p * h_inf * I2 / I1
         dxi = xi0_d
-        grad = spec.gradient_from_samples(xi)
-        den = p * spec.value_from_samples(xi) + spec.pair_from_samples(grad, xi - y * dxi)
-        if den <= 0:
-            raise ModelViolationError("admissibility denominator lost positivity "
-                                      "in the planar reduction")
+        _, grad, den = model.pairing(xi, dxi)
         alpha = -h_inf * spec.pair_from_samples(grad, np.ones_like(y)) / den
         gamma = np.exp(-t / p) * xi0_val / p - (1.0 + y / p) * I1 * xi0_d
         beta = -spec.pair_from_samples(grad, gamma) / den

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ModelViolationError
+from .errors import DomainError
 from .functionals import Profile, weighted_norm_from_samples
 from .model import Model
 from .quadrature import cumtrapz, trapz_weights, unit_gauss_nodes
@@ -73,13 +73,7 @@ class Linearization:
         spec = model.functional
         self.nodes = spec.nodes
         self.weights = spec.weights
-        self.dI_p = spec.gradient_from_samples(model.xi_p_nodes)
-        self.I_p = spec.value_from_samples(model.xi_p_nodes)
-        self.denom = self.p * self.I_p + spec.pair_from_samples(
-            self.dI_p, model.Axi_p_nodes)
-        if self.denom <= 0:
-            raise ModelViolationError("equilibrium admissibility denominator "
-                                      "is not positive")
+        _, self.dI_p, self.denom = model.pairing(model.xi_p_nodes, model.dxi_p_nodes)
         self._lap_rules: dict = {}  # laplace_khat's panel rule per omega_max
 
     # -- pointwise building blocks -----------------------------------------

@@ -67,7 +67,6 @@ class Model:
         self.h_nodes = np.asarray(source.eval(y, 0), dtype=float)
         self.xi_p_nodes = self.equilibrium_values(y)
         self.dxi_p_nodes = self.equilibrium_values(y, order=1)
-        self.Axi_p_nodes = self.xi_p_nodes - y * self.dxi_p_nodes
 
     # -- equilibrium ---------------------------------------------------------
 
@@ -112,17 +111,27 @@ class Model:
 
     # -- rho -----------------------------------------------------------------
 
-    def rho_from_samples(self, xi, dxi) -> RhoResult:
-        """rho from profile samples at the functional's quadrature nodes."""
+    def pairing(self, xi, dxi) -> tuple[float, np.ndarray, float]:
+        """(I, dI, p I + <dI, zeta - y zeta'>) from samples at the functional's nodes.
+
+        The one place the admissibility denominator is formed and checked:
+        at or below the floor ``admissibility_floor * p * I`` it raises
+        ModelViolationError.
+        """
         spec = self.functional
         I_val = spec.value_from_samples(xi)
         grad = spec.gradient_from_samples(xi)
-        num = I_val + spec.pair_from_samples(grad, self.h_nodes + dxi)
         den = self.p * I_val + spec.pair_from_samples(grad, xi - spec.nodes * dxi)
         if den <= self.admissibility_floor * self.p * I_val:
             raise ModelViolationError(
                 "admissibility failed: denominator p*I + <dI, zeta - y zeta'> "
                 f"= {den:.6e} is at or below the positivity floor")
+        return I_val, grad, den
+
+    def rho_from_samples(self, xi, dxi) -> RhoResult:
+        """rho from profile samples at the functional's quadrature nodes."""
+        I_val, grad, den = self.pairing(xi, dxi)
+        num = I_val + self.functional.pair_from_samples(grad, self.h_nodes + dxi)
         return RhoResult(rho=num / den, numerator=num, denominator=den,
                          I_value=I_val)
 
@@ -131,23 +140,13 @@ class Model:
         return self.rho_from_samples(np.asarray(prof(y), dtype=float),
                                      np.asarray(prof.d(y), dtype=float))
 
-    def admissibility_denominator(self, prof: Profile) -> float:
-        y = self.functional.nodes
-        xi = np.asarray(prof(y), dtype=float)
-        dxi = np.asarray(prof.d(y), dtype=float)
-        spec = self.functional
-        grad = spec.gradient_from_samples(xi)
-        return self.p * spec.value_from_samples(xi) + spec.pair_from_samples(
-            grad, xi - y * dxi)
-
     def check_admissible(self, prof: Profile) -> float:
-        den = self.admissibility_denominator(prof)
-        I_val = self.functional.value(prof)
-        if den <= self.admissibility_floor * self.p * I_val:
-            raise ModelViolationError(
-                f"profile {prof.descriptor!r} violates the admissibility "
-                f"condition (denominator {den:.6e})")
-        return den
+        """The admissibility denominator of ``prof``, floor-checked by ``pairing``
+        after ``FunctionalSpec.value`` has checked b + zeta > 0 and I > 0."""
+        self.functional.value(prof)
+        y = self.functional.nodes
+        return self.pairing(np.asarray(prof(y), dtype=float),
+                            np.asarray(prof.d(y), dtype=float))[2]
 
     # -- diagnostics -----------------------------------------------------------
 

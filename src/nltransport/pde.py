@@ -319,9 +319,10 @@ def evolve(state: LagrangianState, T: float, dt: float, stride: int = 1,
 
     The one run loop of both routes.  ``norms=False`` skips the profile-norm
     diagnostics (the dist1inf and norm2inf columns are zero-filled), which
-    makes stride-1 sampling cheap.  The monitors include the step solver's
-    telemetry over every step: the mean and largest number of evaluations and
-    the largest accepted residual.
+    makes stride-1 sampling cheap.  The monitors read every committed step,
+    not the samples: the step solver's telemetry (the mean and largest number
+    of evaluations and the largest accepted residual), and the extremes of I
+    and of the admissibility denominator.
     """
     if T <= 0 or dt <= 0:
         raise DomainError("T and dt must be positive")
@@ -370,8 +371,9 @@ def evolve(state: LagrangianState, T: float, dt: float, stride: int = 1,
         "fixed_point_evals_mean": float(np.sum(evals) / max(len(evals), 1)),
         "fixed_point_evals_max": int(np.max(evals, initial=0)),
         "fixed_point_residual_max": float(np.max(state._resid[1:state.n], initial=0.0)),
-        "I_min": float(np.min(traj.I)),
-        "I_max": float(np.max(traj.I)),
+        "I_min": float(np.min(state.I)),
+        "I_max": float(np.max(state.I)),
+        "denom_min": float(np.min(state._den[:state.n])),
         "I_zero_profile": float(model.functional.value(Profile.constant(0.0))),
         "state": state,
     }
@@ -385,33 +387,36 @@ def run(model: Model, xi0: Profile, T: float, dt: float, stride: int = 1,
 
 
 def consistency_residual(traj: Trajectory) -> float:
-    """max over interior samples of |d/dt log I - (p rho - 1)| / p.
+    """max over interior committed steps of |d/dt log I - (p rho - 1)| / p.
 
-    Requires uniformly sampled output; the derivative uses centered
-    differences, so the residual is O(dt^2) for smooth runs.
+    Reads every committed step of the run's state (either route), not the
+    strided samples.  The derivative uses centered differences, so the
+    residual is O(dt^2) for smooth runs; a state stepped by hand with steps of
+    different length raises DomainError.
     """
-    t = traj.t
+    state = traj.monitors["state"]
+    t = state.t
     if len(t) < 3:
-        raise DomainError("need at least 3 uniform samples")
+        raise DomainError("need at least 3 committed nodes")
     dt = t[1] - t[0]
     if np.max(np.abs(np.diff(t) - dt)) > 1e-9 * dt:
-        raise DomainError("consistency residual needs uniform sampling")
-    logI = np.log(traj.I)
+        raise DomainError("consistency residual needs uniform steps")
+    logI = np.log(state.I)
     dlog = (logI[2:] - logI[:-2]) / (2.0 * dt)
-    p = traj.monitors["state"].model.p
-    resid = np.abs(dlog - (p * traj.rho[1:-1] - 1.0)) / p
+    p = state.model.p
+    resid = np.abs(dlog - (p * state.rho_values[1:-1] - 1.0)) / p
     return float(np.max(resid))
 
 
 def cumulative_rho_bound_gap(traj: Trajectory) -> float:
     """Slack in |int_s^t (rho - 1/p)| <= (1/p) log(I_max/I_min) along the run.
 
-    Integrates over every committed step of the run's state (either route),
-    not over the strided samples, so the slack does not depend on ``stride``.
-    On the delay route it checks nothing: log I is the trapezoid of d log I/dt
-    and rho = (d log I/dt + 1)/p, so the trapezoid of rho - 1/p is
+    Integrates over every committed step of the run's state, not over the
+    strided samples, so the slack does not depend on ``stride``.  It measures
+    the transport route's O(dt^2) gap between rho and I.  The delay route
+    does not report it: there log I is the trapezoid of d log I/dt and
+    rho = (d log I/dt + 1)/p, so the trapezoid of rho - 1/p is
     (log I - log I(0))/p and the slack is 0 up to rounding by construction.
-    On the transport route it measures the O(dt^2) gap between rho and I.
     """
     state = traj.monitors["state"]
     p = state.model.p
@@ -420,4 +425,3 @@ def cumulative_rho_bound_gap(traj: Trajectory) -> float:
     spread = float(np.max(U) - np.min(U))
     bound = float(np.log(np.max(I) / np.min(I)) / p)
     return bound - spread
-

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import pathlib
 
 import numpy as np
 import oracles
@@ -7,9 +9,11 @@ import scipy.integrate as si
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nltransport
 from nltransport import apply_AB, canonical_functional
 from nltransport.errors import ModelViolationError
 from nltransport.functionals import Profile
+from nltransport.linstab import Linearization
 from nltransport.model import Model
 from nltransport.quadrature import tail_integral_refined
 from nltransport.sources import (SourceFn, compact_kernel, compact_source,
@@ -120,6 +124,31 @@ def test_admissibility_floor_raises(log_model):
                    deriv=lambda y: -40.0 / np.sqrt(1.0 + np.asarray(y, float)))
     with pytest.raises(ModelViolationError):
         log_model.rho(prof)
+
+
+def test_linearization_checks_the_admissibility_floor(log_model):
+    # dI <= 0 and A xi_p > 0 put the equilibrium denominator below p I, so a
+    # floor of 1 sits above it; the linearization checks it through the model
+    strict = Model(log_model.source, log_model.functional, log_model.p,
+                   admissibility_floor=1.0)
+    with pytest.raises(ModelViolationError):
+        Linearization(strict)
+    Linearization(log_model)
+
+
+def test_only_the_model_forms_the_functional_from_samples():
+    # I and dI from node samples, and so the admissibility denominator, come
+    # from Model.pairing: no other module of the package calls the functional's
+    # sample evaluators
+    sample_calls = {"value_from_samples", "gradient_from_samples"}
+    package = pathlib.Path(nltransport.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("model.py", "functionals.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                assert node.func.attr not in sample_calls, \
+                    f"{path.name}:{node.lineno} calls {node.func.attr}"
 
 
 def test_gradient_floor_report(log_model):
