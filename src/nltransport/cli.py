@@ -23,10 +23,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .config import EXPERIMENTS as SUBCOMMANDS  # one subcommand per experiment
 from .experiments import run_scenario
-
-SUBCOMMANDS = ("equilibrium", "simulate-pde", "simulate-dde", "linear-stability",
-               "volterra-demo", "control-verify", "suite")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,6 +30,12 @@ The module needs no scipy: the level map's tables are not-a-knot cubic
 splines solved by one tridiagonal sweep (``_Spline``), and ``_brent`` is a
 port of scipy's ``brentq``.
 
+Each closed-form piece has one home: ``_edge_states`` runs the backward state
+recursion of a piecewise-constant control, ``_ride`` integrates the payoff
+along x_p, ``_char_state`` and ``_char_payoff`` follow a level-map
+characteristic (built by ``_characteristic``), and ``value`` answers flat
+payoffs (z_inf <= 0), whose values need no control.
+
 ``verification_certificate`` checks the closed forms against sampled
 controls, and ``extremal_history_certificate`` checks the delay functional F
 against sampled histories on both sides of the flat history.  The tests'
@@ -117,10 +123,16 @@ def _slope_support(source: SourceFn) -> float:
         return np.inf
     if len(neg) == 0:
         return 0.0
-    lo, hi = neg[-1], probes[np.searchsorted(probes, neg[-1]) + 1]
+    return _bisect(lambda z: source.eval(z, 1) < -1e-300,
+                   neg[-1], probes[np.searchsorted(probes, neg[-1]) + 1])
+
+
+def _bisect(below, lo: float, hi: float) -> float:
+    """The midpoint of [lo, hi] after BISECT_ITERS halvings that keep below(lo)
+    true and below(hi) false."""
     for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        if source.eval(mid, 1) < -1e-300:
+        if below(mid):
             lo = mid
         else:
             hi = mid
@@ -159,10 +171,9 @@ class ControlProblem:
         return np.exp((self.T - np.asarray(s, dtype=float)) / self.p) \
             * (self.y + self.p) - self.p
 
-    def reachable_bounds(self, t: float | None = None) -> tuple[float, float]:
-        t = self.t if t is None else t
-        lo = np.exp((self.T - t) / self.p) * self.y
-        hi = float(self.x_p(t))
+    def reachable_bounds(self) -> tuple[float, float]:
+        lo = np.exp(self.horizon / self.p) * self.y
+        hi = float(self.x_p(self.t))
         if self.is_max:
             return lo, hi
         return hi, np.inf
@@ -177,34 +188,25 @@ class ControlProblem:
     def hypothesis_report(self) -> dict:
         """Check of the shape condition required by the variant, to 1e-9, on
         400 geometric points from 1e-3 to min(z_inf, 1e4)."""
-        tol = 1e-9
         hi = self.g.z_inf if np.isfinite(self.g.z_inf) and self.g.z_inf > 0 else 1e4
         grid = np.geomspace(1e-3, hi * (1 - 1e-9) if hi < 1e4 else 1e4, 400)
-        g = self.g
-        vals = {}
-        if self.variant == "max01":
-            q = grid * (g(grid) - g.g_inf)
-            vals["x_times_excess_decreasing_margin"] = float(np.max(np.diff(q)))
-            ok = vals["x_times_excess_decreasing_margin"] <= tol
-            label = "x [g(x) - g(inf)] must be decreasing"
-        elif self.variant == "min1inf":
-            q = -grid ** 2 * g.d(grid)
-            vals["neg_z2_gprime_decreasing_margin"] = float(np.max(np.diff(q)))
-            ok = vals["neg_z2_gprime_decreasing_margin"] <= tol
-            label = "-z^2 g'(z) must be decreasing"
-        elif self.variant == "max01w":
-            vals["g_decreasing_margin"] = float(np.max(np.diff(g(grid))))
-            ok = vals["g_decreasing_margin"] <= tol
-            label = "g must be decreasing"
-        else:
-            q = -grid * g.d(grid)
-            vals["neg_z_gprime_decreasing_margin"] = float(np.max(np.diff(q)))
-            ok = vals["neg_z_gprime_decreasing_margin"] <= tol
-            label = "-z g'(z) must be decreasing"
-        vals["ok"] = bool(ok)
-        if not ok:
+        key, label, quantity = _HYPOTHESES[self.variant]
+        margin = float(np.max(np.diff(quantity(self.g, grid))))
+        if not margin <= 1e-9:
             raise ModelViolationError(f"payoff hypothesis violated: {label}")
-        return vals
+        return {key: margin, "ok": True}
+
+
+# per variant: (report key, message, the quantity of g on z that must decrease)
+_HYPOTHESES = {
+    "max01": ("x_times_excess_decreasing_margin", "x [g(x) - g(inf)] must be decreasing",
+              lambda g, z: z * (g(z) - g.g_inf)),
+    "min1inf": ("neg_z2_gprime_decreasing_margin", "-z^2 g'(z) must be decreasing",
+                lambda g, z: -z ** 2 * g.d(z)),
+    "max01w": ("g_decreasing_margin", "g must be decreasing", lambda g, z: g(z)),
+    "min1infw": ("neg_z_gprime_decreasing_margin", "-z g'(z) must be decreasing",
+                 lambda g, z: -z * g.d(z)),
+}
 
 
 @dataclass(frozen=True)
@@ -225,48 +227,50 @@ class PiecewiseControl:
         if variant in ("max01", "max01w"):
             if np.any(v <= 0) or np.any(v > 1.0 + 1e-12):
                 raise DomainError("max variants need 0 < v <= 1")
-        else:
-            if np.any(v < 1.0 - 1e-12):
-                raise DomainError("min variants need v >= 1")
+        elif np.any(v < 1.0 - 1e-12):
+            raise DomainError("min variants need v >= 1")
+
+
+def _backward(x_end, v, d, p: float):
+    """The state a time d before the point where it is x_end, under control v."""
+    e = np.exp(d / p)
+    return e * x_end + v * p * (e - 1.0)
 
 
 def _edge_states(prob: ControlProblem, control: PiecewiseControl) -> np.ndarray:
-    """The state at the segment edges, backward from x(T) = y."""
-    edges, p = control.edges, prob.p
+    """The state at the segment edges of an admissible control spanning [t, T],
+    backward from x(T) = y."""
+    control.check_admissible(prob.variant)
+    edges = control.edges
+    if abs(edges[0] - prob.t) > 1e-12 or abs(edges[-1] - prob.T) > 1e-12:
+        raise DomainError("control must span [t, T]")
     xe = np.empty(len(edges))
     xe[-1] = prob.y
     for i in range(len(control.values) - 1, -1, -1):
-        d = edges[i + 1] - edges[i]
-        e = np.exp(d / p)
-        xe[i] = e * xe[i + 1] + control.values[i] * p * (e - 1.0)
+        xe[i] = _backward(xe[i + 1], control.values[i], edges[i + 1] - edges[i], prob.p)
     return xe
 
 
 def trajectory_x(prob: ControlProblem, control: PiecewiseControl, s):
     """Exact state along the piecewise-constant control, backward from (y, T)."""
-    control.check_admissible(prob.variant)
-    edges = control.edges
-    if abs(edges[0] - prob.t) > 1e-12 or abs(edges[-1] - prob.T) > 1e-12:
-        raise DomainError("control must span [t, T]")
-    p = prob.p
     xe = _edge_states(prob, control)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty_like(s_arr)
-    for j, sj in enumerate(s_arr):
-        if sj < prob.t - 1e-12 or sj > prob.T + 1e-12:
-            raise DomainError("s outside [t, T]")
-        i = min(int(np.searchsorted(edges, sj, side="right") - 1),
-                len(control.values) - 1)
-        d = edges[i + 1] - sj
-        e = np.exp(d / p)
-        out[j] = e * xe[i + 1] + control.values[i] * p * (e - 1.0)
+    if np.any((s_arr < prob.t - 1e-12) | (s_arr > prob.T + 1e-12)):
+        raise DomainError("s outside [t, T]")
+    edges = control.edges
+    i = np.minimum(np.searchsorted(edges, s_arr, side="right") - 1,
+                   len(control.values) - 1)
+    out = _backward(xe[i + 1], control.values[i], edges[i + 1] - s_arr, prob.p)
     return float(out[0]) if np.ndim(s) == 0 else out
+
+
+def start_state(prob: ControlProblem, control: PiecewiseControl) -> float:
+    return trajectory_x(prob, control, prob.t)
 
 
 def payoff(prob: ControlProblem, control: PiecewiseControl) -> float:
     """16-point Gauss quadrature per segment of the payoff along the exact
     trajectory."""
-    control.check_admissible(prob.variant)
     p = prob.p
     u, w = unit_gauss_nodes(16)
     edges = control.edges
@@ -284,15 +288,13 @@ def payoff(prob: ControlProblem, control: PiecewiseControl) -> float:
     return total
 
 
-def start_state(prob: ControlProblem, control: PiecewiseControl) -> float:
-    return float(trajectory_x(prob, control, prob.t))
-
-
 # -- closed-form values ------------------------------------------------------------
 
 
 def _switch_time(prob: ControlProblem, x: float) -> float:
-    """Bang-bang switching time: e^{tau/p} = e^{T/p}(1 + y/p) - (x/p) e^{t/p}."""
+    """Bang-bang switching time of a reachable x:
+    e^{tau/p} = e^{T/p}(1 + y/p) - (x/p) e^{t/p}."""
+    prob.check_state(x)
     p, y, T, t = prob.p, prob.y, prob.T, prob.t
     val = np.exp(T / p) * (1.0 + y / p) - x / p * np.exp(t / p)
     if val <= 0:
@@ -311,23 +313,26 @@ def _gauss_integral(f, a: float, b: float) -> float:
     return float(np.dot(ws, f(s)))
 
 
+def _ride(prob: ControlProblem, a: float) -> float:
+    """The payoff of riding x_p from a to T: int_a^T g(x_p(s)) ds, with the
+    discount e^{-(T-s)/p} in the weighted problems."""
+    def density(s):
+        vals = prob.g(prob.x_p(s))
+        return vals * np.exp(-(prob.T - s) / prob.p) if prob.weighted else vals
+
+    return _gauss_integral(density, a, prob.T)
+
+
 def value_max01(prob: ControlProblem, x: float) -> tuple[float, float]:
     """Closed-form value and switching time for the unweighted max problem."""
-    prob.check_state(x)
     tau = _switch_time(prob, x)
-    val = (tau - prob.t) * prob.g.g_inf + _gauss_integral(
-        lambda s: prob.g(prob.x_p(s)), tau, prob.T)
-    return val, tau
+    return (tau - prob.t) * prob.g.g_inf + _ride(prob, tau), tau
 
 
 def value_max01w(prob: ControlProblem, x: float) -> tuple[float, float]:
     """Closed-form value and switching time for the discounted max problem."""
-    prob.check_state(x)
     tau = _switch_time(prob, x)
-    val = _gauss_integral(
-        lambda s: prob.g(prob.x_p(s)) * np.exp(-(prob.T - s) / prob.p),
-        tau, prob.T)
-    return val, tau
+    return _ride(prob, tau), tau
 
 
 def value_min1inf(prob: ControlProblem, x: float) -> tuple[float, dict]:
@@ -352,19 +357,10 @@ def value_min1inf(prob: ControlProblem, x: float) -> tuple[float, dict]:
         xp_tau = prob.x_p(tau)
         return xp_tau * np.exp((1.0 / p + 1.0 / xp_tau) * (tau - t))
 
-    lo, hi = t, T
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if merged_state(mid) < x:
-            lo = mid
-        else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
+    tau = _bisect(lambda tau: merged_state(tau) < x, t, T)
     info["branch"] = "merge"
     info["tau"] = float(tau)
-    val = (tau - t) * float(prob.g(prob.x_p(tau))) + _gauss_integral(
-        lambda s: prob.g(prob.x_p(s)), tau, T)
-    return val, info
+    return (tau - t) * float(prob.g(prob.x_p(tau))) + _ride(prob, tau), info
 
 
 class _Spline:
@@ -608,45 +604,39 @@ def value_min1infw(prob: ControlProblem, x: float) -> tuple[float, dict]:
     Simpson on a uniform s grid.
     """
     prob.check_state(x)
-    g = prob.g
+    if prob.g.degenerate:
+        raise DomainError("a flat payoff has no level map; value() answers it")
     p, y, T, t = prob.p, prob.y, prob.T, prob.t
-    if g.degenerate:
-        return float(g(1.0)) * (np.exp(-(T - t) / p) * x - y), {"region": "flat-all"}
-    cm = g.char_map
-    z_inf = g.z_inf
+    z_inf = prob.g.z_inf
     lam_max = min(z_inf, y)
 
     # region-1 boundary: lambda -> lam_max
     if z_inf <= y:
         boundary1 = y * np.exp((1.0 / p + 1.0 / z_inf) * (T - t))
     else:
-        boundary1 = _y_p_state(prob, cm, t, y * (1.0 - 1e-12))
-    info = {"boundary_ratio_region": float(boundary1)}
-    info["near_boundary"] = bool(abs(x - boundary1) <= 1e-9 * max(1.0, x))
+        boundary1 = _char_state(prob, y * (1.0 - 1e-12), y, T)
+    info = {"boundary_ratio_region": float(boundary1),
+            "near_boundary": bool(abs(x - boundary1) <= 1e-9 * max(1.0, x))}
     if x >= boundary1:
         # ratio region: find lambda with y_p(t, lambda) = x; y_p decreases in
         # lambda and reaches boundary1 at lam_hi
         lam_hi = lam_max * (1.0 - 1e-12)
         lam_lo = lam_hi / 2.0
         for _ in range(200):
-            x_lo = _y_p_state(prob, cm, t, lam_lo)
+            x_lo = _char_state(prob, lam_lo, y, T)
             if x_lo >= x:
                 break
             lam_lo /= 2.0
             if lam_lo < 1e-12:
                 raise NumericalError("ratio-region bracket failed")
-        lam = _brent(lambda lam: _y_p_state(prob, cm, t, lam) - x,
+        lam = _brent(lambda lam: _char_state(prob, lam, y, T) - x,
                      lam_lo, lam_hi, x_lo - x, boundary1 - x)
-        s, zp = _characteristic(cm, lam, t, T)
-        integ = cumtrapz(1.0 / p + 1.0 / zp, x=s)
-        yp = y * np.exp(integ[-1] - integ)
-        vals = g(zp) / zp * yp * np.exp(-(T - s) / p)
         info["region"] = "ratio"
         info["lambda"] = float(lam)
-        return simpson_integrate(vals, s[1] - s[0]), info
+        return _char_payoff(prob, lam, y, T), info
 
     # below the ratio region: flat region (z_inf finite) or merge region
-    x_tau_lo = float(prob.x_p(t))
+    x_tau_lo = x_t = float(prob.x_p(t))
     if np.isfinite(z_inf):
         T_inf = T if z_inf < y else T - p * np.log((z_inf + p) / (y + p))
         info["T_inf"] = float(T_inf)
@@ -658,9 +648,7 @@ def value_min1infw(prob: ControlProblem, x: float) -> tuple[float, dict]:
             in_flat = x <= B
             x_tau_lo = float(B)
         if in_flat:
-            tail = _gauss_integral(
-                lambda s: g(prob.x_p(s)) * np.exp(-(T - s) / p), T_inf, T)
-            val = tail + float(g(z_inf)) * (
+            val = _ride(prob, T_inf) + float(prob.g(z_inf)) * (
                 np.exp(-(T - t) / p) * x - y - p * (1.0 - np.exp(-(T - T_inf) / p)))
             info["region"] = "flat"
             return val, info
@@ -670,63 +658,60 @@ def value_min1infw(prob: ControlProblem, x: float) -> tuple[float, dict]:
     # merge region: x_p(t, tau) = x with tau in (tau_lo, T); the merged state
     # increases in tau from x_tau_lo (x_p(t), or B at the singular T_inf) to
     # boundary1
-    tau = _brent(lambda tau: _merge_state(prob, cm, t, tau) - x,
-                 tau_lo, T, x_tau_lo - x, boundary1 - x)
+    def merge_gap(tau):
+        xp_tau = float(prob.x_p(tau))
+        return (_char_state(prob, xp_tau, xp_tau, tau) if tau > t + 1e-14 else x_t) - x
+
+    tau = _brent(merge_gap, tau_lo, T, x_tau_lo - x, boundary1 - x)
     info["region"] = "merge"
     info["tau"] = float(tau)
     xp_tau = float(prob.x_p(tau))
-    s, zt = _characteristic(cm, xp_tau, t, tau)
-    integ = cumtrapz(1.0 / p + 1.0 / zt, x=s)
-    xp_s = xp_tau * np.exp(integ[-1] - integ)
-    vals = g(zt) / zt * xp_s * np.exp(-(T - s) / p)
-    part1 = simpson_integrate(vals, s[1] - s[0]) if tau > t + 1e-13 else 0.0
-    part2 = _gauss_integral(lambda u: g(prob.x_p(u)) * np.exp(-(T - u) / p), tau, T)
-    return part1 + part2, info
+    part1 = _char_payoff(prob, xp_tau, xp_tau, tau) if tau > t + 1e-13 else 0.0
+    return part1 + _ride(prob, tau), info
 
 
-def _characteristic(cm: CharMap, z1: float, t0: float, t1: float):
+def _characteristic(prob: ControlProblem, z1: float, t1: float):
     """The level-map characteristic that ends at z1 at time t1: its uniform s
-    grid on [t0, t1] (S_NODES points) and z(s), with F(z(s)) = F(z1) + t1 - s."""
-    s = np.linspace(t0, t1, S_NODES)
+    grid on [t, t1] (S_NODES points) and z(s), with F(z(s)) = F(z1) + t1 - s."""
+    cm = prob.g.char_map
+    s = np.linspace(prob.t, t1, S_NODES)
     return s, cm.invert(cm.F(np.array([z1])) + (t1 - s), np.full(S_NODES, z1))
 
 
-def _y_p_state(prob: ControlProblem, cm: CharMap, tq: float, lam: float) -> float:
-    s, zp = _characteristic(cm, lam, tq, prob.T)
-    integ = simpson_integrate(1.0 / prob.p + 1.0 / zp, s[1] - s[0])
-    return float(prob.y * np.exp(integ))
+def _char_state(prob: ControlProblem, z1: float, x1: float, t1: float) -> float:
+    """The state at t on the characteristic through z1 and the state x1 at t1:
+    x1 exp(int_t^t1 (1/p + 1/z) ds), by Simpson."""
+    s, z = _characteristic(prob, z1, t1)
+    return float(x1 * np.exp(simpson_integrate(1.0 / prob.p + 1.0 / z, s[1] - s[0])))
 
 
-def _merge_state(prob: ControlProblem, cm: CharMap, tq: float, tau: float) -> float:
-    if tau <= tq + 1e-14:
-        return float(prob.x_p(tq))
-    xp_tau = float(prob.x_p(tau))
-    s, zt = _characteristic(cm, xp_tau, tq, tau)
-    integ = simpson_integrate(1.0 / prob.p + 1.0 / zt, s[1] - s[0])
-    return xp_tau * np.exp(integ)
+def _char_payoff(prob: ControlProblem, z1: float, x1: float, t1: float) -> float:
+    """int_t^t1 g(z) e^{-(T-s)/p} x/z ds along the characteristic through z1 and
+    x1 at t1, whose state x(s) = x1 exp(int_s^t1 (1/p + 1/z)) is a cumulative
+    trapezoid; the outer integral is Simpson."""
+    s, z = _characteristic(prob, z1, t1)
+    integ = cumtrapz(1.0 / prob.p + 1.0 / z, x=s)
+    xs = x1 * np.exp(integ[-1] - integ)
+    return simpson_integrate(prob.g(z) / z * xs * np.exp(-(prob.T - s) / prob.p),
+                             s[1] - s[0])
 
 
 def value(prob: ControlProblem, x: float):
-    """Dispatch to the closed form for the problem's variant."""
-    if prob.variant == "max01":
-        if prob.g.degenerate:
-            prob.check_state(x)
-            return prob.horizon * prob.g.g_inf, {"degenerate": True}
-        v, tau = value_max01(prob, x)
+    """Dispatch to the closed form for the problem's variant.
+
+    A flat payoff g makes every control equally good: the unweighted value is
+    (T - t) g, and the discounted one telescopes to g (e^{-(T-t)/p} x - y).
+    """
+    if prob.g.degenerate:
+        prob.check_state(x)
+        g = prob.g.g_inf
+        if prob.weighted:
+            return g * (np.exp(-prob.horizon / prob.p) * x - prob.y), {"degenerate": True}
+        return prob.horizon * g, {"degenerate": True}
+    if prob.is_max:
+        v, tau = (value_max01w if prob.weighted else value_max01)(prob, x)
         return v, {"switch_time": tau}
-    if prob.variant == "max01w":
-        if prob.g.degenerate:
-            prob.check_state(x)
-            return float(prob.g(1.0)) * (np.exp(-prob.horizon / prob.p) * x - prob.y), \
-                {"degenerate": True}
-        v, tau = value_max01w(prob, x)
-        return v, {"switch_time": tau}
-    if prob.variant == "min1inf":
-        if prob.g.degenerate:
-            prob.check_state(x)
-            return prob.horizon * prob.g.g_inf, {"degenerate": True}
-        return value_min1inf(prob, x)
-    return value_min1infw(prob, x)
+    return (value_min1infw if prob.weighted else value_min1inf)(prob, x)
 
 
 # -- sampled-control verification -----------------------------------------------

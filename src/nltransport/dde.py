@@ -56,14 +56,9 @@ class IHistory(LagrangianState):
 
     _BUFFERS = LagrangianState._BUFFERS + ("_logI", "_dlogI")
 
-    def __init__(self, model: Model, xi0: Profile, check_admissible: bool = True):
-        if check_admissible:
-            model.check_admissible(xi0)
-        I0 = model.functional.value(xi0)
-        if I0 <= 0:
-            raise DomainError("I(0) must be positive")
-        super().__init__(model, xi0, check_admissible=False)
-        self._logI[0] = np.log(I0)
+    def __init__(self, model: Model, xi0: Profile):
+        super().__init__(model, xi0)
+        self._logI[0] = np.log(self._I[0])
         self._dlogI[0] = model.p * self._rho[0] - 1.0
         self._I[0] = np.exp(self._logI[0])
 

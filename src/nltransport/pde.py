@@ -182,11 +182,12 @@ class LagrangianState:
 
     _BUFFERS = ("_t", "_rho", "_R", "_E", "_C", "_I", "_den", "_evals", "_resid")
 
-    def __init__(self, model: Model, xi0: Profile, check_admissible: bool = True):
+    def __init__(self, model: Model, xi0: Profile):
         self.model = model
         self.xi0 = xi0
-        if check_admissible:
-            model.check_admissible(xi0)
+        # the admissibility checks: b + zeta > 0 and I > 0 here, the
+        # denominator's floor inside model.rho
+        model.functional.value(xi0)
         for name in self._BUFFERS:
             setattr(self, name, np.zeros(256))  # doubled by _grow
         self._E[0] = 1.0

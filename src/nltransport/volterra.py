@@ -5,11 +5,12 @@ Product-trapezoidal discretization of
     u(t) + int_0^t K(t,s) u(s) ds = g(t)
 
 on a uniform grid, for translation-invariant (K = K(t-s)) and general
-kernels.  The resolvent series solves r + K*r = K; the reconstruction
-u = g - r*g applies the resolvent in its discrete-operator form (one forward
-substitution with the convolved forcing), which keeps the identity exact at
-the discrete level.  A convolution of the sampled r series would carry an
-O(dt^2) boundary-weight mismatch and is only second-order consistent.
+kernels.  For translation-invariant kernels, the resolvent series solves
+r + K*r = K, and the reconstruction u = g - r*g applies the resolvent in its
+discrete-operator form (one forward substitution with the convolved
+forcing), which keeps the identity exact at the discrete level.  A
+convolution of the sampled r series would carry an O(dt^2) boundary-weight
+mismatch and is only second-order consistent.
 
 ``gripenberg_check`` reports the boundedness criterion for non-translation
 invariant kernels: monotonicity of t -> K(t,s), the limit of
@@ -112,28 +113,23 @@ def resolvent(prob: VolterraProblem) -> tuple[np.ndarray, np.ndarray]:
     return t, r
 
 
-def reconstruct(prob: VolterraProblem, g_values: np.ndarray | None = None) -> np.ndarray:
+def reconstruct(prob: VolterraProblem) -> np.ndarray:
     """u = g - r*g with the resolvent applied as the discrete operator.
 
     Computes m solving m + K*m = K*g (forward substitution) and returns g - m;
-    this is the exact discrete action of the resolvent kernel on g.
+    this is the exact discrete action of the resolvent kernel on g.  Like
+    ``resolvent``, it is defined for convolution kernels only.
     """
+    if not prob.convolution:
+        raise DomainError("the reconstruction is defined for convolution kernels")
     t = prob.grid
-    g = np.asarray(prob.forcing(t), dtype=float) if g_values is None else \
-        np.asarray(g_values, dtype=float)
-    dt = prob.dt
+    g = np.asarray(prob.forcing(t), dtype=float)
     n = len(t)
+    K = _kernel_values_conv(prob)
     # trapezoid on [0, t_i]: dt * (full sum - half of both end terms)
     Kg = np.zeros(n)
-    if prob.convolution:
-        K = _kernel_values_conv(prob)
-        Kg[1:] = dt * (np.convolve(K, g)[1:n] - 0.5 * (K[1:] * g[0] + K[0] * g[1:]))
-    else:
-        for i in range(1, n):
-            Ki = np.asarray(prob.kernel(t[i], t[:i + 1]), float) * np.ones(i + 1)
-            Kg[i] = dt * (Ki @ g[:i + 1] - 0.5 * (Ki[0] * g[0] + Ki[i] * g[i]))
-    m = _solve_from_values(prob, t, Kg)
-    return g - m
+    Kg[1:] = prob.dt * (np.convolve(K, g)[1:n] - 0.5 * (K[1:] * g[0] + K[0] * g[1:]))
+    return g - _solve_from_values(prob, t, Kg)
 
 
 def _kernel_block(prob: VolterraProblem, ti: np.ndarray, tj: np.ndarray) -> np.ndarray:

@@ -36,6 +36,10 @@ def test_flat_control_rides_the_boundary(g_unweighted):
     s = np.linspace(T0, T, 7)
     x = cc.trajectory_x(prob, ctrl, s)
     assert np.max(np.abs(x - prob.x_p(s))) < 1e-12
+    # the backward recursion is one: its state at s = t is start_state's
+    assert x[0] == cc.start_state(prob, ctrl)
+    with pytest.raises(DomainError, match="outside"):
+        cc.trajectory_x(prob, ctrl, np.array([T0, 0.5 * (T0 + T), T + 1e-6]))
 
 
 def test_terminal_condition_exact(g_unweighted):
@@ -121,6 +125,8 @@ def test_degenerate_values_exact():
         x = _mid_state(prob)
         v, _ = cc.value(prob, x)
         assert abs(v - 2.0 * (np.exp(-(T - T0) / P) * x - Y)) < 1e-9
+    with pytest.raises(DomainError, match="level map"):
+        cc.value_min1infw(prob, x)
 
 
 def test_min_unweighted_ratio_branch_closed_form(g_unweighted):

@@ -856,10 +856,14 @@ def test_volterra_demo_runner(tmp_path):
     assert report["volterra-demo"]["closed_form_solution_err"] < 1e-5
 
 
-def test_control_verify_runner(tmp_path):
+@pytest.mark.parametrize("source,model", [
+    ({"kind": "kernel_inf", "kernel": "log", "h_inf": 1.0}, "kernel_inf(log)"),
+    # a flat payoff for all four variants: the closed forms need no control
+    ({"kind": "constant", "h_inf": 1.0}, "constant"),
+], ids=["log", "constant"])
+def test_control_verify_runner(tmp_path, source, model):
     doc = {"experiment": "control-verify", "seed": 5,
-           "model": {"p": 2.0,
-                     "source": {"kind": "kernel_inf", "kernel": "log", "h_inf": 1.0}},
+           "model": {"p": 2.0, "source": source},
            "output": {"dir": str(tmp_path / "out")},
            "options": {"n_samples": 10, "n_histories": 10, "T": 2.0}}
     cfg = write_config(tmp_path, doc)
@@ -871,4 +875,4 @@ def test_control_verify_runner(tmp_path):
         assert cert["worst_margin"] <= 1e-6
         assert cert["seed"] == 5
     assert (tmp_path / "out" / "value_max01.csv").read_text().splitlines()[0] == "x,t,value"
-    assert entry["certificates"]["max01"]["model"] == "kernel_inf(log)"
+    assert entry["certificates"]["max01"]["model"] == model

@@ -59,8 +59,7 @@ def test_pure_accumulation():
     # zero initial data, constant source, rho pinned at zero: xi(y,t) = t
     src = constant_source(1.0)
     model = Model(src, canonical_functional(src), 2.0)
-    state = pde.LagrangianState(model, Profile.constant(0.0),
-                                check_admissible=False)
+    state = pde.LagrangianState(model, Profile.constant(0.0))
     # pin rho = 0 by hand and evaluate the reconstruction
     n = 41
     state._grow()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nltransport import volterra
 from nltransport.config import OPTIONS
-from nltransport.errors import NumericalError
+from nltransport.errors import DomainError, NumericalError
 from nltransport.volterra import (BLOCK, LinearDDEProblem, VolterraProblem,
                                   gripenberg_check, linear_dde_solve,
                                   reconstruct, resolvent, resolvent_row_l1,
@@ -48,6 +48,16 @@ def test_reconstruction_identity_random_forcing():
                            forcing=g, T=5.0, dt=1e-3, convolution=True)
     _, u = solve(prob)
     assert np.max(np.abs(reconstruct(prob) - u)) < 1e-8
+
+
+def test_resolvent_and_reconstruction_need_convolution_kernels():
+    prob = VolterraProblem(kernel=lambda t, s: np.exp(-(t - s)),
+                           forcing=lambda t: np.ones_like(t),
+                           T=1.0, dt=0.1, convolution=False)
+    with pytest.raises(DomainError, match="convolution kernels"):
+        resolvent(prob)
+    with pytest.raises(DomainError, match="convolution kernels"):
+        reconstruct(prob)
 
 
 @settings(max_examples=10, deadline=None)
