@@ -1,13 +1,13 @@
-"""Scenario configuration: JSON schema, validation and model construction.
+"""Scenario configuration: one declared schema, validation and model construction.
 
-A scenario is a single JSON document with nested sections (documented in the
-README): ``model`` (source kind/parameters, functional parameters, p),
-``initial`` (profile family), ``run`` (T, dt, stride), ``output``, ``seed``,
-an ``experiment`` selector, and per-experiment ``options``, checked against
-the one declared table ``OPTIONS``.  Validation errors carry the offending
-field path.  ``load`` applies the command-line flags as edits to the document
-before its one validation, so the flags pass the same checks and enter the
-config hash.
+A scenario is one JSON document (documented in the README) with the sections
+``model`` (p, source, functional), ``initial``, ``run``, ``output`` and
+``options``.  Each section is checked against its one declared table of
+``Field``s: an unknown key, a wrong type or a value out of range is a
+``ConfigError`` naming the field path.  ``validate`` returns every section
+resolved, defaults filled in, so no builder or runner holds a default.
+``load`` applies the command-line flags as edits to the document before its
+one validation, so the flags pass the same checks and enter the config hash.
 """
 
 from __future__ import annotations
@@ -16,15 +16,14 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .functionals import FunctionalSpec, Profile
+from .functionals import WEIGHTS, FunctionalSpec, Profile, canonical_functional
 from .model import Model
-from .sources import (NAMED_KERNELS, SourceFn, compact_kernel, compact_source,
-                      constant_source, inv_square_p_source, log_source)
+from .sources import NAMED_KERNELS, SourceFn, compact_kernel
 
 EXPERIMENTS = ("equilibrium", "simulate-pde", "simulate-dde", "linear-stability",
                "volterra-demo", "control-verify", "suite")
@@ -38,53 +37,125 @@ class ConfigError(ValueError):
     """Schema violation; the message names the field path."""
 
 
-@dataclass(frozen=True)
-class Option:
-    """One experiment option: its type, its default and the range it must lie in.
+REQUIRED = "required"
 
-    ``bound`` is ``None`` (any finite value) or ``"> x"`` / ``">= x"``; a
-    default given as a dict is keyed by ``model.source.kind``.
+
+class OfP(float):
+    """A default of ``model.p`` divided by this number."""
+
+
+class ByKind(dict):
+    """A default keyed by ``model.source.kind``."""
+
+
+@dataclass(frozen=True)
+class Field:
+    """One field of a scenario section: its type, its default and its range.
+
+    ``default`` is ``REQUIRED``, a value, an ``OfP`` or a ``ByKind``; ``bound``
+    is ``None`` (any finite value) or ``"> x"`` / ``">= x"``; ``choices`` are
+    the strings the field takes, besides a number unless it is a str field.
     """
 
     typ: type
-    default: Any
+    default: Any = REQUIRED
     bound: str | None = None
+    choices: tuple = ()
 
+
+# every top-level key, for all experiments: a suite reads ``scenarios`` and no
+# model, initial or run; every other experiment reads the reverse
+TOP = {
+    "experiment": Field(str, choices=EXPERIMENTS),
+    "seed": Field(int, 0, ">= 0"),
+    "model": Field(dict),
+    "initial": Field(dict, {}),
+    "run": Field(dict, {}),
+    "output": Field(dict, {}),
+    "options": Field(dict, {}),
+    "scenarios": Field(list),
+}
+
+MODEL = {
+    "p": Field(float, bound="> 0"),
+    "source": Field(dict),
+    "functional": Field(dict, {}),
+}
+
+_SOURCE = {"h_inf": Field(float, 1.0, "> 0")}
+_CUTOFF = Field(float, 1.0, "> 0")  # read by the compact kernel only
+# the fields each source kind takes besides ``kind``
+SOURCES = {
+    "constant": _SOURCE,
+    "kernel_inf": {**_SOURCE, "kernel": Field(str, "log", choices=tuple(NAMED_KERNELS)),
+                   "cutoff": _CUTOFF},
+    # not log: with kernel_p its tail (1 + p/u)/(1 + u) is not integrable
+    "kernel_p": {**_SOURCE, "kernel": Field(str, choices=("compact", "inv_square")),
+                 "cutoff": _CUTOFF, "kp": Field(float, OfP(1.0), "> 0")},
+}
+SOURCE_KIND = Field(str, choices=tuple(SOURCES))
+
+FUNCTIONAL = {
+    "q": Field(float, 1.0, "> 0"),
+    "eps0": Field(float, 1.0, "> 0"),
+    "a": Field(str, "inverse_square", choices=tuple(WEIGHTS)),
+    # b = q h(eps0) b_scale; a number given as b ignores b_scale
+    "b": Field(float, "h_at_eps0", choices=("h_at_eps0",)),
+    "b_scale": Field(float, 1.0),
+}
+
+# the fields each initial family takes besides ``family``
+INITIALS = {
+    "equilibrium": {},
+    "wrong_equilibrium": {"p_prime": Field(float, bound="> 0")},
+    "scaled_equilibrium": {"factor": Field(float, bound="> 0")},
+    "perturbed_equilibrium": {"amplitude": Field(float, 1e-3),
+                              "decay": Field(float, 1.0)},
+}
+FAMILY = Field(str, "equilibrium", choices=tuple(INITIALS))
+
+RUN = {
+    "T": Field(float, 10.0, "> 0"),
+    "dt": Field(float, OfP(100.0), "> 0"),
+    "stride": Field(int, 1, ">= 1"),
+}
+
+OUTPUT = {"dir": Field(str, "out")}
 
 OPTIONS = {
     "equilibrium": {
         # a constant source has its equilibrium in closed form, so its gate is tighter
-        "tolerance": Option(float, {"constant": 1e-10, "kernel_inf": 1e-6,
-                                    "kernel_p": 1e-6}),
+        "tolerance": Field(float, ByKind(constant=1e-10, kernel_inf=1e-6,
+                                         kernel_p=1e-6)),
     },
     "simulate-pde": {},
     "simulate-dde": {
-        "cross_check_pde": Option(bool, False),
-        "equivalence_tol": Option(float, 1e-6),
+        "cross_check_pde": Field(bool, False),
+        "equivalence_tol": Field(float, 1e-6),
     },
     "linear-stability": {
-        "kernel_grid": Option(int, 400, ">= 2"),
-        "contour_omega": Option(float, 50.0, "> 0"),
-        "amplitude": Option(float, 1e-3, "> 0"),
+        "kernel_grid": Field(int, 400, ">= 2"),
+        "contour_omega": Field(float, 50.0, "> 0"),
+        "amplitude": Field(float, 1e-3, "> 0"),
     },
     "volterra-demo": {
-        "T": Option(float, 10.0, "> 0"),
-        "dt": Option(float, 1e-3, "> 0"),
-        "gripenberg_T": Option(float, 200.0, "> 0"),
-        "gripenberg_dt": Option(float, 0.1, "> 0"),
-        "dde_T": Option(float, 100.0, "> 0"),
-        "dde_dt": Option(float, 0.02, "> 0"),
+        "T": Field(float, 10.0, "> 0"),
+        "dt": Field(float, 1e-3, "> 0"),
+        "gripenberg_T": Field(float, 200.0, "> 0"),
+        "gripenberg_dt": Field(float, 0.1, "> 0"),
+        "dde_T": Field(float, 100.0, "> 0"),
+        "dde_dt": Field(float, 0.02, "> 0"),
     },
     "control-verify": {
-        "y": Option(float, 1.0, "> 0"),
-        "T": Option(float, 3.0, "> 0"),
-        "t": Option(float, 0.0),
-        "n_samples": Option(int, 500, ">= 1"),
-        "n_histories": Option(int, 200, ">= 1"),
-        "margin_tol": Option(float, 1e-6),
+        "y": Field(float, 1.0, "> 0"),
+        "T": Field(float, 3.0, "> 0"),
+        "t": Field(float, 0.0),
+        "n_samples": Field(int, 500, ">= 1"),
+        "n_histories": Field(int, 200, ">= 1"),
+        "margin_tol": Field(float, 1e-6),
     },
     "suite": {
-        "workers": Option(int, 4, ">= 1"),
+        "workers": Field(int, 4, ">= 1"),
     },
 }
 
@@ -96,16 +167,22 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
-_MISSING = object()
-
-
-def _get(section: dict, key: str, path: str, typ, default=_MISSING):
-    if key not in section:
-        if default is _MISSING:
-            raise ConfigError(f"{path}.{key}: required field is missing")
-        return default
-    val = section[key]
-    where = f"{path}.{key}"
+def _read(given: dict, name: str, fld: Field, path: str, model: dict):
+    """``given[name]`` checked against ``fld``, or when absent its default,
+    which an ``OfP`` or ``ByKind`` resolves from the resolved ``model``."""
+    where = f"{path}.{name}"
+    if name not in given:
+        _expect(fld.default is not REQUIRED, where, "required field is missing")
+        if isinstance(fld.default, OfP):
+            return model["p"] / fld.default
+        return fld.default[model["source"]["kind"]] if isinstance(fld.default, ByKind) \
+            else fld.default
+    val, typ = given[name], fld.typ
+    if isinstance(val, str) and val in fld.choices:
+        return val
+    _expect(not (isinstance(val, str) and fld.choices), where,
+            f"must be {'' if typ is str else f'a {typ.__name__} or '}one of "
+            f"{', '.join(fld.choices)}, got {val!r}")
     # json gives true/false as bool, an int subclass, and Infinity/NaN as floats
     _expect(not (typ in (int, float) and isinstance(val, bool)), where,
             f"expected {typ.__name__}, got bool")
@@ -113,87 +190,63 @@ def _get(section: dict, key: str, path: str, typ, default=_MISSING):
         _expect(abs(val) <= sys.float_info.max, where, "must be finite")
         val = float(val)
     _expect(isinstance(val, typ), where,
-            f"expected {getattr(typ, '__name__', typ)}, got {type(val).__name__}")
+            f"expected {typ.__name__}, got {type(val).__name__}")
     _expect(typ is not float or math.isfinite(val), where, f"must be finite, got {val}")
+    if fld.bound is not None:
+        op, limit = fld.bound.split()
+        _expect(_COMPARE[op](val, float(limit)), where, f"must be {fld.bound}, got {val}")
     return val
 
 
-def _options(doc: dict, experiment: str, path: str, source_kind: str | None) -> dict:
-    """The experiment's options from ``OPTIONS``, checked, with defaults filled in."""
-    given = _get(doc, "options", path, dict, {})
-    table = OPTIONS[experiment]
+def _section(given: dict, table: dict, path: str, model: dict, skip=()) -> dict:
+    """Every field of ``table`` but ``skip`` read from ``given``, which may
+    hold no key that ``table`` does not declare."""
     for name in given:
-        _expect(name in table, f"{path}.options.{name}",
-                f"unknown option for {experiment}; it takes "
-                f"{', '.join(table) if table else 'none'}")
-    resolved = {}
-    for name, opt in table.items():
-        default = opt.default
-        if isinstance(default, dict):
-            default = default[source_kind]
-        val = _get(given, name, f"{path}.options", opt.typ, default)
-        if opt.bound is not None:
-            op, limit = opt.bound.split()
-            _expect(_COMPARE[op](val, float(limit)), f"{path}.options.{name}",
-                    f"must be {opt.bound}, got {val}")
-        resolved[name] = val
-    if experiment == "control-verify":
-        _expect(resolved["t"] < resolved["T"], f"{path}.options.t",
-                f"must be < options.T = {resolved['T']}, got {resolved['t']}")
-    return resolved
+        _expect(name in table, f"{path}.{name}",
+                f"unknown field; {path} takes {', '.join(table) or 'no fields'}")
+    return {name: _read(given, name, fld, path, model)
+            for name, fld in table.items() if name not in skip}
+
+
+def _variant(given: dict, key: str, fld: Field, tables: dict, path: str,
+             model: dict) -> dict:
+    """A section whose field ``key``, read first, picks its table."""
+    return _section(given, {key: fld, **tables[_read(given, key, fld, path, model)]},
+                    path, model)
 
 
 @dataclass
 class Scenario:
+    """A validated scenario; ``model_cfg``, ``initial_cfg``, ``run_cfg`` and
+    ``options`` are resolved sections, ``raw`` the document as given."""
+
     experiment: str
     seed: int
     model_cfg: dict
     initial_cfg: dict
     run_cfg: dict
     output_dir: str
-    options: dict = field(default_factory=dict)
-    sub_scenarios: list = field(default_factory=list)
-    raw: dict = field(default_factory=dict)
+    options: dict
+    sub_scenarios: list
+    raw: dict
 
     # -- constructors ------------------------------------------------------------
 
     def build_source(self) -> SourceFn:
         cfg = self.model_cfg["source"]
         kind = cfg["kind"]
-        h_inf = cfg.get("h_inf", 1.0)
         if kind == "constant":
-            return constant_source(h_inf)
-        name = cfg.get("kernel", "log")
-        if kind == "kernel_inf":
-            if name == "log":
-                return log_source(h_inf)
-            if name == "compact":
-                return compact_source(h_inf, cfg.get("cutoff", 1.0))
-            return SourceFn(kind="kernel_inf", h_inf=h_inf,
-                            kernel=NAMED_KERNELS[name]())
-        if name == "inv_square":
-            return inv_square_p_source(h_inf, cfg.get("kp", self.model_cfg["p"]))
-        return SourceFn(kind="kernel_p", h_inf=h_inf,
-                        kernel=compact_kernel(cfg.get("cutoff", 1.0)),
-                        p=cfg.get("kp", self.model_cfg["p"]))
+            return SourceFn(kind=kind, h_inf=cfg["h_inf"])
+        kernel = compact_kernel(cfg["cutoff"]) if cfg["kernel"] == "compact" \
+            else NAMED_KERNELS[cfg["kernel"]]()
+        return SourceFn(kind=kind, h_inf=cfg["h_inf"], kernel=kernel,
+                        p=cfg["kp"] if kind == "kernel_p" else None)
 
     def build_functional(self, source: SourceFn) -> FunctionalSpec:
-        cfg = self.model_cfg.get("functional", {})
-        q = cfg.get("q", 1.0)
-        eps0 = cfg.get("eps0", 1.0)
-        b_cfg = cfg.get("b", "h_at_eps0")
-        if b_cfg == "h_at_eps0":
-            b0 = q * float(source.eval(eps0, 0)) * cfg.get("b_scale", 1.0)
-        else:
-            b0 = float(b_cfg)
-        if cfg.get("a", "inverse_square") == "inverse_square":
-            a_fn = lambda y: y ** -2.0
-        else:
-            a_fn = lambda y: np.exp(-y)
-        spec = FunctionalSpec(q=q, eps0=eps0, a=a_fn,
-                              b=lambda y: np.full_like(np.asarray(y, float), b0))
-        spec.check_dominates(source)
-        return spec
+        cfg = self.model_cfg["functional"]
+        return canonical_functional(
+            source, cfg["q"], cfg["eps0"], cfg["a"],
+            None if cfg["b"] == "h_at_eps0" else cfg["b"], cfg["b_scale"])
 
     def build_model(self) -> Model:
         source = self.build_source()
@@ -201,7 +254,7 @@ class Scenario:
 
     def build_initial(self, model: Model) -> Profile:
         cfg = self.initial_cfg
-        family = cfg.get("family", "equilibrium")
+        family = cfg["family"]
         if family == "equilibrium":
             return model.equilibrium_profile()
         if family == "wrong_equilibrium":
@@ -209,110 +262,52 @@ class Scenario:
             return other.equilibrium_profile()
         if family == "scaled_equilibrium":
             return model.equilibrium_profile().scaled(cfg["factor"])
-        if family == "perturbed_equilibrium":
-            amp = cfg.get("amplitude", 1e-3)
-            decay = cfg.get("decay", 1.0)
-            xp = model.equilibrium_profile()
+        amp, decay = cfg["amplitude"], cfg["decay"]  # perturbed_equilibrium
+        xp = model.equilibrium_profile()
 
-            def pair(y):
-                v, d = xp.pair_eval(y)
-                bump = amp * np.exp(-decay * y)
-                return v * (1.0 + bump), d * (1.0 + bump) - decay * bump * v
+        def pair(y):
+            v, d = xp.pair_eval(y)
+            bump = amp * np.exp(-decay * y)
+            return v * (1.0 + bump), d * (1.0 + bump) - decay * bump * v
 
-            return Profile(
-                value=lambda y: pair(y)[0], deriv=lambda y: pair(y)[1],
-                descriptor=f"perturbed-equilibrium(amp={amp:g})", pair=pair)
-        raise ConfigError(f"initial.family: unknown family {family!r}")
+        return Profile(
+            value=lambda y: pair(y)[0], deriv=lambda y: pair(y)[1],
+            descriptor=f"perturbed-equilibrium(amp={amp:g})", pair=pair)
 
 
 def validate(doc: Any, path: str = "config") -> Scenario:
     _expect(isinstance(doc, dict), path, "top level must be an object")
-    experiment = _get(doc, "experiment", path, str)
-    _expect(experiment in EXPERIMENTS, f"{path}.experiment",
-            f"must be one of {', '.join(EXPERIMENTS)}")
-    seed = _get(doc, "seed", path, int, 0)
-    _expect(seed >= 0, f"{path}.seed", "must be nonnegative")
-    output = _get(doc, "output", path, dict, {})
-    out_dir = _get(output, "dir", f"{path}.output", str, "out")
+    suite = _read(doc, "experiment", TOP["experiment"], path, {}) == "suite"
+    top = _section(doc, TOP, path, {},
+                   skip=("model", "initial", "run") if suite else ("scenarios",))
+    experiment, seed = top["experiment"], top["seed"]
+    out_dir = _section(top["output"], OUTPUT, f"{path}.output", {})["dir"]
 
-    subs = []
-    if experiment == "suite":
-        options = _options(doc, experiment, path, None)
-        entries = _get(doc, "scenarios", path, list)
-        for i, entry in enumerate(entries):
-            _expect(isinstance(entry, dict), f"{path}.scenarios[{i}]",
-                    "must be an object")
-            sub = dict(entry)
-            sub.setdefault("seed", seed)
-            sub.setdefault("output", {"dir": out_dir})
-            subs.append(validate(sub, path=f"{path}.scenarios[{i}]"))
-        return Scenario(experiment=experiment, seed=seed, model_cfg={},
-                        initial_cfg={}, run_cfg={}, output_dir=out_dir,
-                        options=options, sub_scenarios=subs, raw=doc)
-
-    model_cfg = _get(doc, "model", path, dict)
-    p = _get(model_cfg, "p", f"{path}.model", float)
-    _expect(p > 0, f"{path}.model.p", "must be positive")
-    source = _get(model_cfg, "source", f"{path}.model", dict)
-    kind = _get(source, "kind", f"{path}.model.source", str)
-    _expect(kind in ("constant", "kernel_inf", "kernel_p"),
-            f"{path}.model.source.kind", f"unknown source kind {kind!r}")
-    if kind in ("kernel_inf", "kernel_p"):
-        name = _get(source, "kernel", f"{path}.model.source", str, "log")
-        _expect(name in NAMED_KERNELS, f"{path}.model.source.kernel",
-                f"must be one of {', '.join(NAMED_KERNELS)}")
-        _expect(not (kind == "kernel_p" and name == "log"),
-                f"{path}.model.source.kernel",
-                "log with kind kernel_p diverges: (1 + p/u)/(1 + u) is not "
-                "integrable at infinity")
-        for key in ("cutoff", "kp"):
-            value = _get(source, key, f"{path}.model.source", float, 1.0)
-            _expect(value > 0, f"{path}.model.source.{key}", "must be positive")
-    h_inf = _get(source, "h_inf", f"{path}.model.source", float, 1.0)
-    _expect(h_inf > 0, f"{path}.model.source.h_inf", "must be positive")
-    func = _get(model_cfg, "functional", f"{path}.model", dict, {})
-    fpath = f"{path}.model.functional"
-    q = _get(func, "q", fpath, float, 1.0)
-    _expect(q > 0, f"{fpath}.q", "must be positive")
-    eps0 = _get(func, "eps0", fpath, float, 1.0)
-    _expect(eps0 > 0, f"{fpath}.eps0", "must be positive")
-    a = _get(func, "a", fpath, str, "inverse_square")
-    _expect(a in ("inverse_square", "exponential"), f"{fpath}.a",
-            f"must be inverse_square or exponential, got {a!r}")
-    if func.get("b", "h_at_eps0") != "h_at_eps0":
-        _expect(not isinstance(func["b"], str), f"{fpath}.b",
-                f"must be a number or 'h_at_eps0', got {func['b']!r}")
-        _get(func, "b", fpath, float)
-    _get(func, "b_scale", fpath, float, 1.0)
-
-    initial_cfg = _get(doc, "initial", path, dict, {"family": "equilibrium"})
-    family = _get(initial_cfg, "family", f"{path}.initial", str, "equilibrium")
-    _expect(family in ("equilibrium", "wrong_equilibrium", "scaled_equilibrium",
-                       "perturbed_equilibrium"),
-            f"{path}.initial.family", f"unknown family {family!r}")
-    if family == "wrong_equilibrium":
-        pp = _get(initial_cfg, "p_prime", f"{path}.initial", float)
-        _expect(pp > 0, f"{path}.initial.p_prime", "must be positive")
-    if family == "scaled_equilibrium":
-        factor = _get(initial_cfg, "factor", f"{path}.initial", float)
-        _expect(factor > 0, f"{path}.initial.factor", "must be positive")
-    if family == "perturbed_equilibrium":
-        for key, default in (("amplitude", 1e-3), ("decay", 1.0)):
-            _get(initial_cfg, key, f"{path}.initial", float, default)
-
-    run_cfg = _get(doc, "run", path, dict, {})
-    T = _get(run_cfg, "T", f"{path}.run", float, 10.0)
-    dt = _get(run_cfg, "dt", f"{path}.run", float, p / 100.0)
-    stride = _get(run_cfg, "stride", f"{path}.run", int, 1)
-    _expect(T > 0, f"{path}.run.T", "must be positive")
-    _expect(dt > 0, f"{path}.run.dt", "must be positive")
-    _expect(stride >= 1, f"{path}.run.stride", "must be >= 1")
-    run_cfg = {"T": T, "dt": dt, "stride": stride}
-    options = _options(doc, experiment, path, kind)
-
+    model_cfg, initial_cfg, run_cfg, subs = {}, {}, {}, []
+    if suite:
+        for i, entry in enumerate(top["scenarios"]):
+            where = f"{path}.scenarios[{i}]"
+            _expect(isinstance(entry, dict), where, "must be an object")
+            subs.append(validate({"seed": seed, "output": {"dir": out_dir}, **entry},
+                                 path=where))
+    else:
+        mpath = f"{path}.model"
+        model_cfg = _section(top["model"], MODEL, mpath, {})
+        model_cfg["source"] = _variant(model_cfg["source"], "kind", SOURCE_KIND,
+                                       SOURCES, f"{mpath}.source", model_cfg)
+        model_cfg["functional"] = _section(model_cfg["functional"], FUNCTIONAL,
+                                           f"{mpath}.functional", model_cfg)
+        initial_cfg = _variant(top["initial"], "family", FAMILY, INITIALS,
+                               f"{path}.initial", model_cfg)
+        run_cfg = _section(top["run"], RUN, f"{path}.run", model_cfg)
+    options = _section(top["options"], OPTIONS[experiment], f"{path}.options",
+                       model_cfg)
+    if experiment == "control-verify":
+        _expect(options["t"] < options["T"], f"{path}.options.t",
+                f"must be < options.T = {options['T']}, got {options['t']}")
     return Scenario(experiment=experiment, seed=seed, model_cfg=model_cfg,
                     initial_cfg=initial_cfg, run_cfg=run_cfg, output_dir=out_dir,
-                    options=options, raw=doc)
+                    options=options, sub_scenarios=subs, raw=doc)
 
 
 def _edit_run(doc: Any, key: str, value: float) -> int:

@@ -137,8 +137,7 @@ def _trajectory_report(traj) -> dict:
 def run_simulate_pde(scn: Scenario) -> dict:
     model = scn.build_model()
     xi0 = scn.build_initial(model)
-    traj = pde.run(model, xi0, stride=scn.run_cfg["stride"],
-                   T=scn.run_cfg["T"], dt=scn.run_cfg["dt"])
+    traj = pde.run(model, xi0, **scn.run_cfg)
     write_csv(os.path.join(scn.output_dir, "trajectory_pde.csv"), CSV_COLUMNS,
               [getattr(traj, name) for name in CSV_COLUMNS])
     report = _trajectory_report(traj)
@@ -151,8 +150,7 @@ def run_simulate_pde(scn: Scenario) -> dict:
 def run_simulate_dde(scn: Scenario) -> dict:
     model = scn.build_model()
     xi0 = scn.build_initial(model)
-    traj, fg = dde.run(model, xi0, stride=scn.run_cfg["stride"],
-                       T=scn.run_cfg["T"], dt=scn.run_cfg["dt"])
+    traj, fg = dde.run(model, xi0, **scn.run_cfg)
     write_csv(os.path.join(scn.output_dir, "trajectory_dde.csv"), CSV_COLUMNS,
               [getattr(traj, name) for name in CSV_COLUMNS])
     write_csv(os.path.join(scn.output_dir, "dde_series.csv"),
@@ -166,8 +164,7 @@ def run_simulate_dde(scn: Scenario) -> dict:
     checks = [report["denom_min"] > 0.0]
     if scn.options["cross_check_pde"]:
         # only I is compared, so the reference skips the profile norms
-        ref = pde.run(model, xi0, stride=scn.run_cfg["stride"],
-                      T=scn.run_cfg["T"], dt=scn.run_cfg["dt"], norms=False)
+        ref = pde.run(model, xi0, **scn.run_cfg, norms=False)
         rel = float(np.max(np.abs(ref.monitors["state"].I / state.I - 1.0)))
         report["pde_dde_rel_diff"] = rel
         checks.append(rel < scn.options["equivalence_tol"])

@@ -178,17 +178,24 @@ class FunctionalSpec:
                 f"weight b must dominate q*h on [eps0, inf); worst margin {worst:.3e}")
 
 
-def canonical_functional(source: SourceFn, q: float = 1.0, eps0: float = 1.0,
-                         **kw) -> FunctionalSpec:
-    """q=1, eps0=1, a(y)=y^-2 and constant b = h(eps0).
+# the weights a(y) a scenario names
+WEIGHTS = {
+    "inverse_square": lambda y: y ** -2.0,
+    "exponential": lambda y: np.exp(-y),
+}
 
-    Since h decreases, b >= q*h holds on [eps0, inf) by inspection.
+
+def canonical_functional(source: SourceFn, q: float = 1.0, eps0: float = 1.0,
+                         a: str = "inverse_square", b: float | None = None,
+                         b_scale: float = 1.0) -> FunctionalSpec:
+    """Weight ``WEIGHTS[a]`` and constant b: ``b``, or else q h(eps0) b_scale.
+
+    The defaults give the canonical q=1, eps0=1, a(y)=y^-2 and b = h(eps0),
+    which dominates q*h on [eps0, inf) since h decreases; every b is checked.
     """
-    b0 = float(source.eval(eps0, 0)) * q
-    spec = FunctionalSpec(q=q, eps0=eps0,
-                          a=lambda y: y ** -2.0,
-                          b=lambda y: np.full_like(np.asarray(y, float), b0),
-                          **kw)
+    b0 = float(source.eval(eps0, 0)) * q * b_scale if b is None else float(b)
+    spec = FunctionalSpec(q=q, eps0=eps0, a=WEIGHTS[a],
+                          b=lambda y: np.full_like(np.asarray(y, float), b0))
     spec.check_dominates(source)
     return spec
 

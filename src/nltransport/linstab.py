@@ -239,7 +239,7 @@ class Linearization:
                       n_samples: int = 120) -> dict:
         """Solve u + K*u = g, reconstruct the perturbation and fit its decay."""
         grid = NORM_GRID
-        tgrid = np.linspace(0.0, T, int(round(T / dt)) + 1)
+        tgrid = uniform_grid(T, dt)
         Kv = self.kernel_K(tgrid)
         gv = self.forcing_g(xi0_tilde, tgrid)
         prob = VolterraProblem(kernel=_on_grid(tgrid, Kv), forcing=_on_grid(tgrid, gv),

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import nltransport
 from nltransport.cli import SUBCOMMANDS, main as cli_main
 from nltransport.config import OPTIONS, ConfigError, Scenario, load, validate
-from nltransport import control, experiments
+from nltransport import config, control, experiments
 from nltransport.experiments import (EXIT_ASSERTION, EXIT_NUMERIC, EXIT_PASS,
                                      EXIT_SCHEMA, config_hash, run_scenario)
 from nltransport.ratefit import fit_rate
@@ -192,15 +192,29 @@ PERTURBED = {"family": "perturbed_equilibrium"}
     (("model", "functional"), "a", "cubic", {}),
     (("initial",), "amplitude", "x", PERTURBED),
     (("initial",), "decay", float("inf"), PERTURBED),
+    # a misspelled or misplaced field is unknown to its section's table
+    (("model", "source"), "hinf", 2.0, {}),
+    (("model", "source"), "cuttoff", 2.0, {"kind": "kernel_inf", "kernel": "compact"}),
+    (("model", "functional"), "eps", 2.0, {}),
+    (("initial",), "p_prim", 3.0, {"family": "wrong_equilibrium", "p_prime": 3.0}),
+    (("run",), "dT", 0.5, {}),
+    (("run",), "strid", 2, {}),
+    (("output",), "dri", "elsewhere", {}),
+    ((), "sede", 3, {}),
+    (("model", "source"), "kernel", "nope", {}),
+    (("model", "source"), "cutoff", -1, {}),
+    (("initial",), "p_prime", 3.0, {}),
 ], ids=["p-infinity", "eps0-infinity", "q-nan", "h_inf-huge-int", "q-true", "seed-true",
         "b_scale-string", "b-string", "b-true", "a-unknown", "amplitude-string",
-        "decay-infinity"])
+        "decay-infinity", "source-hinf", "source-cuttoff", "functional-eps",
+        "initial-p_prim", "run-dT", "run-strid", "output-dri", "top-level-sede",
+        "constant-kernel", "constant-cutoff", "equilibrium-p_prime"])
 def test_non_finite_and_boolean_numbers_exit_one(tmp_path, capsys, section, key, value,
                                                  given):
     # json reads Infinity, NaN and true as numbers, and a field may hold a
-    # string where a number belongs; the schema takes none of them.  The
-    # section holds ``given`` besides the bad field (the initial family whose
-    # builder reads it).
+    # string where a number belongs; the schema takes none of them, nor a key
+    # its section does not declare.  The section holds ``given`` besides the
+    # bad field (the initial family whose builder reads it).
     doc = base_config(str(tmp_path / "out"))
     target = doc
     for name in section:
@@ -562,14 +576,43 @@ def test_declared_defaults_match_the_runners(experiment):
         assert validate(doc).options == {"tolerance": 1e-10}
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _readme_default(cell):
+    """A default as the README's tables write it, read back."""
+    if cell == "required":
+        return config.REQUIRED
+    if cell.startswith("`"):
+        return cell.strip("`")
+    if cell.startswith("p"):
+        return config.OfP(cell.partition("/")[2] or 1.0)
+    if "(" in cell:
+        by_kind = config.ByKind()
+        for value, kinds in re.findall(r"(\S+) \(([^)]*)\)", cell):
+            by_kind.update({kind: json.loads(value) for kind in kinds.split(", ")})
+        return by_kind
+    return json.loads(cell)
+
+
+def _readme_range(fld):
+    """The range cell of a declared field: its bound, then its strings."""
+    bound = [] if fld.typ is str and fld.choices else [fld.bound or "any"]
+    return ", ".join(bound + [f"`{c}`" for c in fld.choices])
+
+
 def test_readme_option_table_matches_config():
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    rows = {}
-    with open(readme) as fh:
+    rows, schema = {}, {}
+    with open(README) as fh:
         for line in fh:
             cells = [c.strip() for c in line.strip().strip("|").split("|")]
-            if len(cells) >= 5 and cells[0].startswith("`") and cells[1].startswith("`"):
+            if len(cells) < 5 or not cells[0].startswith("`") or cells[1] == "type":
+                continue
+            if cells[1].startswith("`"):
                 rows[cells[0].strip("`"), cells[1].strip("`")] = cells[2:5]
+            else:
+                field = re.fullmatch(r"`([^`]+)`(?: \((.*)\))?", cells[0])
+                schema[field.groups()] = cells[1:4]
     declared = {(exp, name): opt for exp, table in OPTIONS.items()
                 for name, opt in table.items()}
     assert sorted(rows) == sorted(declared)
@@ -583,6 +626,75 @@ def test_readme_option_table_matches_config():
             assert by_kind == opt.default
         else:
             assert json.loads(default) == opt.default
+
+    # every other section: one row per field, or per field and kind (family)
+    # where the kind picks the table; a row without kinds holds for all
+    plain = {"": config.TOP, "model.": config.MODEL,
+             "model.functional.": config.FUNCTIONAL, "run.": config.RUN,
+             "output.": config.OUTPUT}
+    declared = {(prefix + name, None): fld for prefix, table in plain.items()
+                for name, fld in table.items()}
+    variants = {"model.source.": ("kind", config.SOURCE_KIND, config.SOURCES),
+                "initial.": ("family", config.FAMILY, config.INITIALS)}
+    for prefix, (key, fld, tables) in variants.items():
+        for choice, table in tables.items():
+            declared.update({(prefix + name, choice): f
+                             for name, f in {key: fld, **table}.items()})
+    documented = {}
+    for (path, listed), cells in schema.items():
+        prefix = next((p for p in variants if path.startswith(p)), None)
+        choices = [None] if prefix is None else \
+            listed.split(", ") if listed else list(variants[prefix][2])
+        documented.update({(path, choice): cells for choice in choices})
+    assert sorted(documented, key=str) == sorted(declared, key=str)
+    for key, (typ, bound, default) in documented.items():
+        fld = declared[key]
+        assert (typ, bound) == (fld.typ.__name__, _readme_range(fld)), key
+        assert _readme_default(default) == fld.default, key
+
+
+def test_readme_example_validates():
+    # the README's scenario document passes the schema it documents
+    with open(README) as fh:
+        block = fh.read().split("```json\n", 1)[1].split("```", 1)[0]
+    scn = validate(json.loads(block))
+    assert scn.experiment == "simulate-dde" and scn.initial_cfg["p_prime"] == 3.0
+
+
+def _root_name(node):
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_builders_and_runners_hold_no_second_defaults():
+    # validate resolves every section with its defaults, so a builder or runner
+    # reads a section by index: a .get on one would hold a second default that
+    # can drift from the schema.  A section is anything reached from ``self``
+    # or ``scn`` by attributes and indexing, directly or through a local.
+    root = pathlib.Path(__file__).resolve().parent.parent / "src" / "nltransport"
+    trees = [ast.parse((root / name).read_text())
+             for name in ("config.py", "experiments.py")]
+    scenario = next(node for node in trees[0].body
+                    if isinstance(node, ast.ClassDef) and node.name == "Scenario")
+    funcs = [node for node in scenario.body
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("build_")]
+    funcs += [node for node in trees[1].body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("run_")]
+    assert len(funcs) >= 10
+    offending = []
+    for func in funcs:
+        sections = {"self", "scn"}
+        assigns = [node for node in ast.walk(func) if isinstance(node, ast.Assign)]
+        for _ in range(3):  # locals of locals
+            sections |= {target.id for node in assigns
+                         if _root_name(node.value) in sections
+                         for target in node.targets if isinstance(target, ast.Name)}
+        offending += [f"{func.name}: line {node.lineno}" for node in ast.walk(func)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute) and node.func.attr == "get"
+                      and _root_name(node.func.value) in sections]
+    assert offending == []
 
 
 def _containers(inner):
@@ -828,6 +940,15 @@ def test_suite_empty_list_gives_empty_map(tmp_path):
     report = json.loads((tmp_path / "empty_out" / "report.json").read_text())
     assert report["suite"]["scenarios"] == {}
     assert report["suite"]["pass"]
+
+
+def test_linear_stability_off_grid_step(tmp_path):
+    # dt does not divide T: the kernel and forcing tables share the solver's
+    # grid, which ends at round(T/dt) dt = 4.02
+    doc = base_config(str(tmp_path / "out"), experiment="linear-stability")
+    doc["run"] = {"T": 4.0, "dt": 0.06}
+    doc["options"] = {"kernel_grid": 100, "contour_omega": 10.0}
+    assert run_scenario(write_config(tmp_path, doc)) == EXIT_PASS
 
 
 def test_linear_stability_runner(tmp_path):
