@@ -55,16 +55,20 @@ class Field:
     ``default`` is ``REQUIRED``, a value, an ``OfP`` or a ``ByKind``; ``bound``
     is ``None`` (any finite value) or ``"> x"`` / ``">= x"``; ``choices`` are
     the strings the field takes, besides a number unless it is a str field.
+    ``when = (name, value)`` makes the field one that its section reads only
+    where the field ``name`` resolves to ``value``; given otherwise, it is an
+    error rather than ignored.
     """
 
     typ: type
     default: Any = REQUIRED
     bound: str | None = None
     choices: tuple = ()
+    when: tuple | None = None
 
 
-# every top-level key, for all experiments: a suite reads ``scenarios`` and no
-# model, initial or run; every other experiment reads the reverse
+# every top-level key, for all experiments; which of the sections below each
+# one reads is in READS
 TOP = {
     "experiment": Field(str, choices=EXPERIMENTS),
     "seed": Field(int, 0, ">= 0"),
@@ -76,6 +80,12 @@ TOP = {
     "scenarios": Field(list),
 }
 
+# the sections of TOP that an experiment reads where not model, initial and
+# run; it accepts the others unchecked.  volterra-demo reads none of them, but
+# a model given to it is checked all the same.
+READS = {"suite": ("scenarios",), "volterra-demo": ()}
+SECTIONS = ("model", "initial", "run", "scenarios")
+
 MODEL = {
     "p": Field(float, bound="> 0"),
     "source": Field(dict),
@@ -83,7 +93,7 @@ MODEL = {
 }
 
 _SOURCE = {"h_inf": Field(float, 1.0, "> 0")}
-_CUTOFF = Field(float, 1.0, "> 0")  # read by the compact kernel only
+_CUTOFF = Field(float, 1.0, "> 0", when=("kernel", "compact"))
 # the fields each source kind takes besides ``kind``
 SOURCES = {
     "constant": _SOURCE,
@@ -99,9 +109,9 @@ FUNCTIONAL = {
     "q": Field(float, 1.0, "> 0"),
     "eps0": Field(float, 1.0, "> 0"),
     "a": Field(str, "inverse_square", choices=tuple(WEIGHTS)),
-    # b = q h(eps0) b_scale; a number given as b ignores b_scale
+    # b = q h(eps0) b_scale, or a number given as b
     "b": Field(float, "h_at_eps0", choices=("h_at_eps0",)),
-    "b_scale": Field(float, 1.0),
+    "b_scale": Field(float, 1.0, when=("b", "h_at_eps0")),
 }
 
 # the fields each initial family takes besides ``family``
@@ -200,12 +210,19 @@ def _read(given: dict, name: str, fld: Field, path: str, model: dict):
 
 def _section(given: dict, table: dict, path: str, model: dict, skip=()) -> dict:
     """Every field of ``table`` but ``skip`` read from ``given``, which may
-    hold no key that ``table`` does not declare."""
+    hold no key that ``table`` does not declare, nor one whose ``when`` the
+    resolved section does not meet."""
     for name in given:
         _expect(name in table, f"{path}.{name}",
                 f"unknown field; {path} takes {', '.join(table) or 'no fields'}")
-    return {name: _read(given, name, fld, path, model)
-            for name, fld in table.items() if name not in skip}
+    resolved = {name: _read(given, name, fld, path, model)
+                for name, fld in table.items() if name not in skip}
+    for name in given:
+        if table[name].when is not None:
+            key, value = table[name].when
+            _expect(resolved[key] == value, f"{path}.{name}",
+                    f"read only when {key} is {value!r}, not {resolved[key]!r}")
+    return resolved
 
 
 def _variant(given: dict, key: str, fld: Field, tables: dict, path: str,
@@ -277,28 +294,33 @@ class Scenario:
 
 def validate(doc: Any, path: str = "config") -> Scenario:
     _expect(isinstance(doc, dict), path, "top level must be an object")
-    suite = _read(doc, "experiment", TOP["experiment"], path, {}) == "suite"
+    experiment = _read(doc, "experiment", TOP["experiment"], path, {})
+    reads = READS.get(experiment, ("model", "initial", "run"))
+    if experiment == "volterra-demo" and "model" in doc:
+        reads = ("model",)
     top = _section(doc, TOP, path, {},
-                   skip=("model", "initial", "run") if suite else ("scenarios",))
-    experiment, seed = top["experiment"], top["seed"]
+                   skip=[name for name in SECTIONS if name not in reads])
+    seed = top["seed"]
     out_dir = _section(top["output"], OUTPUT, f"{path}.output", {})["dir"]
 
     model_cfg, initial_cfg, run_cfg, subs = {}, {}, {}, []
-    if suite:
+    if "scenarios" in reads:
         for i, entry in enumerate(top["scenarios"]):
             where = f"{path}.scenarios[{i}]"
             _expect(isinstance(entry, dict), where, "must be an object")
             subs.append(validate({"seed": seed, "output": {"dir": out_dir}, **entry},
                                  path=where))
-    else:
+    if "model" in reads:
         mpath = f"{path}.model"
         model_cfg = _section(top["model"], MODEL, mpath, {})
         model_cfg["source"] = _variant(model_cfg["source"], "kind", SOURCE_KIND,
                                        SOURCES, f"{mpath}.source", model_cfg)
         model_cfg["functional"] = _section(model_cfg["functional"], FUNCTIONAL,
                                            f"{mpath}.functional", model_cfg)
+    if "initial" in reads:
         initial_cfg = _variant(top["initial"], "family", FAMILY, INITIALS,
                                f"{path}.initial", model_cfg)
+    if "run" in reads:
         run_cfg = _section(top["run"], RUN, f"{path}.run", model_cfg)
     options = _section(top["options"], OPTIONS[experiment], f"{path}.options",
                        model_cfg)

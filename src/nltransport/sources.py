@@ -109,13 +109,17 @@ def rational_tail(offsets, y):
         return 1.0 / (m * top ** m)
     if m == 1:
         return np.log1p(spread / (a[0] + y)) / spread
-    out = (rational_tail(a[:-1], y) - rational_tail(a[1:], y)) / spread
     ratio = spread / top
     series = ratio <= SERIES_RATIO
+    out = np.empty_like(top)
     if series.any():
         bases = tuple((a[-1] - ai) / spread for ai in a[:-1])
         out[series] = (_power_series(ratio[series], bases, m, 1, SERIES_RATIO)
                        / top[series] ** m)
+    rest = ~series  # the recursion only where the series does not apply
+    if rest.any():
+        y = y[rest]
+        out[rest] = (rational_tail(a[:-1], y) - rational_tail(a[1:], y)) / spread
     return out
 
 

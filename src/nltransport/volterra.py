@@ -5,10 +5,13 @@ Product-trapezoidal discretization of
     u(t) + int_0^t K(t,s) u(s) ds = g(t)
 
 on a uniform grid, for translation-invariant (K = K(t-s)) and general
-kernels.  For translation-invariant kernels, the resolvent series solves
-r + K*r = K, and the reconstruction u = g - r*g applies the resolvent in its
-discrete-operator form (one forward substitution with the convolved
-forcing), which keeps the identity exact at the discrete level.  A
+kernels.  A translation-invariant kernel makes the system lower-triangular
+Toeplitz, which ``solve`` substitutes forward by blocks of rows; a general
+kernel is solved row by row.  For translation-invariant kernels, the
+resolvent series solves r + K*r = K, and the reconstruction u = g - r*g
+applies the resolvent in its discrete-operator form (one forward
+substitution with the convolved forcing), which keeps the identity exact at
+the discrete level.  A
 convolution of the sampled r series would carry an O(dt^2) boundary-weight
 mismatch and is only second-order consistent.
 
@@ -44,7 +47,8 @@ from .quadrature import cumtrapz, trapz_weights
 MAX_RESOLVENT_NODES = 4096
 # nodes per row block of the kernel triangle in ``gripenberg_check``: its
 # memory is O(n BLOCK) for n nodes.  The resolvent's column blocks are twice as
-# wide, which halves its kernel evaluations and matmul calls.
+# wide, which halves its kernel evaluations and matmul calls.  A convolution
+# kernel's solve substitutes forward by blocks of BLOCK rows.
 BLOCK = 64
 
 
@@ -84,14 +88,13 @@ def solve(prob: VolterraProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_from_values(prob: VolterraProblem, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    if prob.convolution:
+        return _solve_toeplitz(_kernel_values_conv(prob), g, prob.dt)
     dt = prob.dt
-    K = _kernel_values_conv(prob) if prob.convolution else None
     u = np.empty(len(t))
     u[0] = g[0]
     for i in range(1, len(t)):
-        # row K(t_i, t_j), j = 0..i; a convolution kernel reads K(t_i - t_j)
-        Ki = K[i::-1] if K is not None else \
-            np.asarray(prob.kernel(t[i], t[:i + 1]), dtype=float)
+        Ki = np.asarray(prob.kernel(t[i], t[:i + 1]), dtype=float)  # K(t_i, t_j), j <= i
         acc = 0.5 * Ki[0] * u[0]
         if i > 1:
             acc += Ki[1:i] @ u[1:i]
@@ -99,6 +102,39 @@ def _solve_from_values(prob: VolterraProblem, t: np.ndarray, g: np.ndarray) -> n
         if abs(diag) < 1e-12:
             raise NumericalError("singular discrete Volterra system")
         u[i] = (g[i] - dt * acc) / diag
+    return u
+
+
+def _solve_toeplitz(K: np.ndarray, g: np.ndarray, dt: float) -> np.ndarray:
+    """The trapezoid system of a convolution kernel with values K(t_m), by blocks.
+
+    u_0 = g_0, and u[1:] solves the lower-triangular Toeplitz system with
+    diagonal 1 + dt K_0 / 2, lag-m entries dt K_m and right-hand side
+    g[1:] - dt K[1:] g_0 / 2.  Its forward substitution runs over blocks of
+    BLOCK rows.  Every diagonal block is the same, so it is inverted once;
+    the lags that reach back past a block are one correlation of dt K with
+    the unknowns found so far, so memory is O(n).
+    """
+    n = len(g) - 1
+    u = np.empty(n + 1)
+    u[0] = g[0]
+    if n == 0:
+        return u
+    b = min(BLOCK, n)
+    lag = np.subtract.outer(np.arange(b), np.arange(b))
+    D = np.where(lag > 0, dt * K[np.maximum(lag, 0)], 0.0)
+    D[np.diag_indices(b)] = 1.0 + 0.5 * dt * K[0]
+    D_inv = _lower_inverse(D)
+    dtK = dt * K[1:]  # dtK[m] = dt K_{m+1}
+    v = u[1:]
+    rhs = g[1:] - 0.5 * dtK * g[0]
+    for r0 in range(0, n, b):
+        r1 = min(r0 + b, n)
+        block = rhs[r0:r1]
+        if r0:
+            # row r0 + a takes sum_l dt K_{a+1+l} v_{r0-1-l}
+            block = block - np.correlate(dtK[:r1 - 1], v[r0 - 1::-1], "valid")
+        v[r0:r1] = D_inv[:r1 - r0, :r1 - r0] @ block
     return u
 
 

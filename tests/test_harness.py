@@ -227,6 +227,48 @@ def test_non_finite_and_boolean_numbers_exit_one(tmp_path, capsys, section, key,
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("section, given, key", [
+    ("source", {"kind": "kernel_inf", "kernel": "log", "cutoff": 5.0}, "cutoff"),
+    ("source", {"kind": "kernel_inf", "cutoff": 5.0}, "cutoff"),  # log by default
+    ("source", {"kind": "kernel_inf", "kernel": "inv_square", "cutoff": 5.0}, "cutoff"),
+    ("source", {"kind": "kernel_p", "kernel": "inv_square", "cutoff": 5.0}, "cutoff"),
+    ("functional", {"b": 3.0, "b_scale": 7.0}, "b_scale"),
+], ids=["log-cutoff", "default-log-cutoff", "inv_square-cutoff", "kernel_p-inv_square-cutoff",
+        "numeric-b-b_scale"])
+def test_fields_the_variant_does_not_read_exit_one(tmp_path, capsys, section, given, key):
+    # cutoff belongs to the compact kernel and b_scale to b = h_at_eps0: given
+    # beside another kernel or a numeric b they would be ignored, so they are
+    # schema errors naming the field
+    doc = base_config(str(tmp_path / "out"))
+    doc["model"][section] = given
+    assert run_scenario(write_config(tmp_path, doc)) == EXIT_SCHEMA
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1 and f"config.model.{section}.{key}" in out
+    assert not (tmp_path / "out" / "report.json").exists()
+    # the same fields where their variant reads them
+    doc["model"]["source"] = {"kind": "kernel_inf", "kernel": "compact", "cutoff": 5.0}
+    doc["model"]["functional"] = {"b": "h_at_eps0", "b_scale": 7.0}
+    resolved = validate(doc).model_cfg
+    assert resolved["source"]["cutoff"] == 5.0 and resolved["functional"]["b_scale"] == 7.0
+
+
+def test_volterra_demo_reads_no_model(tmp_path, capsys):
+    # volterra-demo's problems are fixed: it runs without a model, and takes
+    # initial and run unchecked like every section it does not read; a model
+    # given to it is checked all the same
+    doc = _small_run_config(tmp_path, "volterra-demo")
+    model = doc.pop("model")
+    scn = validate({**doc, "initial": {"family": "nope"}, "run": {"dt": -1.0}})
+    assert (scn.model_cfg, scn.initial_cfg, scn.run_cfg) == ({}, {}, {})
+    assert run_scenario(write_config(tmp_path, doc)) == EXIT_PASS
+    assert validate({**doc, "model": model}).model_cfg["p"] == 2.0
+    doc["model"] = {**model, "p": -1.0}
+    capsys.readouterr()
+    assert run_scenario(write_config(tmp_path, doc)) == EXIT_SCHEMA
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1 and "config.model.p" in out
+
+
 def test_compact_kernel_p_equilibrium_passes(tmp_path):
     doc = base_config(str(tmp_path / "out"))
     doc["model"]["source"] = {"kind": "kernel_p", "kernel": "compact",

@@ -132,9 +132,28 @@ def test_laplace_factored_matches_node_by_node(lin_name, request):
     assert np.max(np.abs(vals - _khat_node_by_node(lin, z, n_panels))) < 1e-13
 
 
+@pytest.mark.parametrize("p", [0.5, 2.0, 5.0])
+def test_laplace_horner_matches_direct_panel_sum(p):
+    # Horner's rule in q = e^{-z h} against sum_k e^{-z k h} G_k with every
+    # e^{-z k h} formed directly, on the H3 contour; its left edge, Re z =
+    # -1/(1.2 p), has |q| > 1.  Each point's gap is measured against the sum
+    # of its terms' moduli, the scale of the sum's rounding.
+    src = sources.log_source()
+    lin = Linearization(Model(src, canonical_functional(src), p))
+    z = linstab.h3_contour(p, 50.0, 400)
+    vals, _ = lin.laplace_khat(z)
+    starts, offsets, WK = lin._laplace_rule(50.0)
+    terms = (np.exp(np.outer(z, -offsets)) @ WK.T) * np.exp(np.outer(z, -starts))
+    left = z.real == z.real.min()
+    assert np.max(np.abs(np.exp(-z[left] * starts[1]))) > 1.0
+    scale = np.abs(terms).sum(axis=1)
+    assert np.max(np.abs(vals - terms.sum(axis=1)) / scale) < 1e-13
+
+
 def test_laplace_exponential_count(linearization, monkeypatch):
-    # one exponential per point and panel plus one per point and panel node;
-    # the node-by-node sum takes one per point and node (34 M here)
+    # one exponential per point and panel node, one per point for q = e^{-z h}
+    # and three scalars for the tail bound K(T_L) e^{-sigma T_L}; the
+    # node-by-node sum takes one per point and node (34 M here)
     starts, offsets, _ = linearization._laplace_rule(50.0)
     z = linstab.h3_contour(linearization.p, 50.0, linstab.CONTOUR_N0)
     count = [0]
@@ -148,7 +167,7 @@ def test_laplace_exponential_count(linearization, monkeypatch):
     monkeypatch.setattr(np, "exp", counting_exp)
     linearization.laplace_khat(z)
     n_z = len(z)
-    assert count[0] <= n_z * (len(starts) + len(offsets)) + n_z
+    assert count[0] <= n_z * (len(offsets) + 1) + 3
 
 
 def test_condition_h3_reports_rule_size(linearization):
@@ -223,6 +242,38 @@ def test_perturbation_at_reproduces_linear_evolve_norms(linearization, log_model
         val, dval = linearization.perturbation_at(pert, out["t"], out["u"], idx, grid)
         norm = weighted_norm_from_samples(val, dval, grid)
         assert abs(norm - out["norm_1inf"][row]) <= 1e-13 * out["norm_1inf"][row]
+
+
+def test_perturbation_reads_initial_profile_once(log_model, monkeypatch):
+    # xi0_tilde's value and derivative come from one pair_eval, so the
+    # equilibrium's tail J is formed once per sample; the result has the bits
+    # of the separate value and derivative reads
+    lin = Linearization(log_model)
+    pert = log_model.equilibrium_profile().scaled(1e-3)
+    tgrid = np.linspace(0.0, 2.0, 101)
+    u = np.random.default_rng(3).normal(size=len(tgrid))
+    yq = linstab.NORM_GRID
+    tabs = lin._reconstruction_tables(tgrid, yq)
+    tails = [0]
+    tail = log_model._tail
+
+    def counting_tail(y):
+        tails[0] += 1
+        return tail(y)
+
+    monkeypatch.setattr(log_model, "_tail", counting_tail)
+    for idx in (0, 1, 57, 100):
+        tails[0] = 0
+        val, dval = lin._perturbation_from_tab(pert, tgrid, u, idx, yq, *tabs)
+        assert tails[0] == 1
+        Y0 = lin.shift(tgrid[idx], yq)
+        expect_val = np.exp(-tgrid[idx] / lin.p) * pert(Y0)
+        expect_dval = pert.d(Y0)
+        if idx > 0:
+            coeff = quadrature.trapz_weights(idx + 1, tgrid[1]) * u[idx::-1] / lin.denom
+            expect_val = expect_val + tabs[0][:, :idx + 1] @ coeff
+            expect_dval = expect_dval + tabs[1][:, :idx + 1] @ coeff
+        assert np.array_equal(val, expect_val) and np.array_equal(dval, expect_dval)
 
 
 def test_nonlinear_gap_scales_quadratically(weak_log_model):

@@ -2,13 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_volterra import dense_resolvent, dense_triangle_scans
+from dense_volterra import dense_operator, dense_resolvent, dense_triangle_scans
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from nltransport import volterra
 from nltransport.config import OPTIONS
 from nltransport.errors import DomainError, NumericalError
+from nltransport.linstab import _on_grid
 from nltransport.volterra import (BLOCK, LinearDDEProblem, VolterraProblem,
                                   gripenberg_check, linear_dde_solve,
                                   reconstruct, resolvent, resolvent_row_l1,
@@ -102,6 +104,53 @@ def test_singular_discrete_system_raises():
                            convolution=True)
     with pytest.raises(NumericalError):
         solve(prob)
+
+
+def _tabulated_K_problem(lin, n, dt=0.02):
+    # linear_evolve's problem: the exact kernel K and forcing g of a scaled
+    # equilibrium, tabulated on the grid
+    t = volterra.uniform_grid(n * dt, dt)
+    xp = lin.model.equilibrium_profile().scaled(1e-3)
+    return VolterraProblem(kernel=_on_grid(t, lin.kernel_K(t)),
+                           forcing=_on_grid(t, lin.forcing_g(xp, t)),
+                           T=n * dt, dt=dt, convolution=True)
+
+
+@pytest.mark.parametrize("kernel", ["volterra-demo", "tabulated-K"])
+@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 1001])
+def test_blocked_toeplitz_solve_matches_dense_operator(linearization, kernel, n):
+    # the block forward substitution of a convolution kernel against
+    # (I + L) u = g, (I + L) r = K and u = g - (I + L)^{-1} L g solved whole,
+    # for n steps (n + 1 nodes) on either side of the block edges
+    prob = _exp_conv(n * 1e-3, 1e-3) if kernel == "volterra-demo" \
+        else _tabulated_K_problem(linearization, n)
+    t = prob.grid
+    assert len(t) == n + 1
+    g = prob.forcing(t)
+    L = dense_operator(prob)
+    system = np.eye(n + 1) + L
+    dense = {"solve": solve_triangular(system, g, lower=True),
+             "resolvent": solve_triangular(system, prob.kernel(t), lower=True),
+             "reconstruct": g - solve_triangular(system, L @ g, lower=True)}
+    blocked = {"solve": solve(prob)[1], "resolvent": resolvent(prob)[1],
+               "reconstruct": reconstruct(prob)}
+    for name, ref in dense.items():
+        assert np.max(np.abs(blocked[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("n", [10, BLOCK + 5])
+def test_zero_diagonal_raises_on_every_path(n):
+    # 1 + dt K(0)/2 = 0: the convolution path inverts its diagonal block once,
+    # the general path checks each row, and both refuse the system
+    dt = 0.01
+    conv = VolterraProblem(kernel=lambda tau: np.full_like(tau, -2.0 / dt),
+                           forcing=np.ones_like, T=n * dt, dt=dt, convolution=True)
+    general = VolterraProblem(kernel=lambda t, s: np.full_like(np.asarray(s, float), -2.0 / dt),
+                              forcing=np.ones_like, T=n * dt, dt=dt)
+    for run in (lambda: solve(conv), lambda: resolvent(conv),
+                lambda: reconstruct(conv), lambda: solve(general)):
+        with pytest.raises(NumericalError, match="singular"):
+            run()
 
 
 def test_resolvent_matrix_row_sums(exp_problem):
