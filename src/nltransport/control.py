@@ -24,7 +24,10 @@ level map
 
 which is strictly increasing with F(z2) - F(z1) >= z2 - z1 below
 z_inf = sup{z : g'(z) < 0} and diverges there; all roots are bracketed by
-these inequalities.  Level-map inversions take safeguarded Newton steps,
+these inequalities.  A characteristic F(z(s)) = F(z1) + t1 - s has
+ds/z = d log(-g'), so its state and its payoff integral close in form and
+need only its start z(t): one level-map inversion per characteristic.
+Level-map inversions take safeguarded Newton steps from a tabulated start,
 and the ratio and merge-time roots take Brent steps, inside those brackets.
 The module needs no scipy: the level map's tables are not-a-knot cubic
 splines solved by one tridiagonal sweep (``_Spline``), and ``_brent`` is a
@@ -32,9 +35,9 @@ port of scipy's ``brentq``.
 
 Each closed-form piece has one home: ``_edge_states`` runs the backward state
 recursion of a piecewise-constant control, ``_ride`` integrates the payoff
-along x_p, ``_char_state`` and ``_char_payoff`` follow a level-map
-characteristic (built by ``_characteristic``), and ``value`` answers flat
-payoffs (z_inf <= 0), whose values need no control.
+along x_p, ``_char_start`` inverts a level-map characteristic's start, from
+which ``_char_state`` and ``_char_payoff`` follow it in closed form, and
+``value`` answers flat payoffs (z_inf <= 0), whose values need no control.
 
 ``verification_certificate`` checks the closed forms against sampled
 controls, and ``extremal_history_certificate`` checks the delay functional F
@@ -53,14 +56,12 @@ import numpy as np
 
 from .dde import F_of_path
 from .errors import DomainError, ModelViolationError, NumericalError
-from .quadrature import cumtrapz, gauss_panels, simpson_integrate, unit_gauss_nodes
+from .quadrature import gauss_panels, unit_gauss_nodes
 from .sources import SourceFn
 
 VARIANTS = ("max01", "min1inf", "max01w", "min1infw")
 BISECT_ITERS = 60
 MIN_CONTROL_CEILING = 8.0
-# uniform s nodes of the characteristics behind value_min1infw
-S_NODES = 401
 
 
 class PayoffG:
@@ -397,7 +398,8 @@ class _Spline:
 
     def __call__(self, x, nu: int = 0):
         """The spline (nu = 0) or its first derivative (nu = 1) at x."""
-        i = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, len(self.x) - 2)
+        i = np.minimum(np.maximum(np.searchsorted(self.x, x, side="right") - 1, 0),
+                       len(self.x) - 2)
         h = x - self.x[i]
         if nu == 0:
             return self._c0[i] + self._c1[i] * h + self._c2[i] * (h * h) \
@@ -428,16 +430,17 @@ def _exprel(x: np.ndarray) -> np.ndarray:
 class CharMap:
     """The level map F(z) = -z log(-g'(z)) + int_{z0}^z log(-g'(z')) dz'.
 
-    The antiderivative is tabulated once on PHI_NODES points of a uniform
-    grid in log z over [Z_LO, z_hi] (the integrand is smooth in log z) with
-    cumulative Simpson and a not-a-knot cubic spline; z_hi is Z_HI or just
-    below a finite z_inf.  Next to it a spline of log(-g') on SLOPE_NODES
-    points gives the slope F'(z) = -z g''/g' = -d log(-g') / d log z without
-    g''.  That spline runs over w = log z - log(1 - z/z_inf), which stretches
-    the approach to a finite z_inf, where log(-g') has a logarithmic
-    singularity that no grid in log z resolves.  F is strictly increasing on
-    (0, z_inf) with slope >= 1 and diverges at z_inf, which brackets every
-    inversion.
+    Both tables run over w = log z - log(1 - z/z_inf) (w = log z for infinite
+    z_inf), which stretches the approach to a finite z_inf, where log(-g')
+    has a logarithmic singularity that no grid in log z resolves; in w the
+    antiderivative's integrand log(-g') dz/dw decays to 0 there.  The
+    antiderivative Phi is tabulated once on PHI_NODES points of a uniform w
+    grid over [Z_LO, z_hi] with cumulative Simpson and a not-a-knot cubic
+    spline; z_hi is Z_HI or just below a finite z_inf.  F at those knots
+    starts each inversion.  A spline of log(-g') on SLOPE_NODES points gives
+    the slope F'(z) = -z g''/g' = -d log(-g') / d log z without g''.  F is
+    strictly increasing on (0, z_inf) with slope >= 1 and diverges at z_inf,
+    which brackets every inversion.
     """
 
     Z0 = 1.0
@@ -453,36 +456,51 @@ class CharMap:
         self.g = g
         cap = g.z_inf * (1.0 - 1e-12) if np.isfinite(g.z_inf) else np.inf
         self.z_hi = min(cap, self.Z_HI)
-        u = np.linspace(np.log(self.Z_LO), np.log(self.z_hi), self.PHI_NODES)
-        z = np.exp(u)
-        vals = np.log(-g.d(z)) * z  # d Phi / du with u = log z
-        # cumulative Simpson on the uniform u grid
-        du = u[1] - u[0]
-        seg = (vals[:-2:2] + 4.0 * vals[1:-1:2] + vals[2::2]) * du / 3.0
-        phi_even = np.concatenate([[0.0], np.cumsum(seg)])
-        phi = np.empty_like(u)
-        phi[::2] = phi_even
-        # odd nodes by local Simpson-consistent half-panels (trapezoid suffices
-        # at O(du^2) locally; upgrade with a 3-point rule)
-        phi[1::2] = phi[:-1:2] + du / 12.0 * (5.0 * vals[:-1:2]
-                                              + 8.0 * vals[1::2] - vals[2::2])
-        base = np.interp(np.log(self.Z0), u, phi)
-        self._phi = _Spline(u, phi - base)
-        # log(-g') over w; z = e^w / (1 + e^w / z_inf) inverts w(z)
         self._inv_z_inf = 1.0 / g.z_inf
-        w = np.linspace(*self._w(np.array([self.Z_LO, self.z_hi])), self.SLOPE_NODES)
-        zw = np.exp(w) / (1.0 + np.exp(w) * self._inv_z_inf)
-        self._log_slope = _Spline(w, np.log(-g.d(zw)))
+        ends = self._w(np.array([self.Z_LO, self.z_hi]))
+        w = np.linspace(*ends, self.PHI_NODES)
+        z = self._z(w)
+        zl = np.log(-g.d(z)) * z
+        vals = zl * (1.0 - z * self._inv_z_inf)  # d Phi / dw = L dz/dw
+        # cumulative Simpson on the uniform w grid
+        dw = w[1] - w[0]
+        seg = (vals[:-2:2] + 4.0 * vals[1:-1:2] + vals[2::2]) * dw / 3.0
+        phi = np.empty_like(w)
+        phi[0] = 0.0
+        np.cumsum(seg, out=phi[2::2])
+        # odd nodes by local Simpson-consistent half-panels (trapezoid suffices
+        # at O(dw^2) locally; upgrade with a 3-point rule)
+        phi[1::2] = phi[:-1:2] + dw / 12.0 * (5.0 * vals[:-1:2]
+                                              + 8.0 * vals[1::2] - vals[2::2])
+        # Phi(Z0) = 0, or Phi(z_hi) = 0 when z_inf <= Z0
+        phi -= np.interp(self._w(min(self.Z0, self.z_hi)), w, phi)
+        # F at the knots, F(z_k) = -z_k L_k + Phi_k: the start of each inversion
+        self._F_knots = phi - zl
+        # freed before the spline's tridiagonal sweep, the peak of the set-up
+        del z, zl, vals, seg
+        self._phi = _Spline(w, phi)
+        w = np.linspace(*ends, self.SLOPE_NODES)
+        self._log_slope = _Spline(w, np.log(-g.d(self._z(w))))
 
     def _w(self, z):
         return np.log(z) - np.log1p(-z * self._inv_z_inf)
 
+    def _z(self, w):
+        """The inverse of w(z): z = e^w / (1 + e^w / z_inf)."""
+        ew = np.exp(w)
+        return ew / (1.0 + ew * self._inv_z_inf)
+
     def F(self, z):
         z = np.asarray(z, dtype=float)
-        if np.any(z <= self.Z_LO) or np.any(z > self.z_hi * (1 + 1e-12)):
+        log_slope, phi = self._terms(z)
+        return -z * log_slope + phi
+
+    def _terms(self, z: np.ndarray):
+        """The two terms of F = -z L + Phi at z: L = log(-g'(z)) and
+        Phi(z) = int_{Z0}^z L."""
+        if ((z <= self.Z_LO) | (z > self.z_hi * (1 + 1e-12))).any():
             raise DomainError("level map evaluated outside its tabulated range")
-        lz = np.log(z)
-        return -z * np.log(-self.g.d(z)) + self._phi(lz)
+        return np.log(-self.g.d(z)), self._phi(self._w(z))
 
     def _slope(self, z):
         """F'(z) from the table, floored at its lower bound 1."""
@@ -493,19 +511,23 @@ class CharMap:
     def invert(self, c, lo):
         """Solve F(z) = c for z >= lo elementwise (safeguarded Newton).
 
-        F(z2) - F(z1) >= z2 - z1 certifies the bracket [lo, lo + (c - F(lo))],
-        and every evaluation of F narrows it.  Newton steps start from lo with
-        the tabulated slope and are taken in v = -z_inf log(1 - z/z_inf)
-        (v = z for infinite z_inf), in which F stays close to linear up to its
-        singularity at z_inf; a step that leaves the bracket is replaced by
-        the bracket's midpoint.  An element stops when its step falls below
-        1e-15 z, or when a step below 1e-12 z + 1e-15 |c| fails to halve:
-        steps shrink quadratically until they reach the rounding noise of F,
-        which exceeds 1e-15 z for small z.  After BISECT_ITERS steps the last
-        iterate, which lies in the bracket, is returned.
+        lo is first raised to the highest Phi knot z_k whose tabulated
+        F(z_k) <= c, one knot below the root (0.2% in z for infinite z_inf).
+        F(z2) - F(z1) >= z2 - z1 then certifies the bracket
+        [lo, lo + (c - F(lo))], and every evaluation of F narrows it.  Newton
+        steps start from lo with the tabulated slope and are taken in
+        v = -z_inf log(1 - z/z_inf) (v = z for infinite z_inf), in which F
+        stays close to linear up to its singularity at z_inf; a step that
+        leaves the bracket is replaced by the bracket's midpoint.  An element
+        stops when its step falls below 1e-15 z, or when a step below
+        1e-12 z + 1e-15 |c| fails to halve: steps shrink quadratically until
+        they reach the rounding noise of F, which exceeds 1e-15 z for small z.
+        After BISECT_ITERS steps the last iterate, which lies in the bracket,
+        is returned.
         """
         c = np.atleast_1d(np.asarray(c, dtype=float))
-        lo = np.broadcast_to(np.atleast_1d(np.asarray(lo, dtype=float)), c.shape).copy()
+        knot = np.maximum(np.searchsorted(self._F_knots, c, side="right") - 1, 0)
+        lo = np.maximum(lo, self._z(self._phi.x[knot]))
         resid = self.F(lo) - c
         if np.any(resid > 1e-9):
             raise NumericalError("inversion bracket failed: F(lo) > target")
@@ -600,8 +622,9 @@ def value_min1infw(prob: ControlProblem, x: float) -> tuple[float, dict]:
     region "flat": beyond z_inf the payoff slope is pinned at g(z_inf) and the
     value is linear in x; region "merge": characteristics that join the v = 1
     curve.  The ratio lambda and the merge time are Brent roots on brackets
-    whose end values are known limits.  The value integrals use cumulative
-    Simpson on a uniform s grid.
+    whose end values are known limits.  Each evaluation follows one
+    characteristic in closed form (``_char_state``, ``_char_payoff``) from a
+    single level-map inversion at its start.
     """
     prob.check_state(x)
     if prob.g.degenerate:
@@ -670,30 +693,45 @@ def value_min1infw(prob: ControlProblem, x: float) -> tuple[float, dict]:
     return part1 + _ride(prob, tau), info
 
 
-def _characteristic(prob: ControlProblem, z1: float, t1: float):
-    """The level-map characteristic that ends at z1 at time t1: its uniform s
-    grid on [t, t1] (S_NODES points) and z(s), with F(z(s)) = F(z1) + t1 - s."""
+def _char_start(prob: ControlProblem, z1: float, t1: float) -> tuple[float, float]:
+    """The start z0 = z(t) of the level-map characteristic that ends at z1 at
+    time t1, F(z(s)) = F(z1) + t1 - s, and ell = int_t^t1 ds/z along it.
+
+    F' = -z g''/g' makes ds/z = dL with L = log(-g'), so ell = L(z1) - L(z0).
+    With F = -z L + Phi and Delta = t1 - t this is
+    ell = (Delta - [Phi(z0) - Phi(z1) - (z0 - z1) L(z1)]) / z0, which reads g'
+    only at z1.  Next to a finite z_inf, z0 stops at the table's end z_hi,
+    and this form still integrates ds/z along the z(s) the inversion returns;
+    the ratio form log(g'(z1)/g'(z0)) would not.
+    """
     cm = prob.g.char_map
-    s = np.linspace(prob.t, t1, S_NODES)
-    return s, cm.invert(cm.F(np.array([z1])) + (t1 - s), np.full(S_NODES, z1))
+    delta = t1 - prob.t
+    (log_slope,), (phi1,) = cm._terms(np.array([z1]))
+    z0 = float(cm.invert(-z1 * log_slope + phi1 + delta, z1)[0])
+    gap = float(cm._phi(cm._w(z0))) - phi1 - (z0 - z1) * log_slope
+    return z0, (delta - gap) / z0
 
 
 def _char_state(prob: ControlProblem, z1: float, x1: float, t1: float) -> float:
     """The state at t on the characteristic through z1 and the state x1 at t1:
-    x1 exp(int_t^t1 (1/p + 1/z) ds), by Simpson."""
-    s, z = _characteristic(prob, z1, t1)
-    return float(x1 * np.exp(simpson_integrate(1.0 / prob.p + 1.0 / z, s[1] - s[0])))
+    x1 exp(int_t^t1 (1/p + 1/z) ds) = x1 exp((t1 - t)/p + ell)."""
+    _, ell = _char_start(prob, z1, t1)
+    return float(x1 * np.exp((t1 - prob.t) / prob.p + ell))
 
 
 def _char_payoff(prob: ControlProblem, z1: float, x1: float, t1: float) -> float:
-    """int_t^t1 g(z) e^{-(T-s)/p} x/z ds along the characteristic through z1 and
-    x1 at t1, whose state x(s) = x1 exp(int_s^t1 (1/p + 1/z)) is a cumulative
-    trapezoid; the outer integral is Simpson."""
-    s, z = _characteristic(prob, z1, t1)
-    integ = cumtrapz(1.0 / prob.p + 1.0 / z, x=s)
-    xs = x1 * np.exp(integ[-1] - integ)
-    return simpson_integrate(prob.g(z) / z * xs * np.exp(-(prob.T - s) / prob.p),
-                             s[1] - s[0])
+    """int_t^t1 g(z) e^{-(T-s)/p} x/z ds along the characteristic through z1
+    and x1 at t1.
+
+    The discounted state is x(s) e^{-(T-s)/p} = x1 e^{(t1-T)/p} g'(z1)/g'(z(s))
+    and ds/z = g''/g' dz, so the integral is x1 e^{(t1-T)/p} g'(z1) times
+    int_{z0}^{z1} g g''/g'^2 dz, which integrates by parts to
+    x1 e^{(t1-T)/p} [g(z0) e^ell - g(z1) + g'(z1)(z1 - z0)].
+    """
+    z0, ell = _char_start(prob, z1, t1)
+    g = prob.g
+    bracket = g(z0) * np.exp(ell) - g(z1) + g.d(z1) * (z1 - z0)
+    return float(x1 * np.exp((t1 - prob.T) / prob.p) * bracket)
 
 
 def value(prob: ControlProblem, x: float):

@@ -107,16 +107,6 @@ def trapz_weights(n: int, dx: float) -> np.ndarray:
     return w
 
 
-def simpson_integrate(values: np.ndarray, dx: float) -> float:
-    """Composite Simpson on a uniform grid (odd node count required)."""
-    n = len(values)
-    if n < 3 or n % 2 == 0:
-        raise ValueError("Simpson rule needs an odd number of nodes >= 3")
-    return float(dx / 3.0 * (values[0] + values[-1]
-                             + 4.0 * values[1:-1:2].sum()
-                             + 2.0 * values[2:-1:2].sum()))
-
-
 def gauss_panels(a: float, b: float, n_panels: int, nodes_per_panel: int = 8):
     """Composite Gauss-Legendre nodes/weights on [a, b]."""
     u, w = unit_gauss_nodes(nodes_per_panel)

@@ -235,18 +235,20 @@ def test_level_map_inversion_matches_bisection(source, top, monkeypatch):
 
 
 def test_min_weighted_value_work_count(g_weighted, monkeypatch):
-    calls = []
+    # each Brent evaluation inverts one characteristic's start in a few
+    # one-point Newton steps: 38 points of F in all
+    points = []
     level_map = cc.CharMap.F
 
     def counted(self, z):
-        calls.append(1)
+        points.append(np.size(z))
         return level_map(self, z)
 
     monkeypatch.setattr(cc.CharMap, "F", counted)
     prob = cc.ControlProblem("min1infw", g_weighted, P, Y, T, T0)
     val, _ = cc.value_min1infw(prob, _mid_state(prob, 0.5))
     assert np.isfinite(val)
-    assert len(calls) <= 400
+    assert sum(points) <= 45
 
 
 @pytest.mark.parametrize("payoff", [
@@ -267,6 +269,64 @@ def test_level_map_splines_match_scipy(payoff, table):
     for nu in (0, 1):
         want = ref(q, nu)
         assert np.max(np.abs(spline(q, nu) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+_CHARACTERISTIC_PAYOFFS = {
+    "log-weighted": lambda: cc.PayoffG.from_source_weighted(log_source(1.0), P),
+    "log-unweighted": lambda: cc.PayoffG.from_source_unweighted(log_source(1.0), P, Y),
+    "compact-weighted": lambda: cc.PayoffG.from_source_weighted(compact_source(1.0, 2.0),
+                                                                P),
+}
+
+
+@pytest.mark.parametrize("payoff", sorted(_CHARACTERISTIC_PAYOFFS))
+def test_characteristic_closed_form_matches_refined_quadrature(payoff):
+    # the closed-form state and payoff of a level-map characteristic against
+    # quadrature over uniform s nodes, each node its own inversion: from 6401
+    # to 25601 nodes the quadrature's gap shrinks at O(h^2) or better, down
+    # to the tables' rounding floor
+    g = _CHARACTERISTIC_PAYOFFS[payoff]()
+    prob = cc.ControlProblem("min1infw", g, P, Y, T, T0)
+    z1s = [z for z in (1e-3, 0.3, 2.0, 20.0) if z < g.z_inf]
+    if np.isfinite(g.z_inf):
+        z1s.append(g.z_inf * (1.0 - 1e-3))
+    for z1 in z1s:
+        closed = (cc._char_state(prob, z1, Y, T), cc._char_payoff(prob, z1, Y, T))
+        coarse, fine = (oracles.characteristic_by_quadrature(prob, z1, Y, T, n)
+                        for n in (6401, 25601))
+        for want, ref_coarse, ref_fine in zip(closed, coarse, fine):
+            gap_coarse = abs(ref_coarse / want - 1.0)
+            gap_fine = abs(ref_fine / want - 1.0)
+            assert gap_fine <= max(gap_coarse / 8.0, 1e-10), (z1, gap_coarse, gap_fine)
+            assert gap_fine <= 2e-3, (z1, gap_fine)
+
+
+def test_level_map_resolves_support_edge():
+    # F(z) - F(1.5) = -z L(z) + 1.5 L(1.5) + int_1.5^z L with L = log(-g'),
+    # against adaptive quadrature up to a finite z_inf = 2, where L has a
+    # logarithmic singularity: the table in w = log z - log(1 - z/z_inf)
+    # resolves it to ~1e-12, where a grid in log z missed by up to 3e-2
+    from scipy.integrate import quad
+
+    g = cc.PayoffG.from_source_weighted(compact_source(1.0, 2.0), P)
+    log_slope = lambda z: float(np.log(-g.d(z)))
+    level_map = lambda z: float(g.char_map.F(np.array([z]))[0])
+    for gap in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6):
+        z = g.z_inf - gap
+        integral, _ = quad(log_slope, 1.5, z, limit=500, epsabs=1e-14, epsrel=1e-13)
+        want = -z * log_slope(z) + 1.5 * log_slope(1.5) + integral
+        assert abs(level_map(z) - level_map(1.5) - want) < 1e-11, gap
+
+
+def test_simpson_cubic_exact():
+    x = np.linspace(0.0, 1.0, 21)
+    vals = x ** 3 - 2.0 * x
+    assert abs(oracles.simpson_integrate(vals, x[1] - x[0]) - (0.25 - 1.0)) < 1e-14
+
+
+def test_simpson_rejects_even_count():
+    with pytest.raises(ValueError):
+        oracles.simpson_integrate(np.ones(10), 0.1)
 
 
 def _counted(f):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from nltransport.errors import NumericalError
 from nltransport.sources import compact_kernel
 from nltransport.quadrature import (HalfLineRule, cumtrapz, gauss_panels,
-                                    simpson_integrate, tail_integral_refined,
-                                    tail_integral_values, trapz_weights)
+                                    tail_integral_refined, tail_integral_values,
+                                    trapz_weights)
 
 
 def test_inverse_square_exact():
@@ -90,17 +90,6 @@ def test_cumtrapz_linear_exact():
 def test_trapz_weights_sum():
     w = trapz_weights(11, 0.1)
     assert abs(w.sum() - 1.0) < 1e-14
-
-
-def test_simpson_cubic_exact():
-    x = np.linspace(0.0, 1.0, 21)
-    vals = x ** 3 - 2.0 * x
-    assert abs(simpson_integrate(vals, x[1] - x[0]) - (0.25 - 1.0)) < 1e-14
-
-
-def test_simpson_rejects_even_count():
-    with pytest.raises(ValueError):
-        simpson_integrate(np.ones(10), 0.1)
 
 
 def test_gauss_panels_polynomial():
