@@ -33,10 +33,13 @@ The module needs no scipy: the level map's tables are not-a-knot cubic
 splines solved by one tridiagonal sweep (``_Spline``), and ``_brent`` is a
 port of scipy's ``brentq``.
 
-Each closed-form piece has one home: ``_edge_states`` runs the backward state
-recursion of a piecewise-constant control, ``_ride`` integrates the payoff
-along x_p, ``_char_start`` inverts a level-map characteristic's start, from
-which ``_char_state`` and ``_char_payoff`` follow it in closed form, and
+Each closed-form piece has one home: ``model.backward_state`` is the state
+under a constant control, so x_p, the edge states ``_edge_states`` of a
+piecewise-constant control, ``trajectory_x`` and ``payoff`` all read it;
+``_ride`` integrates the payoff along x_p; ``_ratio_state`` follows a
+characteristic with a frozen ratio x/v = z; ``_char_start`` inverts a
+level-map characteristic's start (memoized per problem and end point), from
+which ``_char_state`` and ``_char_payoff`` follow it in closed form; and
 ``value`` answers flat payoffs (z_inf <= 0), whose values need no control.
 
 ``verification_certificate`` checks the closed forms against sampled
@@ -49,19 +52,21 @@ is ``brute_force`` in ``tests/oracles.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .dde import F_of_path
 from .errors import DomainError, ModelViolationError, NumericalError
+from .model import backward_state
 from .quadrature import gauss_panels, unit_gauss_nodes
 from .sources import SourceFn
 
 VARIANTS = ("max01", "min1inf", "max01w", "min1infw")
 BISECT_ITERS = 60
 MIN_CONTROL_CEILING = 8.0
+CHAR_MEMO_SIZE = 1024  # level-map characteristics memoized by _char_start
 
 
 class PayoffG:
@@ -169,8 +174,7 @@ class ControlProblem:
 
     def x_p(self, s):
         """The v = 1 trajectory through (y, T)."""
-        return np.exp((self.T - np.asarray(s, dtype=float)) / self.p) \
-            * (self.y + self.p) - self.p
+        return backward_state(self.T - np.asarray(s, dtype=float), self.y, self.p)
 
     def reachable_bounds(self) -> tuple[float, float]:
         lo = np.exp(self.horizon / self.p) * self.y
@@ -232,12 +236,6 @@ class PiecewiseControl:
             raise DomainError("min variants need v >= 1")
 
 
-def _backward(x_end, v, d, p: float):
-    """The state a time d before the point where it is x_end, under control v."""
-    e = np.exp(d / p)
-    return e * x_end + v * p * (e - 1.0)
-
-
 def _edge_states(prob: ControlProblem, control: PiecewiseControl) -> np.ndarray:
     """The state at the segment edges of an admissible control spanning [t, T],
     backward from x(T) = y."""
@@ -248,7 +246,8 @@ def _edge_states(prob: ControlProblem, control: PiecewiseControl) -> np.ndarray:
     xe = np.empty(len(edges))
     xe[-1] = prob.y
     for i in range(len(control.values) - 1, -1, -1):
-        xe[i] = _backward(xe[i + 1], control.values[i], edges[i + 1] - edges[i], prob.p)
+        xe[i] = backward_state(edges[i + 1] - edges[i], xe[i + 1], prob.p,
+                               control.values[i])
     return xe
 
 
@@ -261,7 +260,7 @@ def trajectory_x(prob: ControlProblem, control: PiecewiseControl, s):
     edges = control.edges
     i = np.minimum(np.searchsorted(edges, s_arr, side="right") - 1,
                    len(control.values) - 1)
-    out = _backward(xe[i + 1], control.values[i], edges[i + 1] - s_arr, prob.p)
+    out = backward_state(edges[i + 1] - s_arr, xe[i + 1], prob.p, control.values[i])
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
@@ -280,9 +279,7 @@ def payoff(prob: ControlProblem, control: PiecewiseControl) -> float:
     for i, v in enumerate(control.values):
         a, b = edges[i], edges[i + 1]
         s = a + (b - a) * u
-        d = b - s
-        x = np.exp(d / p) * xe[i + 1] + v * p * np.expm1(d / p)
-        vals = prob.g(x / v)
+        vals = prob.g(backward_state(b - s, xe[i + 1], p, v) / v)
         if prob.weighted:
             vals = vals * np.exp(-(prob.T - s) / p) * v
         total += (b - a) * float(np.dot(w, vals))
@@ -345,7 +342,7 @@ def value_min1inf(prob: ControlProblem, x: float) -> tuple[float, dict]:
     """
     prob.check_state(x)
     p, y, T, t = prob.p, prob.y, prob.T, prob.t
-    boundary = y * np.exp((1.0 / p + 1.0 / y) * (T - t))
+    boundary = _ratio_state(prob, y, y, T)
     info = {"boundary_x": float(boundary),
             "near_boundary": bool(abs(x - boundary) <= 1e-9 * max(1.0, x))}
     if x >= boundary:
@@ -356,7 +353,7 @@ def value_min1inf(prob: ControlProblem, x: float) -> tuple[float, dict]:
 
     def merged_state(tau):
         xp_tau = prob.x_p(tau)
-        return xp_tau * np.exp((1.0 / p + 1.0 / xp_tau) * (tau - t))
+        return _ratio_state(prob, xp_tau, xp_tau, tau)
 
     tau = _bisect(lambda tau: merged_state(tau) < x, t, T)
     info["branch"] = "merge"
@@ -635,7 +632,7 @@ def value_min1infw(prob: ControlProblem, x: float) -> tuple[float, dict]:
 
     # region-1 boundary: lambda -> lam_max
     if z_inf <= y:
-        boundary1 = y * np.exp((1.0 / p + 1.0 / z_inf) * (T - t))
+        boundary1 = _ratio_state(prob, z_inf, y, T)
     else:
         boundary1 = _char_state(prob, y * (1.0 - 1e-12), y, T)
     info = {"boundary_ratio_region": float(boundary1),
@@ -665,8 +662,7 @@ def value_min1infw(prob: ControlProblem, x: float) -> tuple[float, dict]:
         info["T_inf"] = float(T_inf)
         in_flat = False
         if t < T_inf:
-            B = z_inf * np.exp((1.0 / p + 1.0 / z_inf) * (T_inf - t)) \
-                if z_inf >= y else boundary1
+            B = _ratio_state(prob, z_inf, z_inf, T_inf) if z_inf >= y else boundary1
             info["boundary_flat_region"] = float(B)
             in_flat = x <= B
             x_tau_lo = float(B)
@@ -693,6 +689,7 @@ def value_min1infw(prob: ControlProblem, x: float) -> tuple[float, dict]:
     return part1 + _ride(prob, tau), info
 
 
+@lru_cache(maxsize=CHAR_MEMO_SIZE)
 def _char_start(prob: ControlProblem, z1: float, t1: float) -> tuple[float, float]:
     """The start z0 = z(t) of the level-map characteristic that ends at z1 at
     time t1, F(z(s)) = F(z1) + t1 - s, and ell = int_t^t1 ds/z along it.
@@ -702,7 +699,8 @@ def _char_start(prob: ControlProblem, z1: float, t1: float) -> tuple[float, floa
     ell = (Delta - [Phi(z0) - Phi(z1) - (z0 - z1) L(z1)]) / z0, which reads g'
     only at z1.  Next to a finite z_inf, z0 stops at the table's end z_hi,
     and this form still integrates ds/z along the z(s) the inversion returns;
-    the ratio form log(g'(z1)/g'(z0)) would not.
+    the ratio form log(g'(z1)/g'(z0)) would not.  Memoized: every value call
+    follows the ratio boundary and first bracket end, and Brent's root twice.
     """
     cm = prob.g.char_map
     delta = t1 - prob.t
@@ -710,6 +708,12 @@ def _char_start(prob: ControlProblem, z1: float, t1: float) -> tuple[float, floa
     z0 = float(cm.invert(-z1 * log_slope + phi1 + delta, z1)[0])
     gap = float(cm._phi(cm._w(z0))) - phi1 - (z0 - z1) * log_slope
     return z0, (delta - gap) / z0
+
+
+def _ratio_state(prob: ControlProblem, z: float, x1: float, t1: float) -> float:
+    """The state at t on the characteristic with the frozen ratio z through
+    the state x1 at t1: x1 exp((1/p + 1/z)(t1 - t))."""
+    return float(x1 * np.exp((1.0 / prob.p + 1.0 / z) * (t1 - prob.t)))
 
 
 def _char_state(prob: ControlProblem, z1: float, x1: float, t1: float) -> float:

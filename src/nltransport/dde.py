@@ -35,6 +35,11 @@ exp(log I), not the functional's value.  Second, it evaluates f and g at a
 node (``fg_at``) from the committed reconstruction, through the pointwise
 identity F(v) - F(1) + G = B xi - h.
 
+The flat history's foot point y_p(0) is ``model.backward_state``, and a
+sampled history's characteristic z(s), with the check that the history is
+positive, is ``_history_characteristic``, read by ``F_of_path`` and
+``dF_gradient``.
+
 The module also carries the constant-source reduction: when h is constant the
 pair I1 = (I/I(0))^{1/p}, I2 = (1/p) int_0^t e^{-(t-s)/p} I1(s) ds closes into
 a planar ODE system integrated with classical RK4.
@@ -46,7 +51,7 @@ import numpy as np
 
 from .errors import DomainError, ModelViolationError, NumericalError
 from .functionals import Profile
-from .model import Model
+from .model import Model, backward_state
 from .pde import LagrangianState, evolve
 from .quadrature import cumtrapz, trapz_weights
 
@@ -83,7 +88,7 @@ class IHistory(LagrangianState):
         y0 = E_t * y + self._C[k]
         xi0_val, xi0_d = self.xi0.pair_eval(y0)
         init_terms = xi0_val / (p * E_t) - (1.0 + y / p) * xi0_d
-        y_p0 = np.expm1(t_k / p) * (y + p) + y
+        y_p0 = backward_state(t_k, y, p)
         flat_init = np.exp(-t_k / p) * model.source.eval(y_p0, 0)
         F1 = model.h_nodes - flat_init
         Bxi = xi / p - (1.0 + y / p) * dxi
@@ -119,21 +124,26 @@ class IHistory(LagrangianState):
 # -- the history functional F and its gradient ---------------------------------
 
 
+def _history_characteristic(p: float, t: float, y, s: np.ndarray, v: np.ndarray):
+    """z(s) = e^{(t-s)/p} y + e^{-s/p} int_s^t e^{s'/p} v ds' by the cumulative
+    trapezoid on the samples (s, v) of a positive history; a column y gives
+    one row per y."""
+    if np.any(v <= 0):
+        raise DomainError("history path must stay positive")
+    P = cumtrapz(np.exp(s / p) * v, x=s)
+    return np.exp((t - s) / p) * y + np.exp(-s / p) * (P[-1] - P)
+
+
 def F_of_path(source, p: float, t: float, y, s_grid: np.ndarray, v_vals: np.ndarray):
     """F(t, y, v) for a sampled positive history path on a uniform s grid.
 
-    Trapezoid in s with the cumulative drift computed from the same samples;
-    vectorized over an array of y.
+    Trapezoid in s along the history's characteristic; vectorized over an
+    array of y.
     """
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     s = np.asarray(s_grid, dtype=float)
     v = np.asarray(v_vals, dtype=float)
-    if np.any(v <= 0):
-        raise DomainError("history path must stay positive")
-    P = cumtrapz(np.exp(s / p) * v, x=s)
-    z = (np.exp((t - s) / p)[None, :] * y_arr[:, None]
-         + np.exp(-s / p)[None, :] * (P[-1] - P)[None, :])
-    arg = z / v[None, :]
+    arg = _history_characteristic(p, t, y_arr[:, None], s, v) / v[None, :]
     w = trapz_weights(len(s), s[1] - s[0])
     part1 = (source.eval(arg, 0) * (np.exp(-(t - s) / p) * v)[None, :]) @ w / p
     part2 = source.eval(arg, 1) @ w
@@ -158,8 +168,7 @@ def dF_gradient(source, p: float, t: float, y: float, s_grid: np.ndarray,
         raise DomainError("need 0 < tau < t")
     s = np.asarray(s_grid, dtype=float)
     v = np.asarray(v_vals, dtype=float)
-    P = cumtrapz(np.exp(s / p) * v, x=s)
-    z = np.exp((t - s) / p) * y + np.exp(-s / p) * (P[-1] - P)
+    z = _history_characteristic(p, t, y, s, v)
     arg = z / v
     v_tau = np.interp(tau, s, v)
     z_tau = np.interp(tau, s, z)

@@ -4,8 +4,11 @@ The linearized semigroup acts by translation along the frozen characteristics,
 
     (e^{-Bt} zeta)(y) = e^{-t/p} zeta(Y_t(y)),   Y_t(y) = e^{t/p} y + p (e^{t/p} - 1),
 
-and the scalar observable u(t) = <dI(xi_p), B xi_tilde(t)> satisfies the
-convolution Volterra equation u + K*u = g with
+with Y_t the frozen flow ``model.backward_state`` at v = 1.  Every pairing
+<dI(xi_p), phi(Y_t(.))> of this module (the kernel and its derivative, the
+forcing, the delay coefficients) goes through one chunked helper,
+``_pair_along``.  The scalar observable u(t) = <dI(xi_p), B xi_tilde(t)>
+satisfies the convolution Volterra equation u + K*u = g with
 
     K(t) = -<dI(xi_p), e^{-Bt} B A xi_p> / denom,
     g(t) =  <dI(xi_p), e^{-Bt} B xi_tilde(0)>,
@@ -47,7 +50,7 @@ import numpy as np
 
 from .errors import DomainError
 from .functionals import Profile, weighted_norm_from_samples
-from .model import Model
+from .model import Model, backward_state
 from .quadrature import cumtrapz, trapz_weights, unit_gauss_nodes
 from .ratefit import fit_rate
 from .volterra import (LinearDDEProblem, VolterraProblem, solve as volterra_solve,
@@ -58,8 +61,8 @@ LAPLACE_PANEL_NODES = 16  # Gauss nodes per panel of laplace_khat's rule
 CONTOUR_Q = 1.2  # condition_H3's rectangle: Re z from -1/(1.2 p) ...
 CONTOUR_RE_MAX = 2.0  # ... to 2
 CONTOUR_N0, CONTOUR_N_CAP = 4000, 2 ** 16  # contour points: first try, cap
-# (t, node) pairs per chunk of kernel_K: the temporaries of BA_xi_p's series
-# passes then stay in a core's L2 cache
+# (t, node) pairs per chunk of _pair_along: the temporaries of BA_xi_p's
+# series passes then stay in a core's L2 cache
 KERNEL_CHUNK_POINTS = 64_000
 MONOTONICITY_HORIZON = 10.0  # monotonicity_certificate samples K on [0, 10 p]
 NORM_GRID = np.geomspace(1e-2, 1e4, 300)  # linear_evolve's norm grid
@@ -81,55 +84,49 @@ class Linearization:
 
     # -- pointwise building blocks -----------------------------------------
 
-    def shift(self, t, y):
-        """Characteristic foot point Y_t(y) of the frozen flow."""
-        t = np.asarray(t, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.exp(t / self.p) * y + self.p * np.expm1(t / self.p)
-
     def BA_xi_p(self, y):
         """(B A xi_p)(y) = (1/p) A xi_p(y) - y h'(y) >= 0."""
         y = np.asarray(y, dtype=float)
         A = self.model.equilibrium_A(y)
         return A / self.p - y * self.model.source.eval(y, 1)
 
-    # -- the convolution kernel ------------------------------------------------
-
-    def kernel_K(self, t):
-        """K(t) >= 0, with e^{t/p} K(t) nonincreasing for conforming sources."""
+    def _pair_along(self, t, density, discount: bool = True):
+        """<dI(xi_p), e^{-Bt} phi> = e^{-t/p} <dI(xi_p), phi(Y_t(.))> for each t,
+        with phi(Y) = density(Y) at the foot points Y_t(y) of the nodes, one
+        row per t; ``discount=False`` drops the factor e^{-t/p}.  Taken in
+        chunks of KERNEL_CHUNK_POINTS (t, node) pairs; a scalar t gives a float.
+        """
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t)
         chunk = max(1, int(KERNEL_CHUNK_POINTS // len(self.nodes)))
         for lo in range(0, len(t), chunk):
             tt = t[lo:lo + chunk]
-            Y = self.shift(tt[:, None], self.nodes[None, :])
-            vals = self.BA_xi_p(Y)
-            pair = (vals * self.dI_p[None, :]) @ self.weights
-            out[lo:lo + chunk] = -np.exp(-tt / self.p) * pair / self.denom
+            Y = backward_state(tt[:, None], self.nodes[None, :], self.p)
+            pair = (density(Y) * self.dI_p[None, :]) @ self.weights
+            out[lo:lo + chunk] = np.exp(-tt / self.p) * pair if discount else pair
         return float(out[0]) if scalar else out
 
+    # -- the convolution kernel ------------------------------------------------
+
+    def kernel_K(self, t):
+        """K(t) >= 0, with e^{t/p} K(t) nonincreasing for conforming sources."""
+        return -self._pair_along(t, self.BA_xi_p) / self.denom
+
     def kernel_K_prime(self, t):
-        """K'(t) = -K(t)/p + <dI, e^{-Bt} [(B - 1/p) B A xi_p]> / denom."""
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        src = self.model.source
-        Y = self.shift(t[:, None], self.nodes[None, :])
-        m = src.eval(Y, 1) + (1.0 + Y / self.p) * Y * src.eval(Y, 2)
-        pair = (m * self.dI_p[None, :]) @ self.weights
-        out = -self.kernel_K(t) / self.p + np.exp(-t / self.p) * pair / self.denom
-        return float(out[0]) if scalar else out
+        """K'(t) = <dI, e^{-Bt} B^2 A xi_p> / denom, in one pass with
+        B^2 A xi_p = B A xi_p / p + h' + (1 + y/p) y h''."""
+        p, src = self.p, self.model.source
+        return self._pair_along(t, lambda Y: self.BA_xi_p(Y) / p + src.eval(Y, 1)
+                                + (1.0 + Y / p) * Y * src.eval(Y, 2)) / self.denom
 
     def forcing_g(self, xi0_tilde: Profile, t):
         """g(t) = <dI(xi_p), e^{-Bt} B xi0_tilde> (unnormalized pairing)."""
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        Y = self.shift(t[:, None], self.nodes[None, :])
-        val, dval = xi0_tilde.pair_eval(Y)
-        Bv = val / self.p - (1.0 + Y / self.p) * dval
-        pair = (Bv * self.dI_p[None, :]) @ self.weights
-        out = np.exp(-t / self.p) * pair
-        return float(out[0]) if scalar else out
+        def B_xi0(Y):
+            val, dval = xi0_tilde.pair_eval(Y)
+            return val / self.p - (1.0 + Y / self.p) * dval
+
+        return self._pair_along(t, B_xi0)
 
     def monotonicity_certificate(self, n: int = 400) -> dict:
         """Positivity of K and decrease of e^{t/p} K(t) on a uniform grid."""
@@ -274,7 +271,7 @@ class Linearization:
         xi_tilde(t) = e^{-Bt} xi0_tilde + int_0^t A[:, t-s] u(s) ds / denom,
         and D xi_tilde likewise with dA.
         """
-        Ys = self.shift(tau[None, :], yq[:, None])
+        Ys = backward_state(tau[None, :], yq[:, None], self.p)
         A = self.model.equilibrium_A(Ys) * np.exp(-tau / self.p)[None, :]
         dA = self.p * Ys * self.model.source.eval(Ys, 1) / (self.p + Ys)
         return A, dA
@@ -282,7 +279,7 @@ class Linearization:
     def _perturbation_from_tab(self, xi0_tilde, tgrid, u, idx, yq, A_tab, dA_tab):
         p = self.p
         t = tgrid[idx]
-        val, dval = xi0_tilde.pair_eval(self.shift(t, yq))
+        val, dval = xi0_tilde.pair_eval(backward_state(t, yq, p))
         val = np.exp(-t / p) * val
         if idx > 0:
             w = trapz_weights(idx + 1, tgrid[1] - tgrid[0])
@@ -291,33 +288,19 @@ class Linearization:
             dval = dval + dA_tab[:, :idx + 1] @ coeff
         return val, dval
 
-    def perturbation_at(self, xi0_tilde: Profile, tgrid, u, idx: int, yq):
-        """(xi_tilde, D xi_tilde) at time tgrid[idx] on query points."""
-        yq = np.asarray(yq, dtype=float)
-        tabs = self._reconstruction_tables(tgrid[:idx + 1], yq)
-        return self._perturbation_from_tab(xi0_tilde, tgrid, u, idx, yq, *tabs)
-
     # -- delay forms ----------------------------------------------------------------
 
     def _M_values(self, t):
-        src = self.model.source
-        p = self.p
-        Y = self.shift(np.asarray(t)[:, None], self.nodes[None, :])
-        J = self.model._tail(Y)
-        corr = (self.nodes[None, :] * src.eval(Y, 1)
-                + p * src.eval(Y, 0) / (p + Y) - J)
-        base = self.BA_xi_p(self.nodes)
-        pair = ((base[None, :] + corr) * self.dI_p[None, :]) @ self.weights
-        return -pair / self.denom
+        src, p, base = self.model.source, self.p, self.BA_xi_p(self.nodes)
+        return -self._pair_along(t, lambda Y: base + (
+            self.nodes * src.eval(Y, 1) + p * src.eval(Y, 0) / (p + Y)
+            - self.model._tail(Y)), discount=False) / self.denom
 
     def _corr_c_values(self, t):
         """c(t) with m(t,s) = -K'(t-s) + e^{-(t-s)/p} c(t)."""
-        src = self.model.source
-        p = self.p
-        Y = self.shift(np.asarray(t)[:, None], self.nodes[None, :])
-        J = self.model._tail(Y)
-        corr = src.eval(Y, 1) - src.eval(Y, 0) / (p + Y) + J / p
-        return ((corr * self.dI_p[None, :]) @ self.weights) / self.denom
+        src, p = self.model.source, self.p
+        return self._pair_along(t, lambda Y: src.eval(Y, 1) - src.eval(Y, 0) / (p + Y)
+                                + self.model._tail(Y) / p, discount=False) / self.denom
 
     def delay_problem(self, I0_tilde: float, xi0_tilde: Profile, T: float,
                       dt: float) -> LinearDDEProblem:
@@ -361,10 +344,7 @@ class Linearization:
 
     def _pair_h_forcing(self, t):
         """<dI(xi_p), e^{-Bt} h> for the delay forcing."""
-        Y = self.shift(np.asarray(t)[:, None], self.nodes[None, :])
-        vals = self.model.source.eval(Y, 0)
-        return np.exp(-np.asarray(t) / self.p) * \
-            ((vals * self.dI_p[None, :]) @ self.weights)
+        return self._pair_along(t, lambda Y: self.model.source.eval(Y, 0))
 
 
 def h3_contour(p: float, omega: float, n: int) -> np.ndarray:

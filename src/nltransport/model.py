@@ -19,7 +19,10 @@ whose derivatives close analytically:
     A xi_p(y) = p [J(y) + y h(y)/(p+y)].
 
 Every one of these reads the same J from ``SourceFn.equilibrium_tail``, a
-closed form for every source.
+closed form for every source.  ``backward_state`` is the frozen flow
+e^{d/p} x + v p (e^{d/p} - 1) of dx/ds = -x/p - v, in the expm1 form that
+keeps full relative accuracy as d -> 0: at v = 1 the linearization's foot
+points Y_d(x), and the control problems' states.
 """
 
 from __future__ import annotations
@@ -33,6 +36,11 @@ from .functionals import FunctionalSpec, Profile
 from .sources import SourceFn
 
 ADMISSIBILITY_FLOOR = 1e-8
+
+
+def backward_state(d, x, p: float, v=1.0):
+    """The state a time d before the point where it is x, under dx/ds = -x/p - v."""
+    return np.exp(d / p) * x + v * p * np.expm1(d / p)
 
 
 @dataclass(frozen=True)
@@ -158,6 +166,5 @@ class Model:
     def equilibrium_residual(self, y) -> np.ndarray:
         """Residual of the stationarity ODE  -h - xi' + (1/p)(xi - y xi') = 0."""
         y = np.asarray(y, dtype=float)
-        xi = self.equilibrium_values(y, 0)
-        dxi = self.equilibrium_values(y, 1)
+        xi, dxi = self.equilibrium_pair(y)
         return (-self.source.eval(y, 0) - dxi + (xi - y * dxi) / self.p)

@@ -50,7 +50,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, StepError
 from .functionals import DEFAULT_NORM_GRID, Profile, weighted_norm_from_samples
 from .model import Model
-from .quadrature import unit_gauss_nodes
+from .quadrature import cumtrapz, unit_gauss_nodes
 from .trajectory import Trajectory
 
 MAX_FIXED_POINT_ITERS = 50
@@ -331,8 +331,7 @@ def evolve(state: LagrangianState, T: float, dt: float, stride: int = 1,
     n_steps = int(round(T / dt))
     grid = DEFAULT_NORM_GRID
     if norms:
-        xi_p = model.equilibrium_values(grid, 0)
-        dxi_p = model.equilibrium_values(grid, 1)
+        xi_p, dxi_p = model.equilibrium_pair(grid)
 
     rows = {name: [] for name in ("t", "rho", "I", "dist1inf", "norm2inf", "denomL1")}
     sup_inf_ratio = []
@@ -422,7 +421,7 @@ def cumulative_rho_bound_gap(traj: Trajectory) -> float:
     state = traj.monitors["state"]
     p = state.model.p
     t, excess, I = state.t, state.rho_values - 1.0 / p, state.I
-    U = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * (excess[1:] + excess[:-1]))])
+    U = cumtrapz(excess, x=t)
     spread = float(np.max(U) - np.min(U))
     bound = float(np.log(np.max(I) / np.min(I)) / p)
     return bound - spread

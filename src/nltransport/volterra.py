@@ -383,6 +383,6 @@ def linear_dde_solve(prob: LinearDDEProblem, T: float, dt: float,
                              forcing=lambda s: prob.f(s) - prob.a(s) * prob.I0 * np.ones_like(s),
                              T=T, dt=dt)
         _, u = solve(vp)
-        I_vol = prob.I0 + np.concatenate([[0.0], np.cumsum(0.5 * dt * (u[1:] + u[:-1]))])
+        I_vol = prob.I0 + cumtrapz(u, dx=dt)
         out["cross_check_residual"] = float(np.max(np.abs(I_vol - I)))
     return out

@@ -335,6 +335,14 @@ def B2A_xi_p(lin: Linearization, y):
             + (1.0 + y / lin.p) * y * src.eval(y, 2))
 
 
+def perturbation_at(lin: Linearization, xi0_tilde: Profile, tgrid, u, idx: int, yq):
+    """(xi_tilde, D xi_tilde) at time tgrid[idx] on query points, through
+    ``linear_evolve``'s own reconstruction tables."""
+    yq = np.asarray(yq, dtype=float)
+    tabs = lin._reconstruction_tables(tgrid[:idx + 1], yq)
+    return lin._perturbation_from_tab(xi0_tilde, tgrid, u, idx, yq, *tabs)
+
+
 def perturbation_deltas(lin: Linearization, zeta_tilde: Profile) -> tuple[float, float]:
     """The two closure functionals of the perturbed flow; both vanish at 0.
 

@@ -139,8 +139,8 @@ def test_criterion_06_linear_decay(weak_log_model, weak_lin):
             while state.n <= k:
                 state.step(0.01)
             xi, dxi = state.refined_samples(k, grid)
-            lv, ld = weak_lin.perturbation_at(xp.scaled(amp), evo["t"], evo["u"],
-                                              k, grid)
+            lv, ld = oracles.perturbation_at(weak_lin, xp.scaled(amp), evo["t"],
+                                             evo["u"], k, grid)
             diff = np.abs(xi - xpv - lv) + grid * np.abs(dxi - xpd - ld)
             gap = max(gap, float(np.max(diff)))
         gaps.append(gap)

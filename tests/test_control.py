@@ -49,6 +49,23 @@ def test_terminal_condition_exact(g_unweighted):
     assert abs(cc.trajectory_x(prob, ctrl, T) - Y) < 1e-13
 
 
+@pytest.mark.parametrize("y", [1e-4, 1e-3, 1e-2, 1.0])
+def test_frozen_flow_accurate_near_terminal_time(g_unweighted, y):
+    # x_p and the state under v = 1 are the frozen flow
+    # Y_d(y) = e^{d/p} y + p (e^{d/p} - 1), to 1e-15 relative against 40-digit
+    # arithmetic; a form that subtracts p after the exponential loses up to
+    # ~1e-12 as d -> 0.  T - s is exact for s near T, so d is exact too.
+    mpmath = pytest.importorskip("mpmath")
+    prob = cc.ControlProblem("min1inf", g_unweighted, P, y, T, T0)
+    flat = cc.PiecewiseControl(edges=np.array([T0, T]), values=np.ones(1))
+    s = T - 10.0 ** np.arange(-12.0, -2.0)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.exp(mpmath.mpf(d) / P) * y
+                               + P * mpmath.expm1(mpmath.mpf(d) / P)) for d in T - s])
+    for got in (prob.x_p(s), cc.trajectory_x(prob, flat, s)):
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-15
+
+
 def test_admissibility_enforced(g_unweighted):
     prob = cc.ControlProblem("max01", g_unweighted, P, Y, T, T0)
     bad = cc.PiecewiseControl(edges=np.linspace(T0, T, 3), values=np.array([0.5, 1.5]))
@@ -249,6 +266,27 @@ def test_min_weighted_value_work_count(g_weighted, monkeypatch):
     val, _ = cc.value_min1infw(prob, _mid_state(prob, 0.5))
     assert np.isfinite(val)
     assert sum(points) <= 45
+
+
+def test_min_weighted_values_follow_each_characteristic_once(monkeypatch):
+    # the ratio region's boundary and its first bracket end depend on the
+    # problem only, and the payoff reads the characteristic that Brent's last
+    # evaluation followed: over two value calls, each distinct characteristic
+    # costs one level-map inversion.  A fresh payoff has no memoized starts.
+    g = cc.PayoffG.from_source_weighted(log_source(1.0), P)
+    prob = cc.ControlProblem("min1infw", g, P, Y, T, T0)
+    invert = cc.CharMap.invert
+    followed = []
+
+    def recorded(self, c, lo):
+        followed.append((np.asarray(c, float).item(), np.asarray(lo, float).item()))
+        return invert(self, c, lo)
+
+    monkeypatch.setattr(cc.CharMap, "invert", recorded)
+    for frac in (12.0, 20.0):
+        val, info = cc.value_min1infw(prob, _mid_state(prob, frac))
+        assert info["region"] == "ratio" and np.isfinite(val)
+    assert len(followed) == len(set(followed))
 
 
 @pytest.mark.parametrize("payoff", [

@@ -5,7 +5,7 @@ import pytest
 from nltransport import canonical_functional
 from nltransport.errors import DomainError, StepError
 from nltransport.functionals import Profile
-from nltransport.model import Model
+from nltransport.model import Model, backward_state
 from nltransport import dde, pde
 
 
@@ -202,7 +202,7 @@ def test_dF_flat_equals_delay_coefficient(log_model, linearization):
         dF = dde.dF_gradient(src, p, t, y, s, v, tau)
         # pointwise delay coefficient before pairing: e^{-B(t-tau)} B^2 A xi_p (y)
         # minus the foot-point correction
-        Y = lin.shift(t - tau, np.array([y]))[0]
+        Y = backward_state(t - tau, np.array([y]), p)[0]
         term1 = np.exp(-(t - tau) / p) * oracles.B2A_xi_p(lin, np.array([Y]))[0]
         y_p0 = np.exp(t / p) * y + p * np.expm1(t / p)
         corr = (src.eval(y_p0, 1) - src.eval(y_p0, 0) / (p + y_p0)

@@ -424,8 +424,6 @@ KEPT = {
                        "search in control-verify is to climb",
     "control.stationarity_check": "ROADMAP item 2 wires it into the "
                                   "control-verify report",
-    "linstab.Linearization.perturbation_at": "the tests' entry into "
-                                             "linear_evolve's own reconstruction",
     "linstab.Linearization.delay_problem": "the linearization's delay form",
     "linstab.Linearization.convolution_delay_problem":
         "the linearization's convolution delay form",

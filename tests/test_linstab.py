@@ -8,8 +8,8 @@ from nltransport import canonical_functional, linstab, quadrature, sources
 from nltransport.errors import DomainError
 from nltransport.functionals import Profile, weighted_norm_from_samples
 from nltransport.linstab import Linearization
-from oracles import perturbation_deltas, semigroup
-from nltransport.model import Model
+from oracles import perturbation_at, perturbation_deltas, semigroup
+from nltransport.model import Model, backward_state
 from nltransport import pde
 from nltransport.ratefit import fit_rate
 from nltransport.volterra import linear_dde_solve
@@ -225,7 +225,7 @@ def test_linear_matches_nonlinear_I(linearization, log_model):
     A_tab = None
     for t_probe in traj.t[::10]:
         idx = int(round(t_probe / 0.01))
-        val, dval = linearization.perturbation_at(pert, out["t"], out["u"], idx, grid)
+        val, dval = perturbation_at(linearization, pert, out["t"], out["u"], idx, grid)
         I_lin.append(spec.value_from_samples(log_model.xi_p_nodes + val))
     I_ref = traj.I[::10]
     rel = np.max(np.abs(np.asarray(I_lin) / I_ref - 1.0))
@@ -239,7 +239,7 @@ def test_perturbation_at_reproduces_linear_evolve_norms(linearization, log_model
     grid = out["grid"]
     for row, ts in enumerate(out["sample_t"]):
         idx = int(round(ts / 0.02))
-        val, dval = linearization.perturbation_at(pert, out["t"], out["u"], idx, grid)
+        val, dval = perturbation_at(linearization, pert, out["t"], out["u"], idx, grid)
         norm = weighted_norm_from_samples(val, dval, grid)
         assert abs(norm - out["norm_1inf"][row]) <= 1e-13 * out["norm_1inf"][row]
 
@@ -266,7 +266,7 @@ def test_perturbation_reads_initial_profile_once(log_model, monkeypatch):
         tails[0] = 0
         val, dval = lin._perturbation_from_tab(pert, tgrid, u, idx, yq, *tabs)
         assert tails[0] == 1
-        Y0 = lin.shift(tgrid[idx], yq)
+        Y0 = backward_state(tgrid[idx], yq, lin.p)
         expect_val = np.exp(-tgrid[idx] / lin.p) * pert(Y0)
         expect_dval = pert.d(Y0)
         if idx > 0:
@@ -292,7 +292,7 @@ def test_nonlinear_gap_scales_quadratically(weak_log_model):
             for _ in range(k - state.n + 1):
                 state.step(0.01)
             xi, dxi = state.refined_samples(k, grid)
-            lv, ld = lin.perturbation_at(xp.scaled(amp), out["t"], out["u"], k, grid)
+            lv, ld = perturbation_at(lin, xp.scaled(amp), out["t"], out["u"], k, grid)
             xpv, xpd = weak_log_model.equilibrium_pair(grid)
             diff = np.abs(xi - xpv - lv) + grid * np.abs(dxi - xpd - ld)
             gap = max(gap, float(np.max(diff)))
