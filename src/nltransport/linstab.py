@@ -20,6 +20,15 @@ the source convexity conditions, e^{t/p} K(t) is positive decreasing, which
 rules out zeros of 1 + K_hat(z) for Re z > -1/p; ``condition_H3`` certifies
 this numerically on a rectangle contour.
 
+``linear_evolve`` solves for u and rebuilds the perturbation from it,
+
+    xi_tilde(t) = e^{-Bt} xi0_tilde + int_0^t A(t-s) u(s) ds / denom,
+
+whose kernel A(tau) = e^{-tau/p} A xi_p(Y_tau(.)) depends on the lag alone.
+Its columns are built and applied to every sample one lag chunk at a time,
+with ``_pair_along``'s KERNEL_CHUNK_POINTS budget, so the memory is
+O(N_grid (chunk + n_samples)) whatever the horizon T/dt.
+
 The delay form of the same linearization reads
 
     dJ/dt + M(t) J(t) - int_0^t m(t,s) J(s) ds = g0(t),
@@ -48,10 +57,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .functionals import Profile, weighted_norm_from_samples
 from .model import Model, backward_state
-from .quadrature import cumtrapz, trapz_weights, unit_gauss_nodes
+from .quadrature import cumtrapz, unit_gauss_nodes
 from .ratefit import fit_rate
 from .volterra import (LinearDDEProblem, VolterraProblem, solve as volterra_solve,
                        uniform_grid)
@@ -244,7 +253,16 @@ class Linearization:
 
     def linear_evolve(self, xi0_tilde: Profile, T: float, dt: float,
                       n_samples: int = 120) -> dict:
-        """Solve u + K*u = g, reconstruct the perturbation and fit its decay."""
+        """Solve u + K*u = g, reconstruct the perturbation and fit its decay.
+
+        At a sample time t_s, xi_tilde(t_s) is e^{-B t_s} xi0_tilde plus the
+        trapezoid over the lags tau_l of w_s[l] A(tau_l) u(t_s - tau_l) / denom,
+        and D xi_tilde(t_s) likewise with dA (``_reconstruction_tables``).  The
+        columns are built one lag chunk at a time (KERNEL_CHUNK_POINTS grid
+        points) and added into every sample at once, so memory is
+        O(N_grid (chunk + n_samples)), not O(N_grid T/dt).  A non-finite norm
+        raises NumericalError; a zero perturbation gets ``rate_fit`` None.
+        """
         grid = NORM_GRID
         tgrid = uniform_grid(T, dt)
         Kv = self.kernel_K(tgrid)
@@ -253,40 +271,42 @@ class Linearization:
                                T=T, dt=dt, convolution=True)
         _, u = volterra_solve(prob)
         sample_idx = np.unique(np.linspace(0, len(tgrid) - 1, n_samples).astype(int))
-        # the reconstruction kernel depends on t - s only: tabulate once
-        A_tab, dA_tab = self._reconstruction_tables(tgrid, grid)
-        norms = np.empty(len(sample_idx))
-        for row, idx in enumerate(sample_idx):
-            val, dval = self._perturbation_from_tab(xi0_tilde, tgrid, u, idx,
-                                                    grid, A_tab, dA_tab)
-            norms[row] = weighted_norm_from_samples(val, dval, grid)
         ts = tgrid[sample_idx]
+        val = np.empty((len(grid), len(ts)))
+        dval = np.empty_like(val)
+        for col, t in enumerate(ts):  # e^{-Bt} xi0_tilde and its derivative
+            v, d = xi0_tilde.pair_eval(backward_state(t, grid, self.p))
+            val[:, col] = np.exp(-t / self.p) * v
+            dval[:, col] = d
+        step = tgrid[1] - tgrid[0]
+        chunk = max(1, int(KERNEL_CHUNK_POINTS // len(grid)))
+        for lo in range(0, len(tgrid), chunk):
+            lag = np.arange(lo, min(lo + chunk, len(tgrid)))[:, None]
+            live = np.searchsorted(sample_idx, lo)  # samples reaching this chunk
+            idx = sample_idx[None, live:]
+            # lag l's trapezoid weight at sample s: step inside, step/2 at both ends
+            w = step * ((lag <= idx) - 0.5 * (lag == 0) - 0.5 * (lag == idx))
+            C = w * u[np.maximum(idx - lag, 0)] / self.denom
+            A, dA = self._reconstruction_tables(tgrid[lag[:, 0]], grid)
+            val[:, live:] += A @ C
+            dval[:, live:] += dA @ C
+        norms = np.array([weighted_norm_from_samples(val[:, col], dval[:, col], grid)
+                          for col in range(len(ts))])
+        if not np.all(np.isfinite(norms)):
+            raise NumericalError(f"linear_evolve: {np.count_nonzero(~np.isfinite(norms))} "
+                                 f"of {len(norms)} sampled norms are not finite")
         fit = fit_rate(ts, norms, window=FIT_WINDOW) if np.max(norms) > 0 else None
         return {"t": tgrid, "u": u, "sample_t": ts, "norm_1inf": norms,
                 "rate_fit": fit, "g": gv, "K": Kv, "grid": grid}
 
     def _reconstruction_tables(self, tau, yq):
-        """Columns of the reconstruction kernel at lags ``tau`` on points ``yq``.
-
-        xi_tilde(t) = e^{-Bt} xi0_tilde + int_0^t A[:, t-s] u(s) ds / denom,
-        and D xi_tilde likewise with dA.
-        """
+        """Columns of the reconstruction kernel at lags ``tau`` on points ``yq``:
+        A[:, l] = e^{-tau_l/p} A xi_p(Y_{tau_l}(yq)) and dA[:, l] = p Y h'(Y)/(p + Y)
+        at the same foot points Y."""
         Ys = backward_state(tau[None, :], yq[:, None], self.p)
         A = self.model.equilibrium_A(Ys) * np.exp(-tau / self.p)[None, :]
         dA = self.p * Ys * self.model.source.eval(Ys, 1) / (self.p + Ys)
         return A, dA
-
-    def _perturbation_from_tab(self, xi0_tilde, tgrid, u, idx, yq, A_tab, dA_tab):
-        p = self.p
-        t = tgrid[idx]
-        val, dval = xi0_tilde.pair_eval(backward_state(t, yq, p))
-        val = np.exp(-t / p) * val
-        if idx > 0:
-            w = trapz_weights(idx + 1, tgrid[1] - tgrid[0])
-            coeff = w * u[idx::-1] / self.denom
-            val = val + A_tab[:, :idx + 1] @ coeff
-            dval = dval + dA_tab[:, :idx + 1] @ coeff
-        return val, dval
 
     # -- delay forms ----------------------------------------------------------------
 

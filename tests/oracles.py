@@ -16,8 +16,10 @@ that a test compares two derivations rather than one algebra twice:
   s nodes, each node its own inversion (``characteristic_by_quadrature``,
   with the composite Simpson rule ``simpson_integrate``);
 - the linearization's semigroup, B^2 A xi_p and its two closure functionals
-  (``semigroup``, ``B2A_xi_p``, ``perturbation_deltas``), and the sampled
-  floor of I + <dI, h> over a profile family (``gradient_floor_report``);
+  (``semigroup``, ``B2A_xi_p``, ``perturbation_deltas``), the perturbation
+  one sample at a time from whole kernel tables (``perturbation_at``), and
+  the sampled floor of I + <dI, h> over a profile family
+  (``gradient_floor_report``);
 - the structural conditions on a source, sampled on a grid
   (``validate_source``).
 
@@ -33,9 +35,9 @@ from nltransport.dde import F_of_path, IHistory
 from nltransport.errors import DomainError, ModelViolationError
 from nltransport.functionals import Profile
 from nltransport.linstab import Linearization
-from nltransport.model import Model
+from nltransport.model import Model, backward_state
 from nltransport.pde import LagrangianState, _exp_segment
-from nltransport.quadrature import cumtrapz, unit_gauss_nodes
+from nltransport.quadrature import cumtrapz, trapz_weights, unit_gauss_nodes
 from nltransport.sources import SourceFn
 
 
@@ -336,11 +338,23 @@ def B2A_xi_p(lin: Linearization, y):
 
 
 def perturbation_at(lin: Linearization, xi0_tilde: Profile, tgrid, u, idx: int, yq):
-    """(xi_tilde, D xi_tilde) at time tgrid[idx] on query points, through
-    ``linear_evolve``'s own reconstruction tables."""
+    """(xi_tilde, D xi_tilde) at time tgrid[idx] on query points.
+
+    The reference for ``linear_evolve``'s reconstruction: the reconstruction
+    kernel's columns at every lag 0..idx in one table, and the trapezoid over
+    the lags as one matrix-vector product for this sample alone.
+    """
     yq = np.asarray(yq, dtype=float)
-    tabs = lin._reconstruction_tables(tgrid[:idx + 1], yq)
-    return lin._perturbation_from_tab(xi0_tilde, tgrid, u, idx, yq, *tabs)
+    p = lin.p
+    t = tgrid[idx]
+    val, dval = xi0_tilde.pair_eval(backward_state(t, yq, p))
+    val = np.exp(-t / p) * val
+    if idx > 0:
+        A, dA = lin._reconstruction_tables(tgrid[:idx + 1], yq)
+        coeff = trapz_weights(idx + 1, tgrid[1] - tgrid[0]) * u[idx::-1] / lin.denom
+        val = val + A @ coeff
+        dval = dval + dA @ coeff
+    return val, dval
 
 
 def perturbation_deltas(lin: Linearization, zeta_tilde: Profile) -> tuple[float, float]:

@@ -846,6 +846,22 @@ def test_brent_iteration_cap_exit_three(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_non_finite_linear_norms_exit_three(tmp_path, capsys):
+    # the schema takes any amplitude > 0; at 1e308 every sampled norm
+    # overflows, which is a numeric error, not a traceback on a missing fit
+    doc = _small_run_config(tmp_path, "linear-stability")
+    doc["options"]["amplitude"] = 1e308
+    code = cli_main(["linear-stability", "--config", write_config(tmp_path, doc)])
+    assert code == EXIT_NUMERIC
+    out = capsys.readouterr()
+    assert len(out.out.splitlines()) == 1
+    assert "NumericalError: linear_evolve: " in out.out
+    assert "sampled norms are not finite" in out.out
+    assert "Traceback" not in out.out + out.err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_reports_are_strict_json(tmp_path):
     # both routes report the sup/inf ratio monitor as a finite number, and agree
     def reject(name):

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,7 +223,6 @@ def test_linear_matches_nonlinear_I(linearization, log_model):
     spec = log_model.functional
     grid = spec.nodes
     I_lin = []
-    A_tab = None
     for t_probe in traj.t[::10]:
         idx = int(round(t_probe / 0.01))
         val, dval = perturbation_at(linearization, pert, out["t"], out["u"], idx, grid)
@@ -233,47 +233,77 @@ def test_linear_matches_nonlinear_I(linearization, log_model):
 
 
 def test_perturbation_at_reproduces_linear_evolve_norms(linearization, log_model):
-    # perturbation_at and linear_evolve share one reconstruction
+    # the per-sample oracle and linear_evolve's lag-chunked reconstruction
+    # agree; N_t = 301 is not a multiple of the default chunk (213 lags)
     pert = log_model.equilibrium_profile().scaled(1e-3)
     out = linearization.linear_evolve(pert, T=6.0, dt=0.02, n_samples=20)
-    grid = out["grid"]
+    _assert_norms_match_oracle(linearization, pert, out)
+
+
+def _assert_norms_match_oracle(lin, pert, out):
+    """Each sampled norm of ``out`` against ``perturbation_at``, to 1e-13."""
+    grid, dt = out["grid"], out["t"][1]
     for row, ts in enumerate(out["sample_t"]):
-        idx = int(round(ts / 0.02))
-        val, dval = perturbation_at(linearization, pert, out["t"], out["u"], idx, grid)
+        idx = int(round(ts / dt))
+        val, dval = perturbation_at(lin, pert, out["t"], out["u"], idx, grid)
         norm = weighted_norm_from_samples(val, dval, grid)
         assert abs(norm - out["norm_1inf"][row]) <= 1e-13 * out["norm_1inf"][row]
 
 
-def test_perturbation_reads_initial_profile_once(log_model, monkeypatch):
-    # xi0_tilde's value and derivative come from one pair_eval, so the
-    # equilibrium's tail J is formed once per sample; the result has the bits
-    # of the separate value and derivative reads
+@pytest.mark.parametrize("lags", [1, 7], ids=["one-lag", "divides-N_t"])
+def test_linear_evolve_norms_at_chunk_boundaries(log_model, monkeypatch, lags):
+    # one lag per chunk, and a chunk of 7 lags that divides N_t = 301 exactly:
+    # the norms still match the per-sample oracle
+    monkeypatch.setattr(linstab, "KERNEL_CHUNK_POINTS", lags * len(linstab.NORM_GRID))
     lin = Linearization(log_model)
     pert = log_model.equilibrium_profile().scaled(1e-3)
-    tgrid = np.linspace(0.0, 2.0, 101)
-    u = np.random.default_rng(3).normal(size=len(tgrid))
-    yq = linstab.NORM_GRID
-    tabs = lin._reconstruction_tables(tgrid, yq)
-    tails = [0]
-    tail = log_model._tail
+    out = lin.linear_evolve(pert, T=6.0, dt=0.02, n_samples=20)
+    assert len(out["t"]) == 301
+    _assert_norms_match_oracle(lin, pert, out)
 
-    def counting_tail(y):
-        tails[0] += 1
-        return tail(y)
 
-    monkeypatch.setattr(log_model, "_tail", counting_tail)
-    for idx in (0, 1, 57, 100):
-        tails[0] = 0
-        val, dval = lin._perturbation_from_tab(pert, tgrid, u, idx, yq, *tabs)
-        assert tails[0] == 1
-        Y0 = backward_state(tgrid[idx], yq, lin.p)
-        expect_val = np.exp(-tgrid[idx] / lin.p) * pert(Y0)
-        expect_dval = pert.d(Y0)
-        if idx > 0:
-            coeff = quadrature.trapz_weights(idx + 1, tgrid[1]) * u[idx::-1] / lin.denom
-            expect_val = expect_val + tabs[0][:, :idx + 1] @ coeff
-            expect_dval = expect_dval + tabs[1][:, :idx + 1] @ coeff
-        assert np.array_equal(val, expect_val) and np.array_equal(dval, expect_dval)
+def test_perturbation_reads_initial_profile_once(log_model):
+    # xi0_tilde's value and derivative at each sample come from one pair_eval
+    # on the norm grid's foot points, never from separate value and derivative
+    # reads; at t = 0 the norm has the bits of those separate reads
+    lin = Linearization(log_model)
+    base = log_model.equilibrium_profile().scaled(1e-3)
+    grid_reads = []
+
+    def pair(y):
+        if y.shape == linstab.NORM_GRID.shape:  # forcing_g reads 2-D chunks
+            grid_reads.append(y)
+        return base.pair_eval(y)
+
+    def unread(y):
+        raise AssertionError("separate value or derivative read")
+
+    pert = Profile(value=unread, deriv=unread, pair=pair)
+    out = lin.linear_evolve(pert, T=2.0, dt=0.02, n_samples=30)
+    assert len(grid_reads) == len(out["sample_t"]) == 30
+    for y, t in zip(grid_reads, out["sample_t"]):
+        assert np.array_equal(y, backward_state(t, linstab.NORM_GRID, lin.p))
+    grid = linstab.NORM_GRID
+    assert out["norm_1inf"][0] == weighted_norm_from_samples(base(grid), base.d(grid), grid)
+
+
+def test_linear_evolve_memory_flat_in_horizon(log_model):
+    # the reconstruction kernel is built one lag chunk at a time, so the
+    # traced peak does not grow with T/dt: quadrupling the horizon stays
+    # within 25%, and both stay under 8 MB
+    lin = Linearization(log_model)
+    pert = log_model.equilibrium_profile().scaled(1e-3)
+    lin.linear_evolve(pert, T=1.0, dt=0.02, n_samples=20)  # first-call caches
+    peaks = []
+    for T in (20.0, 80.0):
+        tracemalloc.start()
+        try:
+            lin.linear_evolve(pert, T=T, dt=0.02)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+    assert max(peaks) < 8e6, peaks
 
 
 def test_nonlinear_gap_scales_quadratically(weak_log_model):
