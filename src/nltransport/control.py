@@ -20,18 +20,19 @@ solves  e^{tau/p} = e^{T/p}(1 + y/p) - (x/p) e^{t/p}.  The min values follow
 characteristics on which x/v is frozen (unweighted) or slides along the
 level map
 
-    F(z) = -z log(-g'(z)) + int_{z0}^z log(-g'(z')) dz',
+    F(z) = -z log(-g'(z)) + int log(-g'(z)) dz,
 
 which is strictly increasing with F(z2) - F(z1) >= z2 - z1 below
 z_inf = sup{z : g'(z) < 0} and diverges there; all roots are bracketed by
-these inequalities.  A characteristic F(z(s)) = F(z1) + t1 - s has
-ds/z = d log(-g'), so its state and its payoff integral close in form and
-need only its start z(t): one level-map inversion per characteristic.
-Level-map inversions take safeguarded Newton steps from a tabulated start,
-and the ratio and merge-time roots take Brent steps, inside those brackets.
-The module needs no scipy: the level map's tables are not-a-knot cubic
-splines solved by one tridiagonal sweep (``_Spline``), and ``_brent`` is a
-port of scipy's ``brentq``.
+these inequalities.  For the discounted payoff g = h/p every source's
+int log(-h') is elementary (``SourceFn.log_slope_integral``), so F is a
+closed form with no table and no range of its own beyond 0 < z < z_inf.
+A characteristic F(z(s)) = F(z1) + t1 - s has ds/z = d log(-g'), so its
+state and its payoff integral close in form and need only its start z(t):
+one level-map inversion per characteristic.  Level-map inversions take
+safeguarded Newton steps from the characteristic's end, and the ratio and
+merge-time roots take Brent steps, inside those brackets.  The module needs
+no scipy: ``_brent`` is a port of scipy's ``brentq``.
 
 Each closed-form piece has one home: ``model.backward_state`` is the state
 under a constant control, so x_p, the edge states ``_edge_states`` of a
@@ -70,15 +71,20 @@ CHAR_MEMO_SIZE = 1024  # level-map characteristics memoized by _char_start
 
 
 class PayoffG:
-    """Payoff density g with its derivative, its limit at infinity and z_inf."""
+    """Payoff density g with its derivative, its limit at infinity and z_inf.
+
+    ``level_source`` is the source h of the discounted payoff g = h/p, whose
+    level map ``char_map`` has a closed form; it is None for other payoffs.
+    """
 
     def __init__(self, g: Callable, gprime: Callable, g_inf: float, z_inf: float,
-                 name: str = ""):
+                 name: str = "", level_source: SourceFn | None = None):
         self.g = g
         self.gprime = gprime
         self.g_inf = float(g_inf)
         self.z_inf = float(z_inf)
         self.name = name
+        self.level_source = level_source
 
     def __call__(self, z):
         return self.g(np.asarray(z, dtype=float))
@@ -115,7 +121,8 @@ class PayoffG:
         z_inf = _slope_support(source)
         return PayoffG(g=lambda z: source.eval(z, 0) / p,
                        gprime=lambda z: source.eval(z, 1) / p,
-                       g_inf=source.h_inf / p, z_inf=z_inf, name="h/p")
+                       g_inf=source.h_inf / p, z_inf=z_inf, name="h/p",
+                       level_source=source)
 
 
 def _slope_support(source: SourceFn) -> float:
@@ -361,62 +368,6 @@ def value_min1inf(prob: ControlProblem, x: float) -> tuple[float, dict]:
     return (tau - t) * float(prob.g(prob.x_p(tau))) + _ride(prob, tau), info
 
 
-class _Spline:
-    """Not-a-knot cubic spline through (x, y) on a uniform grid x.
-
-    The knot slopes solve the tridiagonal system that scipy's ``CubicSpline``
-    solves for not-a-knot ends, by one Thomas sweep without pivoting: the
-    interior rows are diagonally dominant and the pivots of the two end rows
-    stay positive and of the order of the spacing.  Between knots the cubic
-    Hermite form is evaluated in its power basis, in scipy's order of
-    operations; outside the grid the end cubics extrapolate.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        dx = np.diff(x)
-        slope = np.diff(y) / dx
-        # row i: lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
-        lower = np.concatenate([[0.0], dx[1:], [x[-1] - x[-3]]])
-        diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
-        upper = np.concatenate([[x[2] - x[0]], dx[:-1], [0.0]])
-        rhs = np.empty(len(x))
-        rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        d = x[2] - x[0]
-        rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-        d = x[-1] - x[-3]
-        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-        s = _thomas(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist())
-        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
-        self.x, self.y = x, y
-        self._c3 = t / dx
-        self._c2 = (slope - s[:-1]) / dx - t
-        self._c1 = s[:-1]
-        self._c0 = y[:-1]
-
-    def __call__(self, x, nu: int = 0):
-        """The spline (nu = 0) or its first derivative (nu = 1) at x."""
-        i = np.minimum(np.maximum(np.searchsorted(self.x, x, side="right") - 1, 0),
-                       len(self.x) - 2)
-        h = x - self.x[i]
-        if nu == 0:
-            return self._c0[i] + self._c1[i] * h + self._c2[i] * (h * h) \
-                + self._c3[i] * (h * h * h)
-        return self._c1[i] + self._c2[i] * h * 2 + self._c3[i] * (h * h) * 3
-
-
-def _thomas(lower: list, diag: list, upper: list, rhs: list) -> np.ndarray:
-    """Solve a tridiagonal system: forward elimination, back substitution."""
-    for i in range(1, len(diag)):
-        w = lower[i] / diag[i - 1]
-        diag[i] -= w * upper[i - 1]
-        rhs[i] -= w * rhs[i - 1]
-    x = rhs
-    x[-1] /= diag[-1]
-    for i in range(len(diag) - 2, -1, -1):
-        x[i] = (x[i] - upper[i] * x[i + 1]) / diag[i]
-    return np.array(x)
-
-
 def _exprel(x: np.ndarray) -> np.ndarray:
     """expm1(x)/x, with its limit 1 at x = 0."""
     zero = x == 0.0
@@ -425,67 +376,25 @@ def _exprel(x: np.ndarray) -> np.ndarray:
 
 
 class CharMap:
-    """The level map F(z) = -z log(-g'(z)) + int_{z0}^z log(-g'(z')) dz'.
+    """The level map F(z) = -z L(z) + Phi(z) of the discounted payoff g = h/p,
+    with L = log(-h'(z)) and Phi(z) = int log(-h'), both in closed form from
+    the source (``SourceFn.log_slope_integral``).
 
-    Both tables run over w = log z - log(1 - z/z_inf) (w = log z for infinite
-    z_inf), which stretches the approach to a finite z_inf, where log(-g')
-    has a logarithmic singularity that no grid in log z resolves; in w the
-    antiderivative's integrand log(-g') dz/dw decays to 0 there.  The
-    antiderivative Phi is tabulated once on PHI_NODES points of a uniform w
-    grid over [Z_LO, z_hi] with cumulative Simpson and a not-a-knot cubic
-    spline; z_hi is Z_HI or just below a finite z_inf.  F at those knots
-    starts each inversion.  A spline of log(-g') on SLOPE_NODES points gives
-    the slope F'(z) = -z g''/g' = -d log(-g') / d log z without g''.  F is
-    strictly increasing on (0, z_inf) with slope >= 1 and diverges at z_inf,
-    which brackets every inversion.
+    With L and Phi of g itself, L = log(-h') - log p and Phi gains
+    -z log p, which cancel in F: the source's terms give the same map.  F is
+    strictly increasing on 0 < z < z_inf with slope F'(z) = -z h''/h' >= 1
+    and diverges at z_inf, which brackets every inversion.  Only the
+    discounted payoff, the one ``value_min1infw`` reads, has this closed
+    form; the map of any other payoff raises DomainError when evaluated.
     """
-
-    Z0 = 1.0
-    Z_LO = 1e-8
-    Z_HI = 1e6
-    PHI_NODES = 16001
-    # Newton needs the slope to ~1e-6, far less than F's accuracy
-    SLOPE_NODES = 2001
 
     def __init__(self, g: PayoffG):
         if g.degenerate:
             raise DomainError("level map undefined for flat payoffs")
         self.g = g
-        cap = g.z_inf * (1.0 - 1e-12) if np.isfinite(g.z_inf) else np.inf
-        self.z_hi = min(cap, self.Z_HI)
-        self._inv_z_inf = 1.0 / g.z_inf
-        ends = self._w(np.array([self.Z_LO, self.z_hi]))
-        w = np.linspace(*ends, self.PHI_NODES)
-        z = self._z(w)
-        zl = np.log(-g.d(z)) * z
-        vals = zl * (1.0 - z * self._inv_z_inf)  # d Phi / dw = L dz/dw
-        # cumulative Simpson on the uniform w grid
-        dw = w[1] - w[0]
-        seg = (vals[:-2:2] + 4.0 * vals[1:-1:2] + vals[2::2]) * dw / 3.0
-        phi = np.empty_like(w)
-        phi[0] = 0.0
-        np.cumsum(seg, out=phi[2::2])
-        # odd nodes by local Simpson-consistent half-panels (trapezoid suffices
-        # at O(dw^2) locally; upgrade with a 3-point rule)
-        phi[1::2] = phi[:-1:2] + dw / 12.0 * (5.0 * vals[:-1:2]
-                                              + 8.0 * vals[1::2] - vals[2::2])
-        # Phi(Z0) = 0, or Phi(z_hi) = 0 when z_inf <= Z0
-        phi -= np.interp(self._w(min(self.Z0, self.z_hi)), w, phi)
-        # F at the knots, F(z_k) = -z_k L_k + Phi_k: the start of each inversion
-        self._F_knots = phi - zl
-        # freed before the spline's tridiagonal sweep, the peak of the set-up
-        del z, zl, vals, seg
-        self._phi = _Spline(w, phi)
-        w = np.linspace(*ends, self.SLOPE_NODES)
-        self._log_slope = _Spline(w, np.log(-g.d(self._z(w))))
-
-    def _w(self, z):
-        return np.log(z) - np.log1p(-z * self._inv_z_inf)
-
-    def _z(self, w):
-        """The inverse of w(z): z = e^w / (1 + e^w / z_inf)."""
-        ew = np.exp(w)
-        return ew / (1.0 + ew * self._inv_z_inf)
+        self.source = g.level_source
+        # inversions stay below z_inf, where L = log(-h') is singular
+        self.z_hi = g.z_inf * (1.0 - 1e-12) if np.isfinite(g.z_inf) else np.inf
 
     def F(self, z):
         z = np.asarray(z, dtype=float)
@@ -493,39 +402,38 @@ class CharMap:
         return -z * log_slope + phi
 
     def _terms(self, z: np.ndarray):
-        """The two terms of F = -z L + Phi at z: L = log(-g'(z)) and
-        Phi(z) = int_{Z0}^z L."""
-        if ((z <= self.Z_LO) | (z > self.z_hi * (1 + 1e-12))).any():
-            raise DomainError("level map evaluated outside its tabulated range")
-        return np.log(-self.g.d(z)), self._phi(self._w(z))
+        """The two terms of F = -z L + Phi at z: L = log(-h'(z)) and Phi(z)."""
+        if self.source is None:
+            raise DomainError(f"payoff {self.g.name} has no closed-form level map")
+        if (z >= self.g.z_inf).any():
+            raise DomainError("level map evaluated at or beyond z_inf")
+        return np.log(-self.source.eval(z, 1)), self.source.log_slope_integral(z)
 
     def _slope(self, z):
-        """F'(z) from the table, floored at its lower bound 1."""
-        z = np.minimum(z, self.z_hi)
-        dw_du = 1.0 / (1.0 - z * self._inv_z_inf)
-        return np.maximum(-self._log_slope(self._w(z), 1) * dw_du, 1.0)
+        """F'(z) = -z h''/h', floored at its lower bound 1."""
+        return np.maximum(-z * self.source.eval(z, 2) / self.source.eval(z, 1), 1.0)
 
-    def invert(self, c, lo):
+    def invert(self, c, lo, f_lo=None):
         """Solve F(z) = c for z >= lo elementwise (safeguarded Newton).
 
-        lo is first raised to the highest Phi knot z_k whose tabulated
-        F(z_k) <= c, one knot below the root (0.2% in z for infinite z_inf).
-        F(z2) - F(z1) >= z2 - z1 then certifies the bracket
-        [lo, lo + (c - F(lo))], and every evaluation of F narrows it.  Newton
-        steps start from lo with the tabulated slope and are taken in
-        v = -z_inf log(1 - z/z_inf) (v = z for infinite z_inf), in which F
-        stays close to linear up to its singularity at z_inf; a step that
-        leaves the bracket is replaced by the bracket's midpoint.  An element
-        stops when its step falls below 1e-15 z, or when a step below
+        ``f_lo`` is F(lo) when the caller has it, which saves evaluating it.
+        F(z2) - F(z1) >= z2 - z1 certifies the bracket [lo, lo + (c - F(lo))],
+        cut at z_hi, and every evaluation of F narrows it.  Newton steps
+        start from lo and are taken in v = -z_inf log(1 - z/z_inf) (v = z for
+        infinite z_inf), in which F stays close to linear up to its
+        singularity at z_inf; a step that leaves the bracket is replaced by
+        the bracket's midpoint.  An element stops when its step s_k falls
+        below 1e-15 z; when the next step that quadratic convergence
+        predicts, s_k^3/s_{k-1}^2, does, once s_{k-1} <= 1e-3 z puts the
+        iterate in the quadratic regime; or when a step below
         1e-12 z + 1e-15 |c| fails to halve: steps shrink quadratically until
-        they reach the rounding noise of F, which exceeds 1e-15 z for small z.
-        After BISECT_ITERS steps the last iterate, which lies in the bracket,
-        is returned.
+        they reach the rounding noise of F, which exceeds 1e-15 z for small
+        z.  After BISECT_ITERS steps the last iterate, which lies in the
+        bracket, is returned.
         """
         c = np.atleast_1d(np.asarray(c, dtype=float))
-        knot = np.maximum(np.searchsorted(self._F_knots, c, side="right") - 1, 0)
-        lo = np.maximum(lo, self._z(self._phi.x[knot]))
-        resid = self.F(lo) - c
+        lo = np.array(np.broadcast_to(lo, c.shape), dtype=float)
+        resid = (self.F(lo) if f_lo is None else f_lo) - c
         if np.any(resid > 1e-9):
             raise NumericalError("inversion bracket failed: F(lo) > target")
         hi = np.minimum(lo - np.minimum(resid, 0.0), self.z_hi)
@@ -540,8 +448,10 @@ class CharMap:
             new = np.where((new >= lol) & (new <= hil), new, 0.5 * (lol + hil))
             step = np.abs(new - zl)
             z[live] = new
+            last = prev[live]
             done = (step <= 1e-15 * new) | (
-                (step > 0.5 * prev[live])
+                (step ** 3 <= 1e-15 * new * last ** 2) & (last <= 1e-3 * new)) | (
+                (step > 0.5 * last)
                 & (step <= 1e-12 * new + 1e-15 * np.abs(c[live])))
             prev[live] = step
             live = live[~done]
@@ -697,16 +607,19 @@ def _char_start(prob: ControlProblem, z1: float, t1: float) -> tuple[float, floa
     F' = -z g''/g' makes ds/z = dL with L = log(-g'), so ell = L(z1) - L(z0).
     With F = -z L + Phi and Delta = t1 - t this is
     ell = (Delta - [Phi(z0) - Phi(z1) - (z0 - z1) L(z1)]) / z0, which reads g'
-    only at z1.  Next to a finite z_inf, z0 stops at the table's end z_hi,
-    and this form still integrates ds/z along the z(s) the inversion returns;
-    the ratio form log(g'(z1)/g'(z0)) would not.  Memoized: every value call
-    follows the ratio boundary and first bracket end, and Brent's root twice.
+    only at z1; L and Phi are the source's, as in ``CharMap``, since the
+    log p that g = h/p adds to them cancels here too.  Next to a finite
+    z_inf, z0 stops at the inversion's cap z_hi, and this form still
+    integrates ds/z along the z(s) the inversion returns; the ratio form
+    log(g'(z1)/g'(z0)) would not.  Memoized: every value call follows the
+    ratio boundary and first bracket end, and Brent's root twice.
     """
     cm = prob.g.char_map
     delta = t1 - prob.t
     (log_slope,), (phi1,) = cm._terms(np.array([z1]))
-    z0 = float(cm.invert(-z1 * log_slope + phi1 + delta, z1)[0])
-    gap = float(cm._phi(cm._w(z0))) - phi1 - (z0 - z1) * log_slope
+    f1 = -z1 * log_slope + phi1
+    z0 = float(cm.invert(f1 + delta, z1, f1)[0])
+    gap = float(cm.source.log_slope_integral(z0)) - phi1 - (z0 - z1) * log_slope
     return z0, (delta - gap) / z0
 
 

@@ -194,6 +194,7 @@ def run_linear_stability(scn: Scenario) -> dict:
         "decay_rate_r2": fit.r_squared,
         "pass": bool(cert["K_min"] > 0.0
                      and cert["monotone_margin"] >= -1e-10
+                     and h3["status"] == "conclusive"
                      and h3.get("winding_number", -1) == 0
                      and fit.rate >= 1.0 / (1.3 * model.p)),
     }

@@ -187,6 +187,8 @@ class Linearization:
                 acc *= q
                 acc += Gk
             out[lo:lo + chunk] = acc
+            # Gk is a view of G: release both before the next chunk's G exists
+            del G, Gk
         K_TL = float(self.kernel_K(T_L))
         sigma = float(np.min(z.real))
         tail = K_TL * np.exp(-sigma * T_L) / (sigma + 1.0 / p)

@@ -13,7 +13,10 @@ Derivatives of kernel-backed sources are always computed from k and k' in
 closed form, never by differencing.  Every kernel carries closed-form tail
 integrals, so that evaluation in hot loops is pure vector arithmetic, and
 ``SourceFn.eval_orders`` evaluates h, h' and h'' together into the caller's
-buffers for the profile reconstruction's large arrays.
+buffers for the profile reconstruction's large arrays.  Every named kernel
+also carries an antiderivative of log k, from which
+``SourceFn.log_slope_integral`` gives int log(-h') in closed form: the
+control level map needs no table.
 
 The equilibrium of the model with parameter p is built on the tail
 
@@ -151,7 +154,9 @@ class Kernel:
     the same tails of the kernel_p source (kernel parameter kp); without them
     it cannot build one.  ``orders_inf(y, out)`` writes h - h_inf, h' and,
     given a third buffer, h'' of the kernel_inf source into ``out`` in place,
-    with no temporaries (see ``SourceFn.eval_orders``).
+    with no temporaries (see ``SourceFn.eval_orders``).  ``log_integral(y)``
+    is an antiderivative of log k on the kernel's support; without it a
+    source has no closed-form level map (see ``SourceFn.log_slope_integral``).
     """
 
     name: str
@@ -162,6 +167,7 @@ class Kernel:
     tail_p: Callable[[np.ndarray, float], np.ndarray] | None = None
     eq_tail_p: Callable[[np.ndarray, float, float], np.ndarray] | None = None
     orders_inf: Callable[[np.ndarray, Sequence[np.ndarray]], None] | None = None
+    log_integral: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def log_kernel() -> Kernel:
@@ -196,6 +202,8 @@ def log_kernel() -> Kernel:
         tail_inf=lambda y: np.log1p(1.0 / y),
         eq_tail_inf=eq_tail_inf,
         orders_inf=orders_inf,
+        # int_0^y log k = -int_0^y log1p = -[(1+y) log1p(y) - y]
+        log_integral=lambda y: y - (1.0 + y) * np.log1p(y),
     )
 
 
@@ -268,9 +276,17 @@ def compact_kernel(cutoff: float = 1.0) -> Kernel:
         scale, Q, K = q_and_k(y, p)
         return scale * (c * K + kp * Q)
 
+    def log_integral(y):
+        # int_0^y 2 log(1 - u/c) du = -2 (c e log e + y), e = 1 - y/c, for
+        # y < c; log1p keeps the small-y end accurate, (c - y)/c the cutoff
+        y = np.asarray(y, dtype=float)
+        e = (c - y) / c
+        log_e = np.where(y <= 0.5 * c, np.log1p(-y / c), np.log(e))
+        return -2.0 * (c * e * log_e + y)
+
     return Kernel(name=f"compact({c:g})", k=k, kprime=kprime,
                   tail_inf=tail_inf, tail_p=tail_p, eq_tail_inf=eq_tail_inf,
-                  eq_tail_p=eq_tail_p)
+                  eq_tail_p=eq_tail_p, log_integral=log_integral)
 
 
 def inv_square_kernel() -> Kernel:
@@ -301,6 +317,8 @@ def inv_square_kernel() -> Kernel:
         tail_p=tail_p,
         eq_tail_inf=eq_tail_inf,
         eq_tail_p=eq_tail_p,
+        # log k is twice the log kernel's
+        log_integral=lambda y: 2.0 * (y - (1.0 + y) * np.log1p(y)),
     )
 
 
@@ -388,6 +406,25 @@ class SourceFn:
         for order, buf in enumerate(out):
             buf[...] = self.eval(y, order)
         return out
+
+    def log_slope_integral(self, y):
+        """Phi(y) = int_0^y log(-h'(u)) du in closed form.
+
+        From the kernel's ``log_integral``, int_0^y log k: -h' = k/y gives
+        Phi = int_0^y log k - (y log y - y), and -h' = (1 + p/y) k (kernel
+        parameter p) gives Phi = int_0^y log k + y log1p(p/y) + p log1p(y/p),
+        whose two added terms are positive.  Phi(0) = 0 keeps the rounding
+        of Phi, and of the level map F = -y log(-h') + Phi, relative to y.
+        """
+        if self.kind == "constant" or self.kernel.log_integral is None:
+            raise DomainError(f"source {self.kind} has no closed-form int log(-h')")
+        y = np.asarray(y, dtype=float)
+        if np.any(y <= 0.0):
+            raise DomainError("source evaluated at y <= 0")
+        phi = self.kernel.log_integral(y)
+        if self.kind == "kernel_inf":
+            return phi - y * (np.log(y) - 1.0)
+        return phi + y * np.log1p(self.p / y) + self.p * np.log1p(y / self.p)
 
     def equilibrium_tail(self, y, p: float):
         """J(y) = int_y^inf p h(u)/(p+u)^2 du, in closed form."""

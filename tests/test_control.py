@@ -3,6 +3,8 @@ import oracles
 import pytest
 
 from nltransport import compact_source, constant_source, log_source
+from nltransport.sources import (SourceFn, compact_kernel, inv_square_kernel,
+                                 inv_square_p_source)
 from nltransport.errors import DomainError, ModelViolationError, NumericalError
 from nltransport import control as cc
 
@@ -278,9 +280,9 @@ def test_min_weighted_values_follow_each_characteristic_once(monkeypatch):
     invert = cc.CharMap.invert
     followed = []
 
-    def recorded(self, c, lo):
+    def recorded(self, c, lo, f_lo=None):
         followed.append((np.asarray(c, float).item(), np.asarray(lo, float).item()))
-        return invert(self, c, lo)
+        return invert(self, c, lo, f_lo)
 
     monkeypatch.setattr(cc.CharMap, "invert", recorded)
     for frac in (12.0, 20.0):
@@ -289,29 +291,8 @@ def test_min_weighted_values_follow_each_characteristic_once(monkeypatch):
     assert len(followed) == len(set(followed))
 
 
-@pytest.mark.parametrize("payoff", [
-    lambda: cc.PayoffG.from_source_unweighted(log_source(1.0), P, Y),
-    lambda: cc.PayoffG.from_source_weighted(log_source(1.0), P),
-    lambda: cc.PayoffG.from_source_weighted(compact_source(1.0, 2.0), P),
-], ids=["log-unweighted", "log-weighted", "compact-weighted"])
-@pytest.mark.parametrize("table", ["_phi", "_log_slope"])
-def test_level_map_splines_match_scipy(payoff, table):
-    # both tables are the not-a-knot spline scipy builds from the same knots,
-    # in value and slope, at the knots and between them
-    from scipy.interpolate import CubicSpline
-
-    spline = getattr(payoff().char_map, table)
-    ref = CubicSpline(spline.x, spline.y)
-    rng = np.random.default_rng(0)
-    q = np.concatenate([spline.x, rng.uniform(spline.x[0], spline.x[-1], 5000)])
-    for nu in (0, 1):
-        want = ref(q, nu)
-        assert np.max(np.abs(spline(q, nu) - want)) <= 1e-13 * np.max(np.abs(want))
-
-
 _CHARACTERISTIC_PAYOFFS = {
     "log-weighted": lambda: cc.PayoffG.from_source_weighted(log_source(1.0), P),
-    "log-unweighted": lambda: cc.PayoffG.from_source_unweighted(log_source(1.0), P, Y),
     "compact-weighted": lambda: cc.PayoffG.from_source_weighted(compact_source(1.0, 2.0),
                                                                 P),
 }
@@ -339,21 +320,54 @@ def test_characteristic_closed_form_matches_refined_quadrature(payoff):
             assert gap_fine <= 2e-3, (z1, gap_fine)
 
 
+# the five kernel/kind pairs a scenario can build, each with its own z_inf
+_LEVEL_MAP_SOURCES = {
+    "log": log_source(1.0),
+    "compact": compact_source(1.0, 2.0),
+    "inv_square": SourceFn(kind="kernel_inf", h_inf=1.0, kernel=inv_square_kernel()),
+    "compact-p": SourceFn(kind="kernel_p", h_inf=1.0, kernel=compact_kernel(2.0), p=3.0),
+    "inv_square-p": inv_square_p_source(1.0, 3.0),
+}
+
+
 def test_level_map_resolves_support_edge():
     # F(z) - F(1.5) = -z L(z) + 1.5 L(1.5) + int_1.5^z L with L = log(-g'),
-    # against adaptive quadrature up to a finite z_inf = 2, where L has a
-    # logarithmic singularity: the table in w = log z - log(1 - z/z_inf)
-    # resolves it to ~1e-12, where a grid in log z missed by up to 3e-2
+    # against adaptive quadrature for every kernel/kind pair: from 1e-3 up
+    # to a finite z_inf = 2, where L has a logarithmic singularity, or up to
+    # 1e5; the closed form keeps 1e-13 relative to max(1, |F(z) - F(1.5)|)
+    # (measured worst 5.8e-15), where the tables missed by up to 4.7e-12
     from scipy.integrate import quad
 
+    for name, source in _LEVEL_MAP_SOURCES.items():
+        g = cc.PayoffG.from_source_weighted(source, P)
+        if np.isfinite(g.z_inf):
+            zs = [1e-3, 0.3] + [g.z_inf - gap for gap in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6)]
+        else:
+            zs = [1e-3, 0.3, 10.0, 1e3, 1e5]
+
+        def log_slope(z, g=g):
+            return float(np.log(-g.d(z)))
+
+        level_1_5 = g.char_map.F(np.array([1.5]))[0]
+        for z in zs:
+            integral, _ = quad(log_slope, 1.5, z, limit=500, epsabs=1e-14,
+                               epsrel=1e-12)
+            want = -z * log_slope(z) + 1.5 * log_slope(1.5) + integral
+            got = g.char_map.F(np.array([z]))[0] - level_1_5
+            assert abs(got - want) < 1e-13 * max(1.0, abs(want)), (name, z)
+
+
+def test_level_map_only_for_the_discounted_payoff(g_unweighted):
+    # -(1 + y/p) h' has no closed-form level map: building it is free, and
+    # evaluating or inverting it is a DomainError; so is z at or past z_inf
+    cm = g_unweighted.char_map
+    with pytest.raises(DomainError, match="no closed-form level map"):
+        cm.F(np.array([1.0]))
+    with pytest.raises(DomainError, match="no closed-form level map"):
+        cm.invert(np.array([3.0]), np.array([1.0]))
     g = cc.PayoffG.from_source_weighted(compact_source(1.0, 2.0), P)
-    log_slope = lambda z: float(np.log(-g.d(z)))
-    level_map = lambda z: float(g.char_map.F(np.array([z]))[0])
-    for gap in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6):
-        z = g.z_inf - gap
-        integral, _ = quad(log_slope, 1.5, z, limit=500, epsabs=1e-14, epsrel=1e-13)
-        want = -z * log_slope(z) + 1.5 * log_slope(1.5) + integral
-        assert abs(level_map(z) - level_map(1.5) - want) < 1e-11, gap
+    with pytest.raises(DomainError, match="beyond z_inf"):
+        g.char_map.F(np.array([2.5]))
 
 
 def test_simpson_cubic_exact():
@@ -618,7 +632,7 @@ def test_stationarity_weighted(g_weighted):
 def test_extremal_hypotheses_reject_nonconvex_kernel():
     # a non-convex kernel makes y^2 h'' increase near the origin:
     # y^2 h'' = k - y k' and d/dy (k - y k') = -y k'' > 0 where k'' < 0
-    from nltransport.sources import Kernel, SourceFn
+    from nltransport.sources import Kernel
     # int_y^inf du/(u(1+u^2)) = log(1 + 1/y^2)/2; the equilibrium is never built
     k = Kernel(name="hump", k=lambda y: 1.0 / (1.0 + y ** 2),
                kprime=lambda y: -2.0 * y / (1.0 + y ** 2) ** 2,

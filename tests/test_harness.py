@@ -1021,6 +1021,22 @@ def test_linear_stability_runner(tmp_path):
     assert header == "t,K,expK_monotone_margin"
 
 
+def test_linear_stability_fails_on_an_inconclusive_contour(tmp_path, monkeypatch):
+    # a winding number from a contour whose truncation tail is not small
+    # against the minimum modulus certifies nothing, so the run fails
+    from nltransport import linstab
+
+    def inconclusive(self, omega=50.0):
+        return {"status": "inconclusive", "winding_number": 0,
+                "min_abs_one_plus_khat": 1e-3, "tail_bound": 1.0}
+
+    monkeypatch.setattr(linstab.Linearization, "condition_H3", inconclusive)
+    cfg = write_config(tmp_path, _small_run_config(tmp_path, "linear-stability"))
+    assert run_scenario(cfg) == EXIT_ASSERTION
+    entry = json.loads((tmp_path / "out" / "report.json").read_text())["linear-stability"]
+    assert entry["h3"]["winding_number"] == 0 and entry["pass"] is False
+
+
 def test_volterra_demo_runner(tmp_path):
     doc = {"experiment": "volterra-demo", "seed": 0,
            "model": {"p": 2.0, "source": {"kind": "constant", "h_inf": 1.0}},
@@ -1033,16 +1049,20 @@ def test_volterra_demo_runner(tmp_path):
     assert report["volterra-demo"]["closed_form_solution_err"] < 1e-5
 
 
-@pytest.mark.parametrize("source,model", [
-    ({"kind": "kernel_inf", "kernel": "log", "h_inf": 1.0}, "kernel_inf(log)"),
+@pytest.mark.parametrize("source,model,options", [
+    ({"kind": "kernel_inf", "kernel": "log", "h_inf": 1.0}, "kernel_inf(log)", {}),
     # a flat payoff for all four variants: the closed forms need no control
-    ({"kind": "constant", "h_inf": 1.0}, "constant"),
-], ids=["log", "constant"])
-def test_control_verify_runner(tmp_path, source, model):
+    ({"kind": "constant", "h_inf": 1.0}, "constant", {}),
+    # a terminal state far out: the closed-form level map has no range of
+    # its own, where its tables stopped at z = 1e6
+    ({"kind": "kernel_inf", "kernel": "log", "h_inf": 1.0}, "kernel_inf(log)",
+     {"y": 2e6}),
+], ids=["log", "constant", "log-y2e6"])
+def test_control_verify_runner(tmp_path, source, model, options):
     doc = {"experiment": "control-verify", "seed": 5,
            "model": {"p": 2.0, "source": source},
            "output": {"dir": str(tmp_path / "out")},
-           "options": {"n_samples": 10, "n_histories": 10, "T": 2.0}}
+           "options": {"n_samples": 10, "n_histories": 10, "T": 2.0, **options}}
     cfg = write_config(tmp_path, doc)
     assert run_scenario(cfg) == EXIT_PASS
     report = json.loads((tmp_path / "out" / "report.json").read_text())

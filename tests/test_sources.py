@@ -98,6 +98,22 @@ def test_log_kernel_tail_matches_quadrature():
     assert np.max(np.abs(k.tail_inf(probe) - quad)) < 1e-9
 
 
+@pytest.mark.parametrize("kernel,ys", [
+    (log_kernel(), [1e-3, 0.3, 1.0, 10.0, 1e3, 1e5]),
+    (inv_square_kernel(), [1e-3, 0.3, 1.0, 10.0, 1e3, 1e5]),
+    # across the switch at half the cutoff, and up to just below it
+    (compact_kernel(2.0), [1e-3, 0.3, 0.999, 1.001, 1.9, 1.999, 2.0 - 1e-6]),
+], ids=["log", "inv_square", "compact"])
+def test_kernel_log_integral_matches_quadrature(kernel, ys):
+    # int_0^y log k, segment by segment against adaptive quadrature
+    assert kernel.log_integral(np.array([0.0]))[0] == 0.0
+    for lo, hi in zip(ys[:-1], ys[1:]):
+        want, _ = si.quad(lambda u: np.log(kernel.k(u)), lo, hi, limit=200,
+                          epsabs=1e-14, epsrel=1e-13)
+        got = kernel.log_integral(np.array([hi]))[0] - kernel.log_integral(np.array([lo]))[0]
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (lo, hi)
+
+
 def test_kernel_p_needs_the_kernel_p_tails():
     # the log kernel has none: (1 + p/u)/(1 + u) is not integrable at infinity
     with pytest.raises(DomainError, match="tail_p"):
