@@ -31,17 +31,20 @@ A characteristic F(z(s)) = F(z1) + t1 - s has ds/z = d log(-g'), so its
 state and its payoff integral close in form and need only its start z(t):
 one level-map inversion per characteristic.  Level-map inversions take
 safeguarded Newton steps from the characteristic's end, and the ratio and
-merge-time roots take Brent steps, inside those brackets.  The module needs
-no scipy: ``_brent`` is a port of scipy's ``brentq``.
+merge-time roots of both min problems take Brent steps, inside those
+brackets.  The module needs no scipy and no quadrature: ``_brent`` is a port
+of scipy's ``brentq``, and every payoff integral is a closed form.
 
 Each closed-form piece has one home: ``model.backward_state`` is the state
-under a constant control, so x_p, the edge states ``_edge_states`` of a
-piecewise-constant control, ``trajectory_x`` and ``payoff`` all read it;
-``_ride`` integrates the payoff along x_p; ``_ratio_state`` follows a
-characteristic with a frozen ratio x/v = z; ``_char_start`` inverts a
-level-map characteristic's start (memoized per problem and end point), from
-which ``_char_state`` and ``_char_payoff`` follow it in closed form; and
-``value`` answers flat payoffs (z_inf <= 0), whose values need no control.
+under a constant control v, so x_p, the edge states ``_edge_states`` of a
+piecewise-constant control and ``trajectory_x`` all read it; as x/v follows
+the v = 1 flow, ``PayoffG.ride`` integrates g along it from h and the
+equilibrium tail J at its two ends, for ``_ride`` along x_p and for
+``payoff`` per segment; ``_ratio_state`` follows a characteristic with a frozen ratio
+x/v = z; ``_char_start`` inverts a level-map characteristic's start
+(memoized per problem and end point), from which ``_char_state`` and
+``_char_payoff`` follow it in closed form; and ``value`` answers flat
+payoffs (z_inf <= 0), whose values need no control.
 
 ``verification_certificate`` checks the closed forms against sampled
 controls, and ``extremal_history_certificate`` checks the delay functional F
@@ -52,6 +55,7 @@ is ``brute_force`` in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -61,7 +65,6 @@ import numpy as np
 from .dde import F_of_path
 from .errors import DomainError, ModelViolationError, NumericalError
 from .model import backward_state
-from .quadrature import gauss_panels, unit_gauss_nodes
 from .sources import SourceFn
 
 VARIANTS = ("max01", "min1inf", "max01w", "min1infw")
@@ -73,24 +76,35 @@ CHAR_MEMO_SIZE = 1024  # level-map characteristics memoized by _char_start
 class PayoffG:
     """Payoff density g with its derivative, its limit at infinity and z_inf.
 
+    ``ride(u1, width, discounted)`` integrates g(u(sigma)), times e^{-sigma/p}
+    when discounted, over 0 <= sigma <= width along the v = 1 flow
+    u = backward_state(sigma, u1, p), where d sigma = p du/(u + p).  Each
+    constructor supplies its closed form; other pairings raise DomainError.
     ``level_source`` is the source h of the discounted payoff g = h/p, whose
     level map ``char_map`` has a closed form; it is None for other payoffs.
     """
 
     def __init__(self, g: Callable, gprime: Callable, g_inf: float, z_inf: float,
-                 name: str = "", level_source: SourceFn | None = None):
+                 name: str = "", level_source: SourceFn | None = None,
+                 ride: Callable | None = None):
         self.g = g
         self.gprime = gprime
         self.g_inf = float(g_inf)
         self.z_inf = float(z_inf)
         self.name = name
         self.level_source = level_source
+        self._ride_form = ride
 
     def __call__(self, z):
         return self.g(np.asarray(z, dtype=float))
 
     def d(self, z):
         return self.gprime(np.asarray(z, dtype=float))
+
+    def ride(self, u1, width, discounted: bool):
+        if self._ride_form is None:
+            raise DomainError(f"payoff {self.name} has no closed-form ride")
+        return self._ride_form(u1, width, discounted)
 
     @property
     def degenerate(self) -> bool:
@@ -101,55 +115,50 @@ class PayoffG:
         return CharMap(self)
 
     @staticmethod
-    def constant(g0: float) -> "PayoffG":
-        return PayoffG(g=lambda z: np.full_like(np.asarray(z, float), g0),
-                       gprime=lambda z: np.zeros_like(np.asarray(z, float)),
-                       g_inf=g0, z_inf=0.0, name=f"const({g0:g})")
-
-    @staticmethod
     def from_source_unweighted(source: SourceFn, p: float, y: float) -> "PayoffG":
-        """g(z) = -(1 + y/p) h'(z): the derivative part of the delay functional."""
+        """g(z) = -(1 + y/p) h'(z): the derivative part of the delay functional.
+        Its ride to U = backward_state(width, u1, p) is, by parts,
+        (1 + y/p) [E(u1) - E(U)] with E = ``_slope_tail``."""
         c = 1.0 + y / p
-        z_inf = _slope_support(source)
+
+        def ride(u1, width, discounted):
+            if discounted:
+                raise DomainError("-(1+y/p) h' has no closed-form discounted ride")
+            return c * (_slope_tail(source, u1, p)
+                        - _slope_tail(source, backward_state(width, u1, p), p))
+
         return PayoffG(g=lambda z: -c * source.eval(z, 1),
                        gprime=lambda z: -c * source.eval(z, 2),
-                       g_inf=0.0, z_inf=z_inf, name="-(1+y/p) h'")
+                       g_inf=0.0, z_inf=_slope_support(source), name="-(1+y/p) h'",
+                       ride=ride)
 
     @staticmethod
     def from_source_weighted(source: SourceFn, p: float) -> "PayoffG":
-        """g(z) = h(z)/p: the discounted part of the delay functional."""
-        z_inf = _slope_support(source)
+        """g(z) = h(z)/p: the discounted part of the delay functional.  Its
+        discounted ride to U = backward_state(width, u1, p) is
+        (u1 + p)/p [J(u1) - J(U)], as e^{-sigma/p} = (u1 + p)/(u + p)."""
+        J = source.equilibrium_tail
+
+        def ride(u1, width, discounted):
+            if not discounted:
+                raise DomainError("h/p has no closed-form undiscounted ride")
+            return (u1 + p) / p * (J(u1, p) - J(backward_state(width, u1, p), p))
+
         return PayoffG(g=lambda z: source.eval(z, 0) / p,
                        gprime=lambda z: source.eval(z, 1) / p,
-                       g_inf=source.h_inf / p, z_inf=z_inf, name="h/p",
-                       level_source=source)
+                       g_inf=source.h_inf / p, z_inf=_slope_support(source), name="h/p",
+                       level_source=source, ride=ride)
 
 
 def _slope_support(source: SourceFn) -> float:
-    """sup{z : h'(z) < 0}; infinity for strictly decreasing sources."""
-    if source.kind == "constant":
-        return 0.0
-    probes = np.geomspace(1e-3, 1e8, 100)
-    slopes = source.eval(probes, 1)
-    neg = probes[slopes < -1e-300]
-    if len(neg) == len(probes):
-        return np.inf
-    if len(neg) == 0:
-        return 0.0
-    return _bisect(lambda z: source.eval(z, 1) < -1e-300,
-                   neg[-1], probes[np.searchsorted(probes, neg[-1]) + 1])
+    """sup{z : h'(z) < 0}: the kernel's support, 0 for the constant source."""
+    return 0.0 if source.kind == "constant" else float(source.kernel.support)
 
 
-def _bisect(below, lo: float, hi: float) -> float:
-    """The midpoint of [lo, hi] after BISECT_ITERS halvings that keep below(lo)
-    true and below(hi) false."""
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _slope_tail(source: SourceFn, u, p: float):
+    """E(u) = p h(u)/(p+u) - J(u) = int_u^inf p (-h'(w))/(p+w) dw, J the
+    equilibrium tail: by parts, since dJ/du = -p h/(p+u)^2."""
+    return p * source.eval(u) / (p + u) - source.equilibrium_tail(u, p)
 
 
 @dataclass(frozen=True)
@@ -199,9 +208,9 @@ class ControlProblem:
 
     def hypothesis_report(self) -> dict:
         """Check of the shape condition required by the variant, to 1e-9, on
-        400 geometric points from 1e-3 to min(z_inf, 1e4)."""
-        hi = self.g.z_inf if np.isfinite(self.g.z_inf) and self.g.z_inf > 0 else 1e4
-        grid = np.geomspace(1e-3, hi * (1 - 1e-9) if hi < 1e4 else 1e4, 400)
+        400 geometric points from 1e-3 min(1, top) to top = min(z_inf, 1e4)."""
+        top = self.g.z_inf * (1 - 1e-9) if 0 < self.g.z_inf < 1e4 else 1e4
+        grid = np.geomspace(1e-3 * min(1.0, top), top, 400)
         key, label, quantity = _HYPOTHESES[self.variant]
         margin = float(np.max(np.diff(quantity(self.g, grid))))
         if not margin <= 1e-9:
@@ -276,21 +285,16 @@ def start_state(prob: ControlProblem, control: PiecewiseControl) -> float:
 
 
 def payoff(prob: ControlProblem, control: PiecewiseControl) -> float:
-    """16-point Gauss quadrature per segment of the payoff along the exact
-    trajectory."""
-    p = prob.p
-    u, w = unit_gauss_nodes(16)
-    edges = control.edges
+    """The payoff along the exact trajectory, in closed form: on segment i
+    the ratio x/v_i follows the v = 1 flow back from x_{i+1}/v_i, so the
+    segment pays g's ride over its width, times v_i e^{-(T - edges[i+1])/p}
+    in the weighted problems."""
     xe = _edge_states(prob, control)
-    total = 0.0
-    for i, v in enumerate(control.values):
-        a, b = edges[i], edges[i + 1]
-        s = a + (b - a) * u
-        vals = prob.g(backward_state(b - s, xe[i + 1], p, v) / v)
-        if prob.weighted:
-            vals = vals * np.exp(-(prob.T - s) / p) * v
-        total += (b - a) * float(np.dot(w, vals))
-    return total
+    v, edges = control.values, control.edges
+    rides = prob.g.ride(xe[1:] / v, np.diff(edges), prob.weighted)
+    if prob.weighted:
+        rides = rides * v * np.exp(-(prob.T - edges[1:]) / prob.p)
+    return float(np.sum(rides))
 
 
 # -- closed-form values ------------------------------------------------------------
@@ -310,22 +314,11 @@ def _switch_time(prob: ControlProblem, x: float) -> float:
     return float(tau)
 
 
-def _gauss_integral(f, a: float, b: float) -> float:
-    """Composite Gauss rule, 24 panels of 12 nodes, on [a, b]; 0 when b <= a."""
-    if b <= a:
-        return 0.0
-    s, ws = gauss_panels(a, b, 24, 12)
-    return float(np.dot(ws, f(s)))
-
-
 def _ride(prob: ControlProblem, a: float) -> float:
     """The payoff of riding x_p from a to T: int_a^T g(x_p(s)) ds, with the
-    discount e^{-(T-s)/p} in the weighted problems."""
-    def density(s):
-        vals = prob.g(prob.x_p(s))
-        return vals * np.exp(-(prob.T - s) / prob.p) if prob.weighted else vals
-
-    return _gauss_integral(density, a, prob.T)
+    discount e^{-(T-s)/p} in the weighted problems.  x_p is the v = 1 flow
+    back from y, so this is g's ride from y over T - a."""
+    return float(prob.g.ride(prob.y, prob.T - a, prob.weighted))
 
 
 def value_max01(prob: ControlProblem, x: float) -> tuple[float, float]:
@@ -344,7 +337,8 @@ def value_min1inf(prob: ControlProblem, x: float) -> tuple[float, dict]:
     """Closed-form value for the unweighted min problem.
 
     Below the frozen-ratio boundary x_p(t, T) = y e^{(1/p + 1/y)(T-t)} the
-    optimal characteristic merges with x_p at a time found by bisection;
+    optimal characteristic merges with x_p at the Brent root tau in [t, T]
+    of the merged state less x, from x_p(t) - x < 0 to boundary - x > 0;
     above it the ratio lambda solves the single exponential relation.
     """
     prob.check_state(x)
@@ -358,21 +352,14 @@ def value_min1inf(prob: ControlProblem, x: float) -> tuple[float, dict]:
         info["lambda"] = float(lam)
         return (T - t) * float(prob.g(lam)), info
 
-    def merged_state(tau):
-        xp_tau = prob.x_p(tau)
-        return _ratio_state(prob, xp_tau, xp_tau, tau)
+    def merge_gap(tau):
+        xp_tau = float(prob.x_p(tau))
+        return _ratio_state(prob, xp_tau, xp_tau, tau) - x
 
-    tau = _bisect(lambda tau: merged_state(tau) < x, t, T)
+    tau = _brent(merge_gap, t, T, float(prob.x_p(t)) - x, boundary - x)
     info["branch"] = "merge"
     info["tau"] = float(tau)
     return (tau - t) * float(prob.g(prob.x_p(tau))) + _ride(prob, tau), info
-
-
-def _exprel(x: np.ndarray) -> np.ndarray:
-    """expm1(x)/x, with its limit 1 at x = 0."""
-    zero = x == 0.0
-    x = np.where(zero, 1.0, x)
-    return np.where(zero, 1.0, np.expm1(x) / x)
 
 
 class CharMap:
@@ -401,20 +388,20 @@ class CharMap:
         log_slope, phi = self._terms(z)
         return -z * log_slope + phi
 
-    def _terms(self, z: np.ndarray):
+    def _terms(self, z):
         """The two terms of F = -z L + Phi at z: L = log(-h'(z)) and Phi(z)."""
         if self.source is None:
             raise DomainError(f"payoff {self.g.name} has no closed-form level map")
-        if (z >= self.g.z_inf).any():
+        if np.any(z >= self.g.z_inf):
             raise DomainError("level map evaluated at or beyond z_inf")
         return np.log(-self.source.eval(z, 1)), self.source.log_slope_integral(z)
 
-    def _slope(self, z):
+    def _slope(self, z: float) -> float:
         """F'(z) = -z h''/h', floored at its lower bound 1."""
-        return np.maximum(-z * self.source.eval(z, 2) / self.source.eval(z, 1), 1.0)
+        return max(float(-z * self.source.eval(z, 2) / self.source.eval(z, 1)), 1.0)
 
-    def invert(self, c, lo, f_lo=None):
-        """Solve F(z) = c for z >= lo elementwise (safeguarded Newton).
+    def invert(self, c: float, lo: float, f_lo: float | None = None) -> float:
+        """Solve F(z) = c for z >= lo (safeguarded Newton).
 
         ``f_lo`` is F(lo) when the caller has it, which saves evaluating it.
         F(z2) - F(z1) >= z2 - z1 certifies the bracket [lo, lo + (c - F(lo))],
@@ -422,7 +409,7 @@ class CharMap:
         start from lo and are taken in v = -z_inf log(1 - z/z_inf) (v = z for
         infinite z_inf), in which F stays close to linear up to its
         singularity at z_inf; a step that leaves the bracket is replaced by
-        the bracket's midpoint.  An element stops when its step s_k falls
+        the bracket's midpoint.  The iteration stops when its step s_k falls
         below 1e-15 z; when the next step that quadratic convergence
         predicts, s_k^3/s_{k-1}^2, does, once s_{k-1} <= 1e-3 z puts the
         iterate in the quadratic regime; or when a step below
@@ -431,36 +418,32 @@ class CharMap:
         z.  After BISECT_ITERS steps the last iterate, which lies in the
         bracket, is returned.
         """
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        lo = np.array(np.broadcast_to(lo, c.shape), dtype=float)
-        resid = (self.F(lo) if f_lo is None else f_lo) - c
-        if np.any(resid > 1e-9):
+        resid = (float(self.F(lo)) if f_lo is None else f_lo) - c
+        if resid > 1e-9:
             raise NumericalError("inversion bracket failed: F(lo) > target")
-        hi = np.minimum(lo - np.minimum(resid, 0.0), self.z_hi)
-        z = lo.copy()
-        prev = np.full(c.shape, np.inf)
-        live = np.flatnonzero(resid < 0.0)
+        if resid >= 0.0:
+            return lo
+        hi = min(lo - resid, self.z_hi)
+        z, prev = lo, np.inf
         for _ in range(BISECT_ITERS):
-            zl, lol, hil = z[live], lo[live], hi[live]
-            step = -resid[live] / self._slope(zl)
-            # the Newton step in v mapped back to z; it stops short of z_inf
-            new = zl + step * _exprel(-step / (self.g.z_inf - zl))
-            new = np.where((new >= lol) & (new <= hil), new, 0.5 * (lol + hil))
-            step = np.abs(new - zl)
-            z[live] = new
-            last = prev[live]
-            done = (step <= 1e-15 * new) | (
-                (step ** 3 <= 1e-15 * new * last ** 2) & (last <= 1e-3 * new)) | (
-                (step > 0.5 * last)
-                & (step <= 1e-12 * new + 1e-15 * np.abs(c[live])))
-            prev[live] = step
-            live = live[~done]
-            if live.size == 0:
+            step = -resid / self._slope(z)
+            # the Newton step in v mapped back to z by expm1(r)/r, which stops
+            # short of z_inf
+            r = -step / (self.g.z_inf - z)
+            new = z + step * (math.expm1(r) / r if r else 1.0)
+            if not lo <= new <= hi:
+                new = 0.5 * (lo + hi)
+            step, z = abs(new - z), new
+            if (step <= 1e-15 * z
+                    or (step ** 3 <= 1e-15 * z * prev ** 2 and prev <= 1e-3 * z)
+                    or (step > 0.5 * prev and step <= 1e-12 * z + 1e-15 * abs(c))):
                 break
-            resid[live] = self.F(z[live]) - c[live]
-            below = resid[live] < 0.0
-            lo[live[below]] = z[live[below]]
-            hi[live[~below]] = z[live[~below]]
+            prev = step
+            resid = float(self.F(z)) - c
+            if resid < 0.0:
+                lo = z
+            else:
+                hi = z
         return z
 
 
@@ -471,10 +454,12 @@ def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
     xtol the smallest normal float and rtol = 4 eps, so it returns the same
     root after the same evaluations.  fa and fb are certified limits or
     values the caller already has: f runs only inside the bracket, whose
-    ends may be singular.  A NaN value, ends of one sign or more than
-    4 BISECT_ITERS evaluations raise NumericalError.
+    ends may be singular.  An infinite value (an overflowed state) keeps its
+    sign; Python floats take it without warnings and the interpolation steps
+    it spoils fall back to bisection.  A NaN value, ends of one sign or more
+    than 4 BISECT_ITERS evaluations raise NumericalError.
     """
-    xtol, rtol = np.finfo(float).tiny, 4.0 * np.finfo(float).eps
+    xtol, rtol = float(np.finfo(float).tiny), 4.0 * float(np.finfo(float).eps)
     xpre, xcur, fpre, fcur = float(a), float(b), float(fa), float(fb)
     if np.isnan(fpre) or np.isnan(fcur):
         raise NumericalError("Brent bracket has a NaN end value")
@@ -616,17 +601,19 @@ def _char_start(prob: ControlProblem, z1: float, t1: float) -> tuple[float, floa
     """
     cm = prob.g.char_map
     delta = t1 - prob.t
-    (log_slope,), (phi1,) = cm._terms(np.array([z1]))
+    log_slope, phi1 = (float(term) for term in cm._terms(z1))
     f1 = -z1 * log_slope + phi1
-    z0 = float(cm.invert(f1 + delta, z1, f1)[0])
+    z0 = cm.invert(f1 + delta, z1, f1)
     gap = float(cm.source.log_slope_integral(z0)) - phi1 - (z0 - z1) * log_slope
     return z0, (delta - gap) / z0
 
 
 def _ratio_state(prob: ControlProblem, z: float, x1: float, t1: float) -> float:
     """The state at t on the characteristic with the frozen ratio z through
-    the state x1 at t1: x1 exp((1/p + 1/z)(t1 - t))."""
-    return float(x1 * np.exp((1.0 / prob.p + 1.0 / z) * (t1 - prob.t)))
+    the state x1 at t1: x1 exp((1/p + 1/z)(t1 - t)), infinite where it
+    overflows (small z): the region such a state bounds is empty."""
+    with np.errstate(over="ignore"):
+        return float(x1 * np.exp((1.0 / prob.p + 1.0 / z) * (t1 - prob.t)))
 
 
 def _char_state(prob: ControlProblem, z1: float, x1: float, t1: float) -> float:
@@ -715,7 +702,9 @@ def stationarity_check(prob: ControlProblem) -> dict:
                            / (1 + x_p/p), evaluated at x_p = x_p(tau);
     weighted:    e^{(T-tau)/p} dq(tau) = -x_p g'(x_p) + g(x_p)
                            + int_t^tau g'(x_p(s)) ds.
-    Both must be nonnegative for conforming payoffs.
+    Both must be nonnegative for conforming payoffs.  For g = h/p the
+    integral is (E(x_p(t)) - E(x_p(tau)))/p with E = ``_slope_tail``, since
+    ds = -p du/(u + p) along x_p; other weighted payoffs raise DomainError.
     """
     p, t, T = prob.p, prob.t, prob.T
     taus = np.linspace(t, T, 202)[1:-1]
@@ -732,10 +721,12 @@ def stationarity_check(prob: ControlProblem) -> dict:
                 "payoff fails x(1+x/p) g' + g - g(inf) <= 0; worst margin "
                 f"{hyp_worst:.3e}")
     else:
-        grad = np.empty_like(taus)
-        for i, tau in enumerate(taus):
-            inner = _gauss_integral(lambda s: g.d(prob.x_p(s)), t, tau)
-            grad[i] = -xp[i] * g.d(xp[i]) + g(xp[i]) + inner
+        source = g.level_source
+        if source is None:
+            raise DomainError(f"payoff {g.name} has no closed-form stationarity integral")
+        inner = (_slope_tail(source, float(prob.x_p(t)), p)
+                 - _slope_tail(source, xp, p)) / p
+        grad = -xp * g.d(xp) + g(xp) + inner
         hyp_worst = float(np.max(np.diff(g(xp[::-1]))))  # g decreasing along xp
     worst = float(np.min(grad))
     return {"variant": prob.variant, "min_gradient": worst,
@@ -747,9 +738,10 @@ def stationarity_check(prob: ControlProblem) -> dict:
 
 def check_extremal_hypotheses(source: SourceFn) -> None:
     """Check of the source conditions behind the extremality claim, to 1e-9,
-    on 500 geometric points from 1e-3 to 1e4."""
+    on 500 geometric points from 1e-3 min(1, support) to 1e4 (from 1e-3 for a
+    constant source, whose support is empty)."""
     tol = 1e-9
-    grid = np.geomspace(1e-3, 1e4, 500)
+    grid = np.geomspace(1e-3 * min(1.0, _slope_support(source) or 1.0), 1e4, 500)
     h0 = source.eval(grid, 0)
     h1 = source.eval(grid, 1)
     h2 = source.eval(grid, 2)

@@ -1,4 +1,5 @@
-"""Gauss-Legendre quadrature for integrals over half-lines [a, inf).
+"""Gauss-Legendre quadrature for integrals over half-lines [a, inf), and the
+trapezoid rule on uniform grids.
 
 The substitution y = a + u/(1-u) maps [0,1) onto [a, inf); integrands with
 algebraic tails become smooth on the unit interval, so a fixed Gauss-Legendre
@@ -6,7 +7,11 @@ rule converges fast.  ``HalfLineRule`` is the functionals' fixed rule.
 ``tail_integral_refined`` doubles the node count until the relative change
 falls below ``rtol`` (cap ``nmax``).  No source needs it, since every
 equilibrium tail in ``sources`` has a closed form; it is the independent
-quadrature that the tests check those closed forms against.
+quadrature that the tests check those closed forms against.  The unit
+Gauss-Legendre nodes also serve the profile reconstruction's and the Laplace
+transform's panels, and ``cumtrapz`` and ``trapz_weights`` the time grids
+of the delay, linear and Volterra routes.  The control payoffs take none of
+these: they are closed forms (``control.PayoffG.ride``).
 """
 
 from __future__ import annotations
@@ -106,12 +111,3 @@ def trapz_weights(n: int, dx: float) -> np.ndarray:
         w[0] = 0.0
     return w
 
-
-def gauss_panels(a: float, b: float, n_panels: int, nodes_per_panel: int = 8):
-    """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    u, w = unit_gauss_nodes(nodes_per_panel)
-    edges = np.linspace(a, b, n_panels + 1)
-    widths = np.diff(edges)
-    y = (edges[:-1, None] + widths[:, None] * u).ravel()
-    wy = (widths[:, None] * w).ravel()
-    return y, wy

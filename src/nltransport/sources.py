@@ -157,6 +157,8 @@ class Kernel:
     with no temporaries (see ``SourceFn.eval_orders``).  ``log_integral(y)``
     is an antiderivative of log k on the kernel's support; without it a
     source has no closed-form level map (see ``SourceFn.log_slope_integral``).
+    ``support`` is sup{y : k(y) > 0}, where the sources' h' stops being
+    negative.
     """
 
     name: str
@@ -168,6 +170,7 @@ class Kernel:
     eq_tail_p: Callable[[np.ndarray, float, float], np.ndarray] | None = None
     orders_inf: Callable[[np.ndarray, Sequence[np.ndarray]], None] | None = None
     log_integral: Callable[[np.ndarray], np.ndarray] | None = None
+    support: float = np.inf
 
 
 def log_kernel() -> Kernel:
@@ -241,24 +244,31 @@ def compact_kernel(cutoff: float = 1.0) -> Kernel:
         return np.clip(c - y, 0.0, None) ** 3 / (3.0 * c * c) + p * tail_inf(y)
 
     def q_and_k(y, p):
+        # Q and K vanish at and beyond the cutoff; a NaN y goes on inside
         y = np.asarray(y, dtype=float)
         q = p / c
+        Q, K = np.zeros_like(y), np.zeros_like(y)
+        inside = ~(y >= c)
+        if inside.any():
+            Q[inside], K[inside] = q_and_k_inside(y[inside], q)
+        return q / (q + y / c), Q, K
+
+    def q_and_k_inside(y, q):
         big = 1.0 + q
         t = y / c
-        e = np.clip((c - y) / c, 0.0, None)
-        w = np.minimum(t, 1.0)
+        e = (c - y) / c
         # int_t^1 (1-v)^2/(q+v) dv
-        first = big ** 2 * _log_tail_remainder(e / big, (q + w) / big)
+        first = big ** 2 * _log_tail_remainder(e / big, (q + t) / big)
         K = e ** 3 / 3.0 - (q + t) * first
         if q >= 0.5:
             # 1/(v(q+v)) = (1/v - 1/(q+v))/q, int_t^1 (1-v)^2/v dv = E(e)
-            Q = ((q + t) * first - t * _log_tail_remainder(e, w)) / q
+            Q = ((q + t) * first - t * _log_tail_remainder(e, t)) / q
         else:
             # int_t^1 (1-v)^2/(v(q+v)) dv without the 1/q partial fractions
             Q = first - t * (e - (2.0 + q) * np.log1p(e / (q + t))
                              + rational_tail((0.0, q), t)
                              - rational_tail((0.0, q), np.ones_like(t)))
-        # near and beyond the cutoff: int_0^e w^(k+2) (e - w) dw = e^(k+4)/((k+3)(k+4))
+        # near the cutoff: int_0^e w^(k+2) (e - w) dw = e^(k+4)/((k+3)(k+4))
         near = e <= CUTOFF_SERIES_RATIO
         if near.any():
             en = e[near]
@@ -266,7 +276,7 @@ def compact_kernel(cutoff: float = 1.0) -> Kernel:
                 en, (1.0, 1.0 / big), 3, 2, CUTOFF_SERIES_RATIO)
             K[near] = en ** 4 / big * _power_series(
                 en / big, (1.0,), 3, 2, CUTOFF_SERIES_RATIO)
-        return q / (q + t), Q, K
+        return Q, K
 
     def eq_tail_inf(y, p):
         scale, Q, _ = q_and_k(y, p)
@@ -286,7 +296,7 @@ def compact_kernel(cutoff: float = 1.0) -> Kernel:
 
     return Kernel(name=f"compact({c:g})", k=k, kprime=kprime,
                   tail_inf=tail_inf, tail_p=tail_p, eq_tail_inf=eq_tail_inf,
-                  eq_tail_p=eq_tail_p, log_integral=log_integral)
+                  eq_tail_p=eq_tail_p, log_integral=log_integral, support=c)
 
 
 def inv_square_kernel() -> Kernel:

@@ -11,10 +11,13 @@ that a test compares two derivations rather than one algebra twice:
   and G by direct quadrature in s (``F_eval``, ``G_eval``, ``F_flat_closed``);
 - the control values by backward-induction dynamic programming
   (``brute_force``) and their slope in x by centered differences
-  (``value_x_derivative``);
+  (``value_x_derivative``); a flat payoff g0, whose values need no control
+  (``constant_payoff``);
 - a level-map characteristic's state and payoff by quadrature over uniform
-  s nodes, each node its own inversion (``characteristic_by_quadrature``,
-  with the composite Simpson rule ``simpson_integrate``);
+  s nodes, each node its own inversion by bisection of the level map on its
+  certified bracket (``characteristic_by_quadrature``, with
+  ``level_map_bisection`` and the composite Simpson rule
+  ``simpson_integrate``);
 - the linearization's semigroup, B^2 A xi_p and its two closure functionals
   (``semigroup``, ``B2A_xi_p``, ``perturbation_deltas``), the perturbation
   one sample at a time from whole kernel tables (``perturbation_at``), and
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nltransport.control import MIN_CONTROL_CEILING, ControlProblem, value
+from nltransport.control import MIN_CONTROL_CEILING, ControlProblem, PayoffG, value
 from nltransport.dde import F_of_path, IHistory
 from nltransport.errors import DomainError, ModelViolationError
 from nltransport.functionals import Profile
@@ -172,6 +175,18 @@ def G_eval(model: Model, hist: IHistory, t: float, y, xi0: Profile | None = None
 # -- the control values ------------------------------------------------------------------
 
 
+def constant_payoff(g0: float, p: float) -> PayoffG:
+    """The flat payoff g0: its ride over a width w is g0 w, or with the
+    discount e^{-sigma/p} g0 p (1 - e^{-w/p})."""
+    def ride(u1, width, discounted):
+        width = np.asarray(width, dtype=float)
+        return -g0 * p * np.expm1(-width / p) if discounted else g0 * width
+
+    return PayoffG(g=lambda z: np.full_like(np.asarray(z, float), g0),
+                   gprime=lambda z: np.zeros_like(np.asarray(z, float)),
+                   g_inf=g0, z_inf=0.0, name=f"const({g0:g})", ride=ride)
+
+
 def value_x_derivative(prob: ControlProblem, x: float, rel_step: float = 1e-6):
     """Centered finite difference of the closed-form value in x."""
     h = rel_step * max(abs(x), 1.0)
@@ -190,6 +205,19 @@ def simpson_integrate(values: np.ndarray, dx: float) -> float:
                              + 2.0 * values[2:-1:2].sum()))
 
 
+def level_map_bisection(cm, c: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """F(z) = c for z >= lo elementwise: 60 halvings of the certified bracket
+    [lo, lo + (c - F(lo))], cut at z_hi (``CharMap.invert``'s bracket)."""
+    lo = np.array(lo, dtype=float)
+    hi = np.minimum(lo + np.maximum(c - cm.F(lo), 0.0), cm.z_hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = cm.F(mid) < c
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def characteristic_by_quadrature(prob: ControlProblem, z1: float, x1: float,
                                  t1: float, n_nodes: int) -> tuple[float, float]:
     """The state at t and the payoff int_t^t1 g(z) e^{-(T-s)/p} x/z ds along
@@ -202,7 +230,7 @@ def characteristic_by_quadrature(prob: ControlProblem, z1: float, x1: float,
     """
     cm = prob.g.char_map
     s = np.linspace(prob.t, t1, n_nodes)
-    z = cm.invert(cm.F(np.array([z1])) + (t1 - s), np.full(n_nodes, z1))
+    z = level_map_bisection(cm, cm.F(np.array([z1])) + (t1 - s), np.full(n_nodes, z1))
     rate = 1.0 / prob.p + 1.0 / z
     state = float(x1 * np.exp(simpson_integrate(rate, s[1] - s[0])))
     integ = cumtrapz(rate, x=s)

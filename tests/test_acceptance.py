@@ -213,7 +213,7 @@ def test_criterion_09_control_certificates(log_model):
     g2 = cc.PayoffG.from_source_weighted(src, P)
 
     # (a) constant-payoff degeneracies
-    gconst = cc.PayoffG.constant(2.0)
+    gconst = oracles.constant_payoff(2.0, P)
     parts_a = []
     for variant in cc.VARIANTS:
         prob = cc.ControlProblem(variant, gconst, P, y, T, t0)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import oracles
 import pytest
@@ -7,6 +9,7 @@ from nltransport.sources import (SourceFn, compact_kernel, inv_square_kernel,
                                  inv_square_p_source)
 from nltransport.errors import DomainError, ModelViolationError, NumericalError
 from nltransport import control as cc
+from nltransport.model import backward_state
 
 
 P, Y, T, T0 = 2.0, 1.0, 3.0, 0.0
@@ -76,7 +79,7 @@ def test_admissibility_enforced(g_unweighted):
 
 
 def test_constant_payoff_unweighted_is_control_free():
-    g = cc.PayoffG.constant(2.0)
+    g = oracles.constant_payoff(2.0, P)
     prob = cc.ControlProblem("max01", g, P, Y, T, T0)
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -87,7 +90,7 @@ def test_constant_payoff_unweighted_is_control_free():
 
 def test_constant_payoff_weighted_telescopes():
     # int g0 e^{-(T-s)/p} v ds collapses to g0 (e^{-(T-t)/p} x - y) for any v
-    g = cc.PayoffG.constant(0.7)
+    g = oracles.constant_payoff(0.7, P)
     prob = cc.ControlProblem("min1infw", g, P, Y, T, T0)
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -119,7 +122,7 @@ def test_switch_time_interior(g_unweighted):
 def test_weighted_switch_identity():
     # with constant g the bang-bang switch formula makes
     # g0 p (1 - e^{-(T-tau)/p}) equal g0 (e^{-(T-t)/p} x - y) identically
-    g = cc.PayoffG.constant(1.3)
+    g = oracles.constant_payoff(1.3, P)
     prob = cc.ControlProblem("max01w", g, P, Y, T, T0)
     rng = np.random.default_rng(2)
     lo, hi = prob.reachable_bounds()
@@ -134,7 +137,7 @@ def test_weighted_switch_identity():
 
 
 def test_degenerate_values_exact():
-    g = cc.PayoffG.constant(2.0)
+    g = oracles.constant_payoff(2.0, P)
     for variant in ("max01", "min1inf"):
         prob = cc.ControlProblem(variant, g, P, Y, T, T0)
         v, _ = cc.value(prob, _mid_state(prob))
@@ -163,9 +166,43 @@ def test_min_unweighted_boundary_limit(g_unweighted):
     prob = cc.ControlProblem("min1inf", g_unweighted, P, Y, T, T0)
     xp0 = float(prob.x_p(T0))
     val, info = cc.value_min1inf(prob, xp0 * (1.0 + 1e-9))
-    ref = cc._gauss_integral(lambda s: g_unweighted(prob.x_p(s)), T0, T)
+    from scipy.integrate import quad
+    ref, _ = quad(lambda s: float(g_unweighted(prob.x_p(s))), T0, T, epsabs=1e-13)
     assert info["branch"] == "merge"
     assert abs(val - ref) < 1e-6
+
+
+@pytest.mark.parametrize("y", [1.0, 1e-3])
+def test_min_unweighted_merge_time_matches_bisection(y):
+    # the merge time is a Brent root; the reference is the bisection it
+    # replaced, 60 halvings of [t, T] that keep the merged state below x at
+    # the left end.  The merged state is flat at t, so near x_p(t) the root
+    # is only defined to the rounding of x over its slope: 2e-13 at
+    # x = x_p(t)(1 + 1e-6); the value, stationary in tau, agrees to 1e-15.
+    # At y = 1e-3 the merged state overflows to infinity near T, and the
+    # frozen-ratio boundary is infinite: every reachable x merges
+    g = cc.PayoffG.from_source_unweighted(log_source(1.0), P, y)
+    prob = cc.ControlProblem("min1inf", g, P, y, T, T0)
+
+    def merged_state(tau):
+        xp_tau = float(prob.x_p(tau))
+        return cc._ratio_state(prob, xp_tau, xp_tau, tau)
+
+    xp0 = float(prob.x_p(T0))
+    for frac in (1e-6, 0.01, 0.3, 0.9):
+        x = xp0 * (1.0 + frac)
+        val, info = cc.value_min1inf(prob, x)
+        assert info["branch"] == "merge"
+        lo, hi = T0, T
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if merged_state(mid) < x else (lo, mid)
+        tau = 0.5 * (lo + hi)
+        ref = (tau - T0) * float(g(prob.x_p(tau))) + cc._ride(prob, tau)
+        assert abs(info["tau"] - tau) <= 1e-12, (y, frac)
+        assert abs(val / ref - 1.0) <= 1e-14, (y, frac)
+    if y < 1e-2:
+        assert cc.value_min1inf(prob, 2.0 * xp0)[1]["boundary_x"] == np.inf
 
 
 def test_hypothesis_reports(g_unweighted, g_weighted):
@@ -180,6 +217,43 @@ def test_hypothesis_rejects_increasing_payoff():
                    g_inf=np.inf, z_inf=np.inf, name="bad")
     with pytest.raises(ModelViolationError):
         cc.ControlProblem("max01w", g, P, Y, T, T0).hypothesis_report()
+
+
+def _narrow_hump_source(cutoff):
+    """h' = -k/y with k = 1 - (y/c)^2 on [0, c]: concave, so -y^2 h' = y k and
+    y^2 h'' = k - y k' = 1 + (y/c)^2 both increase on the support, against the
+    min1inf and the extremality hypotheses."""
+    from nltransport.sources import Kernel
+
+    def k(y):
+        return np.where(y < cutoff, 1.0 - (y / cutoff) ** 2, 0.0)
+
+    def tail_inf(y):
+        # int_y^c (1 - u^2/c^2)/u du
+        t = np.minimum(y / cutoff, 1.0)
+        return -np.log(t) - 0.5 * (1.0 - t ** 2)
+
+    def kprime(y):
+        return np.where(y < cutoff, -2.0 * y / cutoff ** 2, 0.0)
+
+    kernel = Kernel(name="hump", k=k, kprime=kprime, tail_inf=tail_inf,
+                    eq_tail_inf=None, support=cutoff)
+    return SourceFn(kind="kernel_inf", h_inf=1.0, kernel=kernel)
+
+
+def test_small_support_is_z_inf_and_is_checked():
+    # z_inf is the kernel's support, however small; the shape checks start
+    # below it, where a grid from 1e-3 would see only the flat part
+    g = cc.PayoffG.from_source_weighted(compact_source(1.0, 1e-4), P)
+    assert g.z_inf == 1e-4 and not g.degenerate
+    assert cc.PayoffG.from_source_weighted(log_source(1.0), P).z_inf == np.inf
+    assert cc.PayoffG.from_source_weighted(constant_source(1.0), P).degenerate
+    source = _narrow_hump_source(1e-4)
+    with pytest.raises(ModelViolationError, match="-z\\^2 g'"):
+        cc.ControlProblem("min1inf", cc.PayoffG.from_source_unweighted(source, P, Y),
+                          P, Y, T, T0).hypothesis_report()
+    with pytest.raises(ModelViolationError, match="y\\^2 h'' decreasing"):
+        cc.check_extremal_hypotheses(source)
 
 
 # -- the level map -------------------------------------------------------------
@@ -210,22 +284,11 @@ def test_level_map_compact_kernel_divergence_at_support_edge():
 
 def test_level_map_inversion_roundtrip(g_weighted):
     cm = g_weighted.char_map
-    z = np.array([0.2, 1.0, 4.0, 40.0])
-    c = cm.F(z)
-    back = cm.invert(c + 1.5, z)
-    assert np.max(np.abs(cm.F(back) - (c + 1.5))) < 1e-9
-
-
-def _bisect_reference(cm, c, lo):
-    """The certified-bracket bisection the Newton inversion replaced."""
-    lo = lo.copy()
-    hi = np.minimum(lo + np.maximum(c - cm.F(lo), 0.0), cm.z_hi)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = cm.F(mid) < c
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    for z in (0.2, 1.0, 4.0, 40.0):
+        c = float(cm.F(z)) + 1.5
+        back = cm.invert(c, z)
+        assert isinstance(back, float)
+        assert abs(float(cm.F(back)) - c) < 1e-9
 
 
 @pytest.mark.parametrize("source,top", [(log_source(1.0), 1e5),
@@ -241,16 +304,17 @@ def test_level_map_inversion_matches_bisection(source, top, monkeypatch):
     c = cm.F(z_true)
     level_map = cm.F
     for lo in (np.full_like(z_true, 1e-3), 0.5 * z_true, 0.999999 * z_true):
-        ref = _bisect_reference(cm, c, lo)
+        ref = oracles.level_map_bisection(cm, c, lo)
         hi = np.minimum(lo + np.maximum(c - cm.F(lo), 0.0), cm.z_hi)
-        calls = []
-        with monkeypatch.context() as patch:
-            patch.setattr(cm, "F", lambda z: calls.append(z) or level_map(z))
-            z = cm.invert(c, lo)
-        assert np.max(np.abs(z / ref - 1.0)) < 1e-13
-        assert np.all((z >= lo) & (z <= hi))
-        # Newton steps in v need few evaluations even next to z_inf
-        assert len(calls) <= 12
+        for ci, loi, hii, refi in zip(c, lo, hi, ref):
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(cm, "F", lambda z: calls.append(z) or level_map(z))
+                z = cm.invert(float(ci), float(loi))
+            assert abs(z / refi - 1.0) < 1e-13
+            assert loi <= z <= hii
+            # Newton steps in v need few evaluations even next to z_inf
+            assert len(calls) <= 12
 
 
 def test_min_weighted_value_work_count(g_weighted, monkeypatch):
@@ -364,10 +428,85 @@ def test_level_map_only_for_the_discounted_payoff(g_unweighted):
     with pytest.raises(DomainError, match="no closed-form level map"):
         cm.F(np.array([1.0]))
     with pytest.raises(DomainError, match="no closed-form level map"):
-        cm.invert(np.array([3.0]), np.array([1.0]))
+        cm.invert(3.0, 1.0)
     g = cc.PayoffG.from_source_weighted(compact_source(1.0, 2.0), P)
     with pytest.raises(DomainError, match="beyond z_inf"):
         g.char_map.F(np.array([2.5]))
+
+
+# -- rides along a constant control ---------------------------------------------------
+
+
+def test_ride_matches_quadrature():
+    # PayoffG.ride against adaptive quadrature over w = log u, in which the
+    # flow's density g(u) p u/(u+p), times (u1+p)/(u+p) when discounted, is
+    # smooth; a compact kernel's support edge is a breakpoint.  u1 = x1/v is
+    # the ratio at a segment's end under the control v, from 1.25e-7 to 1e4.
+    # Measured worst 2.1e-14 absolute (inv_square kernel_p, unweighted, at
+    # u1 = 1.25e-6); relative up to 1.5e-5, but only on rides of 1e-15,
+    # where the by-parts form's two ends cancel (u1 = 1e4, width 1e-3)
+    from scipy.integrate import quad
+
+    for name, source in _LEVEL_MAP_SOURCES.items():
+        weighted = cc.PayoffG.from_source_weighted(source, P)
+        payoffs = [(weighted, True)] + [
+            (cc.PayoffG.from_source_unweighted(source, P, y), False)
+            for y in (1e-6, 1e-3, 1.0)]
+        edge = np.log(weighted.z_inf)
+        for (g, discounted), v, x1, width in itertools.product(
+                payoffs, (1e-3, 1.0, 8.0), np.geomspace(1e-6, 10.0, 8), (1e-3, 1.0)):
+            u1 = x1 / v
+            a, b = np.log(u1), np.log(float(backward_state(width, u1, P)))
+
+            def density(w, g=g, discounted=discounted, u1=u1):
+                u = np.exp(w)
+                val = float(g(u)) * P * u / (u + P)
+                return val * (u1 + P) / (u + P) if discounted else val
+
+            want, _ = quad(density, a, b, points=[edge] if a < edge < b else None,
+                           epsabs=1e-15, epsrel=1e-13, limit=200)
+            got = g.ride(u1, width, discounted)
+            assert abs(got - want) <= 1e-13, (name, g.name, v, x1, width, got, want)
+
+
+def test_ride_pairings_without_closed_form_raise():
+    source = log_source(1.0)
+    with pytest.raises(DomainError, match="no closed-form discounted ride"):
+        cc.PayoffG.from_source_unweighted(source, P, Y).ride(1.0, 0.5, True)
+    with pytest.raises(DomainError, match="no closed-form undiscounted ride"):
+        cc.PayoffG.from_source_weighted(source, P).ride(1.0, 0.5, False)
+    bare = cc.PayoffG(g=lambda z: 1.0 / z, gprime=lambda z: -1.0 / z ** 2,
+                      g_inf=0.0, z_inf=np.inf, name="1/z")
+    prob = cc.ControlProblem("max01", bare, P, Y, T, T0)
+    ctrl = cc.PiecewiseControl(edges=np.linspace(T0, T, 3), values=np.array([0.5, 1.0]))
+    with pytest.raises(DomainError, match="no closed-form ride"):
+        cc.payoff(prob, ctrl)
+
+
+@pytest.mark.parametrize("variant", cc.VARIANTS)
+@pytest.mark.parametrize("y", [1e-3, 1.0])
+def test_payoff_matches_quadrature(variant, y):
+    # a sampled control's payoff, one ride per segment, against adaptive
+    # quadrature in s of g(x/v) (times v e^{-(T-s)/p} when weighted) on each
+    # segment; at y = 1e-3 the density peaks like 1/(y + T - s) at s = T
+    from scipy.integrate import quad
+
+    source = log_source(1.0)
+    g = (cc.PayoffG.from_source_weighted(source, P) if variant in ("max01w", "min1infw")
+         else cc.PayoffG.from_source_unweighted(source, P, y))
+    prob = cc.ControlProblem(variant, g, P, y, T, T0)
+    ctrl = cc.sample_controls(prob, 1, seed=4)[0]
+    edges, values = ctrl.edges, ctrl.values
+    want = 0.0
+    for a, b, v in zip(edges[:-1], edges[1:], values):
+        x_b = cc.trajectory_x(prob, ctrl, b)
+
+        def density(s, b=b, v=v, x_b=x_b):
+            val = float(g(backward_state(b - s, x_b, P, v) / v))
+            return val * v * np.exp(-(T - s) / P) if prob.weighted else val
+
+        want += quad(density, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+    assert abs(cc.payoff(prob, ctrl) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_simpson_cubic_exact():
@@ -486,7 +625,8 @@ def test_min_weighted_characteristics_ordered(g_weighted):
     s = np.linspace(T0, T, 201)
     prev = None
     for lam in (0.25, 0.5, 0.75, 0.95):
-        zp = cm.invert(cm.F(np.array([lam])) + (T - s), np.full(len(s), lam))
+        f_lam = float(cm.F(lam))
+        zp = np.array([cm.invert(f_lam + (T - si), lam) for si in s])
         from nltransport.quadrature import cumtrapz
         integ = cumtrapz(1.0 / P + 1.0 / zp, x=s)
         yp = Y * np.exp(integ[-1] - integ)
@@ -627,6 +767,27 @@ def test_stationarity_unweighted(g_unweighted):
 def test_stationarity_weighted(g_weighted):
     rep = cc.stationarity_check(cc.ControlProblem("max01w", g_weighted, P, Y, T, T0))
     assert rep["passes"]
+
+
+@pytest.mark.parametrize("source", [log_source(1.0), compact_source(1.0, 2.0)],
+                         ids=["log", "compact"])
+def test_stationarity_weighted_matches_quadrature(source):
+    # the closed-form inner integral int_t^tau g'(x_p(s)) ds, through the
+    # whole gradient, against adaptive quadrature at every tau
+    from scipy.integrate import quad
+
+    g = cc.PayoffG.from_source_weighted(source, P)
+    prob = cc.ControlProblem("max01w", g, P, Y, T, T0)
+    taus = np.linspace(T0, T, 202)[1:-1]
+    xp = prob.x_p(taus)
+    inner = np.array([quad(lambda s: float(g.d(prob.x_p(s))), T0, tau,
+                           epsabs=1e-15, epsrel=1e-13, limit=200)[0] for tau in taus])
+    want = np.min(-xp * g.d(xp) + g(xp) + inner)
+    rep = cc.stationarity_check(prob)
+    assert abs(rep["min_gradient"] - want) <= 1e-13
+    bare = cc.PayoffG(g=g.g, gprime=g.gprime, g_inf=g.g_inf, z_inf=g.z_inf, name="bare")
+    with pytest.raises(DomainError, match="no closed-form stationarity"):
+        cc.stationarity_check(cc.ControlProblem("max01w", bare, P, Y, T, T0))
 
 
 def test_extremal_hypotheses_reject_nonconvex_kernel():

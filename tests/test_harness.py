@@ -1057,7 +1057,16 @@ def test_volterra_demo_runner(tmp_path):
     # its own, where its tables stopped at z = 1e6
     ({"kind": "kernel_inf", "kernel": "log", "h_inf": 1.0}, "kernel_inf(log)",
      {"y": 2e6}),
-], ids=["log", "constant", "log-y2e6"])
+    # terminal states near 0: the payoff densities peak like 1/(y + T - s) at
+    # s = T, and the frozen-ratio boundaries overflow to infinity
+    ({"kind": "kernel_inf", "kernel": "log", "h_inf": 1.0}, "kernel_inf(log)",
+     {"y": 1e-3}),
+    ({"kind": "kernel_inf", "kernel": "log", "h_inf": 1.0}, "kernel_inf(log)",
+     {"y": 1e-6}),
+    # a support below 1e-3: z_inf is the cutoff, not 0 (a flat payoff)
+    ({"kind": "kernel_inf", "kernel": "compact", "cutoff": 1e-4, "h_inf": 1.0},
+     "kernel_inf(compact(0.0001))", {}),
+], ids=["log", "constant", "log-y2e6", "log-y1e-3", "log-y1e-6", "compact-cutoff1e-4"])
 def test_control_verify_runner(tmp_path, source, model, options):
     doc = {"experiment": "control-verify", "seed": 5,
            "model": {"p": 2.0, "source": source},

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from nltransport.errors import NumericalError
 from nltransport.sources import compact_kernel
-from nltransport.quadrature import (HalfLineRule, cumtrapz, gauss_panels,
-                                    tail_integral_refined, tail_integral_values,
-                                    trapz_weights)
+from nltransport.quadrature import (HalfLineRule, cumtrapz, tail_integral_refined,
+                                    tail_integral_values, trapz_weights)
 
 
 def test_inverse_square_exact():
@@ -90,8 +89,3 @@ def test_cumtrapz_linear_exact():
 def test_trapz_weights_sum():
     w = trapz_weights(11, 0.1)
     assert abs(w.sum() - 1.0) < 1e-14
-
-
-def test_gauss_panels_polynomial():
-    y, w = gauss_panels(0.0, 2.0, 4, 8)
-    assert abs(np.dot(w, y ** 5) - 2.0 ** 6 / 6.0) < 1e-12
