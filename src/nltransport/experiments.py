@@ -29,7 +29,7 @@ from .linstab import Linearization
 from .ratefit import fit_rate
 from .trajectory import CSV_COLUMNS
 from .volterra import (LinearDDEProblem, VolterraProblem, gripenberg_check,
-                       linear_dde_solve, reconstruct, resolvent, solve)
+                       linear_dde_solve, reconstruct, resolvent, solve, uniform_grid)
 
 EXIT_PASS = 0
 EXIT_SCHEMA = 1
@@ -96,9 +96,7 @@ def run_equilibrium(scn: Scenario) -> dict:
     grid = np.geomspace(1e-2, 1e4, 200)
     resid = float(np.max(np.abs(model.equilibrium_residual(grid))))
     write_csv(os.path.join(scn.output_dir, "equilibrium_profile.csv"),
-              ("y", "xi_p", "dxi_p"),
-              (grid, model.equilibrium_values(grid, 0),
-               model.equilibrium_values(grid, 1)))
+              ("y", "xi_p", "dxi_p"), (grid, *model.equilibrium_pair(grid)))
     return {
         "rho_at_equilibrium": res.rho,
         "target": 1.0 / model.p,
@@ -203,9 +201,8 @@ def run_linear_stability(scn: Scenario) -> dict:
 
 def run_volterra_demo(scn: Scenario) -> dict:
     opts = scn.options
-    prob = VolterraProblem(kernel=lambda tau: np.exp(-np.maximum(tau, 0.0)),
-                           forcing=lambda t: np.ones_like(t), T=opts["T"], dt=opts["dt"],
-                           convolution=True)
+    t = uniform_grid(opts["T"], opts["dt"])
+    prob = VolterraProblem(kernel=np.exp(-t), forcing=np.ones_like(t), dt=opts["dt"])
     t, u = solve(prob)
     err_u = float(np.max(np.abs(u - 0.5 * (1.0 + np.exp(-2.0 * t)))))
     _, r = resolvent(prob)
@@ -213,23 +210,22 @@ def run_volterra_demo(scn: Scenario) -> dict:
     recon = float(np.max(np.abs(reconstruct(prob) - u)))
     write_csv(os.path.join(scn.output_dir, "volterra_u.csv"), ("t", "u"), (t, u))
 
-    gp = VolterraProblem(kernel=lambda a, b: 0.5 * np.exp(-(a - b)),
-                         forcing=lambda s: np.ones_like(s),
-                         T=opts["gripenberg_T"], dt=opts["gripenberg_dt"])
+    tg = uniform_grid(opts["gripenberg_T"], opts["gripenberg_dt"])
+    gp = VolterraProblem(kernel=lambda i, j: 0.5 * np.exp(-(tg[i] - tg[j])),
+                         forcing=np.ones_like(tg), dt=opts["gripenberg_dt"])
     grip = gripenberg_check(gp)
 
-    ddemo = LinearDDEProblem(
-        a=lambda s: np.zeros_like(np.asarray(s, float)),
-        k=lambda a, b: np.exp(-(a - np.asarray(b, float))),
-        f=lambda s: np.zeros_like(np.asarray(s, float)), I0=1.0)
-    sol = linear_dde_solve(ddemo, T=opts["dde_T"], dt=opts["dde_dt"])
+    td = uniform_grid(opts["dde_T"], opts["dde_dt"])
+    ddemo = LinearDDEProblem(a=np.zeros_like(td), k=lambda i, j: np.exp(-(td[i] - td[j])),
+                             f=np.zeros_like(td), I0=1.0, dt=opts["dde_dt"])
+    sol = linear_dde_solve(ddemo)
     write_csv(os.path.join(scn.output_dir, "linear_dde_I.csv"), ("t", "I"),
               (sol["t"], sol["I"]))
     report = {
         "closed_form_solution_err": err_u,
         "closed_form_resolvent_err": err_r,
         "reconstruction_residual": recon,
-        "gripenberg": {k: v for k, v in grip.items()},
+        "gripenberg": grip,
         "dde_tail_oscillation": sol["tail_oscillation"],
         "dde_cross_check_residual": sol["cross_check_residual"],
         "pass": bool(err_u < 1e-5 and err_r < 1e-5 and recon < 1e-8

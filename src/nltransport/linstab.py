@@ -46,8 +46,7 @@ and m(t,s) with
 Its integrated convolution form reads dJ/dt + K(0) J + K'*J = K J0 - g/denom.
 ``delay_problem`` and ``convolution_delay_problem`` tabulate either form on a
 uniform grid as a ``volterra.LinearDDEProblem``, which
-``volterra.linear_dde_solve`` integrates and cross-checks; their tables raise
-DomainError when read off that grid.  M(0) pairs to h
+``volterra.linear_dde_solve`` integrates and cross-checks.  M(0) pairs to h
 exactly, so the two forms agree to second order at small times; at large times
 M -> K(0) and m -> -K' exponentially.  Both facts are asserted in tests, which
 pins the sign conventions.
@@ -76,7 +75,6 @@ KERNEL_CHUNK_POINTS = 64_000
 MONOTONICITY_HORIZON = 10.0  # monotonicity_certificate samples K on [0, 10 p]
 NORM_GRID = np.geomspace(1e-2, 1e4, 300)  # linear_evolve's norm grid
 FIT_WINDOW = 0.5  # trailing fraction of the samples its decay fit uses
-TABLE_SLACK = 1e-9  # reach past a table's grid, relative to its span, taken as rounding
 
 
 class Linearization:
@@ -269,18 +267,15 @@ class Linearization:
         tgrid = uniform_grid(T, dt)
         Kv = self.kernel_K(tgrid)
         gv = self.forcing_g(xi0_tilde, tgrid)
-        prob = VolterraProblem(kernel=_on_grid(tgrid, Kv), forcing=_on_grid(tgrid, gv),
-                               T=T, dt=dt, convolution=True)
-        _, u = volterra_solve(prob)
+        _, u = volterra_solve(VolterraProblem(kernel=Kv, forcing=gv, dt=dt))
         sample_idx = np.unique(np.linspace(0, len(tgrid) - 1, n_samples).astype(int))
         ts = tgrid[sample_idx]
-        val = np.empty((len(grid), len(ts)))
-        dval = np.empty_like(val)
-        for col, t in enumerate(ts):  # e^{-Bt} xi0_tilde and its derivative
-            v, d = xi0_tilde.pair_eval(backward_state(t, grid, self.p))
-            val[:, col] = np.exp(-t / self.p) * v
-            dval[:, col] = d
-        step = tgrid[1] - tgrid[0]
+        # e^{-Bt} xi0_tilde and its derivative, one column per sample; dval is
+        # a copy, as the lag chunks below add into it
+        v, d = xi0_tilde.pair_eval(backward_state(ts[None, :], grid[:, None], self.p))
+        val = np.exp(-ts / self.p) * v
+        dval = np.array(d, dtype=float)
+        step = tgrid[-1] / max(len(tgrid) - 1, 1)  # the grid's own step; 0 on one node
         chunk = max(1, int(KERNEL_CHUNK_POINTS // len(grid)))
         for lo in range(0, len(tgrid), chunk):
             lag = np.arange(lo, min(lo + chunk, len(tgrid)))[:, None]
@@ -340,13 +335,10 @@ class Linearization:
         g = -(self.forcing_g(xi0_tilde, t)
               + I0_tilde * self._pair_h_forcing(t)) / self.denom
 
-        Kp_at, c_at = _on_grid(t, Kp), _on_grid(t, c)
+        def m(i, j):
+            return -Kp[i - j] + np.exp(-(t[i] - t[j]) / self.p) * c[i]
 
-        def m(ti, s):
-            lag = ti - np.asarray(s, dtype=float)
-            return -Kp_at(lag) + np.exp(-lag / self.p) * c_at(ti)
-
-        return LinearDDEProblem(a=_on_grid(t, a), k=m, f=_on_grid(t, g), I0=I0_tilde)
+        return LinearDDEProblem(a=a, k=m, f=g, I0=I0_tilde, dt=dt)
 
     def convolution_delay_problem(self, I0_tilde: float, xi0_tilde: Profile,
                                   T: float, dt: float) -> LinearDDEProblem:
@@ -358,11 +350,8 @@ class Linearization:
         Kv = self.kernel_K(t)
         Kp = self.kernel_K_prime(t)
         f = Kv * I0_tilde - self.forcing_g(xi0_tilde, t) / self.denom
-        Kp_at = _on_grid(t, Kp)
-        return LinearDDEProblem(
-            a=_on_grid(t, Kv[0] + cumtrapz(Kp, dx=dt)),
-            k=lambda ti, s: -Kp_at(ti - np.asarray(s, dtype=float)),
-            f=_on_grid(t, f), I0=I0_tilde)
+        return LinearDDEProblem(a=Kv[0] + cumtrapz(Kp, dx=dt), k=lambda i, j: -Kp[i - j],
+                                f=f, I0=I0_tilde, dt=dt)
 
     def _pair_h_forcing(self, t):
         """<dI(xi_p), e^{-Bt} h> for the delay forcing."""
@@ -383,22 +372,3 @@ def h3_contour(p: float, omega: float, n: int) -> np.ndarray:
     left = np.linspace(a - 1j * omega, a + 1j * omega, per_side,
                        endpoint=False)
     return np.concatenate([top, right, bottom, left])
-
-
-def _on_grid(t: np.ndarray, values: np.ndarray):
-    """A function of time that reads a table on the grid ``t``."""
-    return lambda s: _read_table(t, values, s)
-
-
-def _read_table(t: np.ndarray, values: np.ndarray, s):
-    """Linear interpolation of ``values`` on ``t`` at ``s``.
-
-    A point past either end of the grid by more than rounding raises
-    DomainError: ``np.interp`` would return the end value without a word.
-    """
-    slack = TABLE_SLACK * (t[-1] - t[0])
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < t[0] - slack) or np.any(s_arr > t[-1] + slack):
-        raise DomainError(f"table on [{t[0]:g}, {t[-1]:g}] read at "
-                          f"[{np.min(s_arr):g}, {np.max(s_arr):g}]")
-    return np.interp(s, t, values)

@@ -73,8 +73,7 @@ class Model:
         functional.check_dominates(source)
         y = functional.nodes
         self.h_nodes = np.asarray(source.eval(y, 0), dtype=float)
-        self.xi_p_nodes = self.equilibrium_values(y)
-        self.dxi_p_nodes = self.equilibrium_values(y, order=1)
+        self.xi_p_nodes, self.dxi_p_nodes = self.equilibrium_pair(y)
 
     # -- equilibrium ---------------------------------------------------------
 

@@ -15,10 +15,8 @@ from nltransport.volterra import VolterraProblem, _kernel_block
 
 def dense_operator(prob: VolterraProblem) -> np.ndarray:
     """The quadrature operator L with (Lu)_i ~ int_0^{t_i} K u, as an n x n array."""
-    t = prob.grid
-    n = len(t)
-    L = np.tril(_kernel_block(prob, t, t)) * prob.dt
-    idx = np.arange(n)
+    idx = np.arange(len(prob.forcing))
+    L = np.tril(_kernel_block(prob, idx, idx)) * prob.dt
     L[idx, idx] *= 0.5
     L[:, 0] *= 0.5
     L[0, :] = 0.0
@@ -34,10 +32,10 @@ def dense_resolvent(prob: VolterraProblem) -> tuple[np.ndarray, np.ndarray]:
 
 def dense_triangle_scans(prob: VolterraProblem, T0_scan) -> tuple:
     """(min, max column increase, w values, tail masses) from the full triangle."""
-    t = prob.grid
-    n = len(t)
+    n = len(prob.forcing)
     dt = prob.dt
-    tri = np.tril(_kernel_block(prob, t, t))
+    idx = np.arange(n)
+    tri = np.tril(_kernel_block(prob, idx, idx))
     col_incr = 0.0
     for j in range(0, n - 1, max(1, n // 64)):
         col = tri[j:, j]

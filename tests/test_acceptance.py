@@ -20,7 +20,7 @@ from nltransport import control as cc
 from nltransport import dde, pde
 from nltransport.volterra import (LinearDDEProblem, VolterraProblem,
                                   gripenberg_check, linear_dde_solve,
-                                  reconstruct, resolvent, solve)
+                                  reconstruct, resolvent, solve, uniform_grid)
 
 P = 2.0
 
@@ -98,9 +98,8 @@ def test_criterion_04_kernel_certificate(kernel_certificate):
 
 def test_criterion_05_volterra_closed_forms():
     start = time.monotonic()
-    prob = VolterraProblem(kernel=lambda tau: np.exp(-np.maximum(tau, 0.0)),
-                           forcing=lambda t: np.ones_like(t),
-                           T=10.0, dt=1e-3, convolution=True)
+    grid = uniform_grid(10.0, 1e-3)
+    prob = VolterraProblem(kernel=np.exp(-grid), forcing=np.ones_like(grid), dt=1e-3)
     t, u = solve(prob)
     err_u = float(np.max(np.abs(u - 0.5 * (1.0 + np.exp(-2.0 * t)))))
     _, r = resolvent(prob)
@@ -338,15 +337,16 @@ def test_criterion_10_gradients(log_model):
 
 
 def test_criterion_11_volterra_delay_demos():
-    gp = VolterraProblem(kernel=lambda t, s: 0.5 * np.exp(-(t - np.asarray(s, float))),
-                         forcing=lambda t: np.ones_like(t), T=200.0, dt=0.1)
+    tg = uniform_grid(200.0, 0.1)
+    gp = VolterraProblem(kernel=lambda i, j: 0.5 * np.exp(-(tg[i] - tg[j])),
+                         forcing=np.ones_like(tg), dt=0.1)
     rep = gripenberg_check(gp)
     stable = rep["resolvent_l1_late_relvar"] < 0.01
 
-    demo = LinearDDEProblem(a=lambda t: np.zeros_like(np.asarray(t, float)),
-                            k=lambda t, s: np.exp(-(t - np.asarray(s, float))),
-                            f=lambda t: np.zeros_like(np.asarray(t, float)), I0=1.0)
-    sol = linear_dde_solve(demo, T=100.0, dt=0.02)
+    td = uniform_grid(100.0, 0.02)
+    demo = LinearDDEProblem(a=np.zeros_like(td), k=lambda i, j: np.exp(-(td[i] - td[j])),
+                            f=np.zeros_like(td), I0=1.0, dt=0.02)
+    sol = linear_dde_solve(demo)
     ok = stable and sol["tail_oscillation"] < 1e-4
     report(11, "boundedness and delay demos", ok,
            f"resolvent mass {rep['sup_resolvent_l1']:.4f} stable to "

@@ -269,6 +269,22 @@ def test_volterra_demo_reads_no_model(tmp_path, capsys):
     assert len(out.splitlines()) == 1 and "config.model.p" in out
 
 
+def test_volterra_demo_on_single_node_grids(tmp_path):
+    # every horizon below half a step: each problem has the one node t = 0,
+    # where the solution is its forcing and every residual vanishes
+    doc = _small_run_config(tmp_path, "volterra-demo")
+    doc["options"] = {"T": 4e-4, "dt": 1e-3, "gripenberg_T": 0.04, "gripenberg_dt": 0.1,
+                      "dde_T": 1e-3, "dde_dt": 0.02}
+    assert run_scenario(write_config(tmp_path, doc)) == EXIT_PASS
+    entry = json.loads((tmp_path / "out" / "report.json").read_text())["volterra-demo"]
+    for key in ("closed_form_solution_err", "closed_form_resolvent_err",
+                "reconstruction_residual", "dde_tail_oscillation",
+                "dde_cross_check_residual"):
+        assert entry[key] == 0.0, key
+    for name in ("volterra_u.csv", "linear_dde_I.csv"):
+        assert len((tmp_path / "out" / name).read_text().splitlines()) == 2, name
+
+
 def test_compact_kernel_p_equilibrium_passes(tmp_path):
     doc = base_config(str(tmp_path / "out"))
     doc["model"]["source"] = {"kind": "kernel_p", "kernel": "compact",
@@ -474,6 +490,31 @@ def test_src_has_no_test_only_public_names():
                   for name in sorted(set(KEPT) - set(unreferenced))]
         pytest.fail(f"{len(unreferenced)} public names that nothing in src/ or "
                     "bench/ references:\n" + "\n".join(lines))
+
+
+def test_src_references_every_private_definition():
+    # a private module-level function or class that src/ no longer reaches
+    # (only a test imports it) is dead code: src/ must reference each one as
+    # a name, an attribute or an import
+    root = pathlib.Path(__file__).resolve().parent.parent
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((root / "src" / "nltransport").glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    private = [f"{module}.{node.name}" for module, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert private
+    unreferenced = [name for name in private if name.split(".")[1] not in referenced]
+    assert unreferenced == [], f"private definitions nothing in src/ references: {unreferenced}"
 
 
 def _doc_for(tmp_path, experiment):
@@ -1005,6 +1046,16 @@ def test_linear_stability_off_grid_step(tmp_path):
     doc["run"] = {"T": 4.0, "dt": 0.06}
     doc["options"] = {"kernel_grid": 100, "contour_omega": 10.0}
     assert run_scenario(write_config(tmp_path, doc)) == EXIT_PASS
+
+
+def test_linear_stability_on_a_single_node_grid(tmp_path, capsys):
+    # T < dt/2 leaves the one node t = 0: too few samples for the decay fit,
+    # which is a numeric error with a one-line message, not a traceback
+    doc = base_config(str(tmp_path / "out"), experiment="linear-stability")
+    doc["run"] = {"T": 0.005, "dt": 0.02}
+    doc["options"] = {"kernel_grid": 100, "contour_omega": 10.0}
+    assert run_scenario(write_config(tmp_path, doc)) == EXIT_NUMERIC
+    assert "rate fit needs" in capsys.readouterr().out
 
 
 def test_linear_stability_runner(tmp_path):
